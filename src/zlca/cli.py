@@ -24,7 +24,7 @@ from typing import Any, Optional, Sequence
 
 from . import __version__, families, feq, gd, ideals, specfile
 from .conformal import (ConformalAlgebra, NotAffineError, ZeroActionError,
-                        check_jacobi, check_skew, classify_support,
+                        check_jacobi, classify_support,
                         degree_relation_check, spectral_data)
 
 PASS, VIOLATIONS, INPUT_ERROR = 0, 1, 2
@@ -122,8 +122,8 @@ def _law_violation(section: str, v) -> dict[str, Any]:
 
 def cmd_verify(args) -> int:
     alg = _load_algebra(args.spec, args.bind)
-    skew = check_skew(alg)
     jacobi = check_jacobi(alg)
+    skew = jacobi.skew
     violations = [_skew_violation(v) for v in skew.violations]
     violations += [_jacobi_violation(v) for v in jacobi.violations]
     sections: dict[str, Any] = {

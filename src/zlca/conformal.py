@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .poly import DEL, LAM, MU, Mono, ParamPoly, Scalar, as_poly
+from .poly import DEL, LAM, MU, D, X, Y, Mono, ParamPoly, Scalar, as_poly
 
 TableEntry = Mapping["GeneratorId", ParamPoly]
 Table = Mapping[tuple["GeneratorId", "GeneratorId"], TableEntry]
@@ -174,6 +174,10 @@ class ConformalAlgebra:
         self.params = frozenset(param_set)
         self._table = clean
         self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
+        # Substituted table entries for jacobi_residual, filled on demand:
+        # (form, left, right) -> {target: substituted polynomial}.
+        self._jacobi_forms: dict[tuple[str, GeneratorId, GeneratorId],
+                                 dict[GeneratorId, ParamPoly]] = {}
         for g in gens:
             self._by_grade.setdefault(g.grade, ())
             self._by_grade[g.grade] += (g,)
@@ -284,6 +288,33 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
     return SkewReport(checked, skipped, tuple(violations))
 
 
+#: The substitutions the Jacobi expansion applies to table entries.  The inner
+#: forms of the two subtracted terms carry their minus sign.
+_JACOBI_FORMS = {
+    "inner_vw": lambda p: p.substitute(LAM, Y).substitute(DEL, D + X),
+    "inner_uv": lambda p: -p.substitute(DEL, -X - Y),
+    "outer_tw": lambda p: p.substitute(LAM, X + Y),
+    "inner_uw": lambda p: -p.substitute(DEL, D + Y),
+    "outer_vt": lambda p: p.substitute(LAM, Y),
+}
+
+
+def _jacobi_form(alg: ConformalAlgebra, form: str, left: GeneratorId,
+                 right: GeneratorId) -> dict[GeneratorId, ParamPoly]:
+    """One table entry under one Jacobi substitution, cached on the algebra.
+
+    Raises OutOfWindowError exactly as ``structure`` does; only in-window
+    entries are cached.
+    """
+    key = (form, left, right)
+    entry = alg._jacobi_forms.get(key)
+    if entry is None:
+        sub = _JACOBI_FORMS[form]
+        entry = {t: sub(p) for t, p in alg.structure(left, right).items()}
+        alg._jacobi_forms[key] = entry
+    return entry
+
+
 def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
                     w: GeneratorId) -> dict[GeneratorId, ParamPoly]:
     """Defect of the Jacobi identity on one generator triple.
@@ -298,40 +329,30 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     An all-zero map means the identity holds on this triple.  Raises
     OutOfWindowTripleError when an inner bracket's grade is missing, or when
     some inner bracket is nonzero and the total grade is missing.
+
+    The substituted entries come from ``_jacobi_form``, so each is computed
+    once per algebra rather than once per triple that touches it.
     """
-    d_ = ParamPoly.variable(DEL)
-    x_ = ParamPoly.variable(LAM)
-    y_ = ParamPoly.variable(MU)
     acc: dict[GeneratorId, ParamPoly] = {}
 
-    def accumulate(first: GeneratorId, second: GeneratorId, inner_sub,
-                   outer_pair, outer_sub, sign: int) -> None:
+    def accumulate(inner_form: str, first: GeneratorId, second: GeneratorId,
+                   outer_form: str | None, outer_pair) -> None:
         try:
-            inner = alg.structure(first, second)
+            inner = _jacobi_form(alg, inner_form, first, second)
+            for t, left in inner.items():
+                outer = (alg.structure(*outer_pair(t)) if outer_form is None
+                         else _jacobi_form(alg, outer_form, *outer_pair(t)))
+                for r, right in outer.items():
+                    acc[r] = acc.get(r, ParamPoly.zero()) + left * right
         except OutOfWindowError:
             raise OutOfWindowTripleError((u, v, w)) from None
-        for t, inner_poly in inner.items():
-            try:
-                outer = alg.structure(*outer_pair(t))
-            except OutOfWindowError:
-                raise OutOfWindowTripleError((u, v, w)) from None
-            left = inner_sub(inner_poly)
-            for r, outer_poly in outer.items():
-                contrib = sign * left * outer_sub(outer_poly)
-                acc[r] = acc.get(r, ParamPoly.zero()) + contrib
 
     # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
-    accumulate(v, w,
-               lambda p: p.substitute(LAM, y_).substitute(DEL, d_ + x_),
-               lambda t: (u, t), lambda p: p, +1)
+    accumulate("inner_vw", v, w, None, lambda t: (u, t))
     # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
-    accumulate(u, v,
-               lambda p: p.substitute(DEL, -x_ - y_),
-               lambda t: (t, w), lambda p: p.substitute(LAM, x_ + y_), -1)
+    accumulate("inner_uv", u, v, "outer_tw", lambda t: (t, w))
     # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
-    accumulate(u, w,
-               lambda p: p.substitute(DEL, d_ + y_),
-               lambda t: (v, t), lambda p: p.substitute(LAM, y_), -1)
+    accumulate("inner_uw", u, w, "outer_vt", lambda t: (v, t))
     return {r: poly for r, poly in acc.items() if poly}
 
 
@@ -347,11 +368,16 @@ class JacobiReport:
     checked: int
     skipped: int
     violations: tuple[JacobiViolation, ...]
-    skew_ok: bool
+    skew: SkewReport
 
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def skew_ok(self) -> bool:
+        """Whether skew held, so that ordered triples u <= v <= w sufficed."""
+        return self.skew.ok
 
 
 def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
@@ -361,9 +387,9 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     skew check forfeits that reduction, so all ordered triples are scanned
     instead (the algebra is then never certified on the cheap path).
     """
-    skew_ok = check_skew(alg).ok
+    skew = check_skew(alg)
     gens = alg.generators
-    if skew_ok:
+    if skew.ok:
         triples: Iterable[tuple[GeneratorId, GeneratorId, GeneratorId]] = (
             (gens[i], gens[j], gens[k])
             for i in range(len(gens))
@@ -383,7 +409,7 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
         for target in sorted(residual):
             violations.append(JacobiViolation((a, b, c), target,
                                               residual[target]))
-    return JacobiReport(checked, skipped, tuple(violations), skew_ok)
+    return JacobiReport(checked, skipped, tuple(violations), skew)
 
 
 # -- structure diagnostics -----------------------------------------------------

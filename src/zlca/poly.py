@@ -4,9 +4,18 @@ A polynomial lives in Q[d, x, y, s, t, ...] where `d`, `x`, `y` are the three
 *formal* variables of the lambda-bracket calculus (the module operator and the
 two bracket parameters) and every other lowercase identifier is a free
 *parameter* (weight zero).  The representation is a dict mapping monomials to
-``fractions.Fraction`` coefficients with no zero entries stored, so two
-polynomials are equal exactly when their dicts are equal: the dict *is* the
-canonical normal form.
+nonzero rational coefficients, so two polynomials are equal exactly when their
+dicts are equal: the dict *is* the canonical normal form.
+
+Storage contract: a coefficient is stored as an ``int`` when it is integral
+and as a ``fractions.Fraction`` otherwise.  ``int`` n and ``Fraction(n)``
+compare and hash equal, so the normal form is unaffected, and integer
+arithmetic skips the gcd work of ``Fraction``.  Every method that hands a
+coefficient to a caller (``terms``, ``coefficient``, ``as_fraction``,
+``leading_coefficient``) returns a ``Fraction``.  Quotients are formed with
+``Fraction``, never with ``/`` on two ints.  There is deliberately no
+process-wide cache (of monomial products or anything else): it would grow
+with every polynomial a long-running process ever saw.
 
 A monomial is a tuple of ``(variable, exponent)`` pairs, sorted by the
 canonical variable precedence
@@ -78,14 +87,38 @@ def mono_total_degree(mono: Mono) -> int:
 
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
+    """The product monomial: a linear merge of two canonically sorted tuples.
+
+    Formal variables rank before parameters and d < x < y as strings, so the
+    ``_var_rank`` order is: formal first, then plain string order.
+    """
     if not a:
         return b
     if not b:
         return a
-    exps: dict[str, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items(), key=lambda it: _var_rank(it[0])))
+    formal = _FORMAL_RANK
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        va, ea = a[i]
+        vb, eb = b[j]
+        if va == vb:
+            out.append((va, ea + eb))
+            i += 1
+            j += 1
+        elif ((va < vb) if (va in formal) is (vb in formal)
+              else va in formal):
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    if i < na:
+        out.extend(a[i:])
+    elif j < nb:
+        out.extend(b[j:])
+    return tuple(out)
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
@@ -96,11 +129,9 @@ def mono_divides(a: Mono, b: Mono) -> bool:
 
 def mono_div(b: Mono, a: Mono) -> Mono:
     """The quotient monomial b / a; caller guarantees divisibility."""
-    exps = dict(b)
-    for v, e in a:
-        exps[v] -= e
-    return tuple(sorted(((v, e) for v, e in exps.items() if e),
-                        key=lambda it: _var_rank(it[0])))
+    exps = dict(a)
+    return tuple((v, e - exps.get(v, 0)) for v, e in b
+                 if e != exps.get(v, 0))
 
 
 def mono_sort_key(mono: Mono):
@@ -117,18 +148,29 @@ def _mono_str(mono: Mono) -> str:
     return "*".join(v if e == 1 else f"{v}^{e}" for v, e in mono)
 
 
+def _without(mono: Mono, var: str) -> tuple[int, Mono]:
+    """The exponent of var in mono and the monomial with var removed."""
+    for k, (v, e) in enumerate(mono):
+        if v == var:
+            return e, mono[:k] + mono[k + 1:]
+    return 0, mono
+
+
+def _clean(terms: dict[Mono, Scalar]) -> dict[Mono, Scalar]:
+    """Drop zero coefficients and store integral ones as int."""
+    return {m: (c if c.__class__ is int or c.denominator != 1
+                else c.numerator)
+            for m, c in terms.items() if c}
+
+
 class ParamPoly:
     """Immutable multivariate polynomial over Q in normal form."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Mono, Scalar] = ()):
-        cleaned: dict[Mono, Fraction] = {}
-        for mono, coef in dict(terms).items():
-            c = Fraction(coef)
-            if c:
-                cleaned[mono] = c
-        object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_terms", _clean(
+            {mono: Fraction(coef) for mono, coef in dict(terms).items()}))
 
     # -- construction -----------------------------------------------------
 
@@ -138,21 +180,28 @@ class ParamPoly:
 
     @classmethod
     def const(cls, value: Scalar) -> "ParamPoly":
-        return cls({ONE_MONO: Fraction(value)})
+        return cls({ONE_MONO: value})
 
     @classmethod
     def variable(cls, name: str) -> "ParamPoly":
         if name in _FORMAL_RANK:
-            return cls({((name, 1),): Fraction(1)})
+            return cls({((name, 1),): 1})
         if not name or not (name[0].isalpha() and name[0].islower()) \
                 or not all(ch.islower() or ch.isdigit() or ch == "_"
                            for ch in name):
             raise ValueError(f"invalid variable name {name!r}")
-        return cls({((name, 1),): Fraction(1)})
+        return cls({((name, 1),): 1})
 
-    def _wrap(self, terms: dict[Mono, Fraction]) -> "ParamPoly":
+    @staticmethod
+    def _wrap(terms: dict[Mono, Scalar]) -> "ParamPoly":
+        """A polynomial from raw terms, cleaned (see ``_clean``)."""
+        return ParamPoly._adopt(_clean(terms))
+
+    @staticmethod
+    def _adopt(terms: dict[Mono, Scalar]) -> "ParamPoly":
+        """A polynomial owning an already clean terms dict."""
         poly = ParamPoly.__new__(ParamPoly)
-        object.__setattr__(poly, "_terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(poly, "_terms", terms)
         return poly
 
     # -- basic queries -----------------------------------------------------
@@ -173,7 +222,7 @@ class ParamPoly:
             return Fraction(0)
         if not self.is_rational():
             raise ValueError(f"{self} is not a rational constant")
-        return self._terms[ONE_MONO]
+        return Fraction(self._terms[ONE_MONO])
 
     def variables(self) -> frozenset[str]:
         return frozenset(v for m in self._terms for v, _ in m)
@@ -184,10 +233,10 @@ class ParamPoly:
     def terms(self) -> Iterator[tuple[Mono, Fraction]]:
         """Terms in decreasing canonical order."""
         for mono in sorted(self._terms, key=mono_sort_key):
-            yield mono, self._terms[mono]
+            yield mono, Fraction(self._terms[mono])
 
     def coefficient(self, mono: Mono) -> Fraction:
-        return self._terms.get(mono, Fraction(0))
+        return Fraction(self._terms.get(mono, 0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -217,15 +266,26 @@ class ParamPoly:
 
     def __add__(self, other: Coefficient) -> "ParamPoly":
         other = self._coerce(other)
+        if not other._terms:
+            return self
+        if not self._terms:
+            return other
         out = dict(self._terms)
+        get = out.get
         for mono, coef in other._terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coef
-        return self._wrap(out)
+            c = get(mono, 0) + coef
+            if not c:
+                del out[mono]
+            elif c.__class__ is int or c.denominator != 1:
+                out[mono] = c
+            else:
+                out[mono] = c.numerator
+        return self._adopt(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return self._wrap({m: -c for m, c in self._terms.items()})
+        return self._adopt({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Coefficient) -> "ParamPoly":
         return self + (-self._coerce(other))
@@ -237,21 +297,29 @@ class ParamPoly:
         other = self._coerce(other)
         if not self._terms or not other._terms:
             return _ZERO
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
+        get = out.get
+        right = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+            for m2, c2 in right:
                 mono = mono_mul(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+                out[mono] = get(mono, 0) + c1 * c2
         return self._wrap(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "ParamPoly":
+        """Exponentiation by repeated squaring."""
         if exponent < 0:
             raise ValueError("negative exponent")
         result = ParamPoly.const(1)
-        for _ in range(exponent):
-            result = result * self
+        base = self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- structure ---------------------------------------------------------
@@ -276,14 +344,16 @@ class ParamPoly:
         return min(self._terms, key=mono_sort_key)
 
     def leading_coefficient(self) -> Fraction:
-        return self._terms[self.leading_monomial()]
+        return Fraction(self._terms[self.leading_monomial()])
 
     def monic(self) -> "ParamPoly":
         """Rescale so the canonical leading coefficient is 1."""
         if not self._terms:
             return self
-        lc = self.leading_coefficient()
-        return self._wrap({m: c / lc for m, c in self._terms.items()})
+        lc = self._terms[self.leading_monomial()]
+        if lc == 1:
+            return self
+        return self._wrap({m: Fraction(c, lc) for m, c in self._terms.items()})
 
     def degree_in(self, var: str) -> int:
         """Max exponent of one variable; -1 on the zero polynomial."""
@@ -293,13 +363,11 @@ class ParamPoly:
 
     def coefficients_in(self, var: str) -> dict[int, "ParamPoly"]:
         """Split as a polynomial in one variable: exponent -> coefficient."""
-        buckets: dict[int, dict[Mono, Fraction]] = {}
+        buckets: dict[int, dict[Mono, Scalar]] = {}
         for mono, coef in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(var, 0)
-            rest = tuple(sorted(exps.items(), key=lambda it: _var_rank(it[0])))
+            e, rest = _without(mono, var)
             buckets.setdefault(e, {})[rest] = coef
-        return {e: self._wrap(terms) for e, terms in buckets.items()}
+        return {e: self._adopt(terms) for e, terms in buckets.items()}
 
     def formal_coefficients(self) -> dict[Mono, "ParamPoly"]:
         """Group terms by their formal-variable part.
@@ -307,12 +375,12 @@ class ParamPoly:
         Returns a map from pure {d,x,y} monomials to coefficients in the
         parameters alone.
         """
-        buckets: dict[Mono, dict[Mono, Fraction]] = {}
+        buckets: dict[Mono, dict[Mono, Scalar]] = {}
         for mono, coef in self._terms.items():
             formal = tuple((v, e) for v, e in mono if v in _FORMAL_RANK)
             rest = tuple((v, e) for v, e in mono if v not in _FORMAL_RANK)
             buckets.setdefault(formal, {})[rest] = coef
-        return {f: self._wrap(terms) for f, terms in buckets.items()}
+        return {f: self._adopt(terms) for f, terms in buckets.items()}
 
     # -- substitution ------------------------------------------------------
 
@@ -326,16 +394,17 @@ class ParamPoly:
             raise SubstituteParamError(
                 f"cannot substitute parameter {var!r}; use instantiate()")
         replacement = self._coerce(replacement)
-        out = _ZERO
-        powers: dict[int, ParamPoly] = {0: ParamPoly.const(1)}
+        out: dict[Mono, Scalar] = {}
+        get = out.get
+        powers: dict[int, dict[Mono, Scalar]] = {0: {ONE_MONO: 1}}
         for mono, coef in self._terms.items():
-            exps = dict(mono)
-            e = exps.pop(var, 0)
+            e, rest = _without(mono, var)
             if e not in powers:
-                powers[e] = replacement ** e
-            rest = tuple(sorted(exps.items(), key=lambda it: _var_rank(it[0])))
-            out = out + self._wrap({rest: coef}) * powers[e]
-        return out
+                powers[e] = (replacement ** e)._terms
+            for m2, c2 in powers[e].items():
+                m = mono_mul(rest, m2)
+                out[m] = get(m, 0) + coef * c2
+        return self._wrap(out)
 
     def instantiate(self, bindings: Mapping[str, Scalar]) -> "ParamPoly":
         """Bind parameters to rational values; unbound parameters remain."""
@@ -345,7 +414,7 @@ class ParamPoly:
                     f"{name!r} is a formal variable, not a parameter")
         if not bindings:
             return self
-        out: dict[Mono, Fraction] = {}
+        out: dict[Mono, Scalar] = {}
         for mono, coef in self._terms.items():
             value = coef
             kept: list[tuple[str, int]] = []
@@ -355,7 +424,7 @@ class ParamPoly:
                 else:
                     kept.append((v, e))
             rest = tuple(kept)
-            out[rest] = out.get(rest, Fraction(0)) + value
+            out[rest] = out.get(rest, 0) + value
         return self._wrap(out)
 
     # -- division ----------------------------------------------------------
@@ -369,18 +438,18 @@ class ParamPoly:
         divisor = self._coerce(divisor)
         if divisor.is_zero():
             raise ZeroPolynomialError("division by the zero polynomial")
-        quotient: dict[Mono, Fraction] = {}
-        remainder: dict[Mono, Fraction] = {}
+        quotient: dict[Mono, Scalar] = {}
+        remainder: dict[Mono, Scalar] = {}
         lead_mono = divisor.leading_monomial()
-        lead_coef = divisor.leading_coefficient()
+        lead_coef = divisor._terms[lead_mono]
         rest = self
         while rest._terms:
             mono = rest.leading_monomial()
             coef = rest._terms[mono]
             if mono_divides(lead_mono, mono):
                 t_mono = mono_div(mono, lead_mono)
-                t_coef = coef / lead_coef
-                quotient[t_mono] = quotient.get(t_mono, Fraction(0)) + t_coef
+                t_coef = Fraction(coef, lead_coef)
+                quotient[t_mono] = quotient.get(t_mono, 0) + t_coef
                 rest = rest - self._wrap({t_mono: t_coef}) * divisor
             else:
                 remainder[mono] = coef
@@ -402,7 +471,8 @@ class ParamPoly:
         if not self._terms:
             return "0"
         chunks: list[str] = []
-        for mono, coef in self.terms():
+        for mono in sorted(self._terms, key=mono_sort_key):
+            coef = self._terms[mono]
             mag = abs(coef)
             if not mono:
                 body = str(mag)

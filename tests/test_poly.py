@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zlca.poly import (D, X, Y, MINUS_INFINITY, NotDivisibleError, ParamPoly,
-                       SubstituteParamError, ZeroPolynomialError, const, param)
+                       SubstituteParamError, ZeroPolynomialError, const,
+                       mono_mul, param)
 
 S = param("s")
 B = param("b")
@@ -199,3 +200,83 @@ def test_monic_normalization():
 def test_parameter_only_ordering():
     t = param("t")
     assert str(S ** 2 + S + t) == "s^2 + s + t"
+
+
+# -- the arithmetic core: storage, monomial merge, powers ----------------------------
+
+#: Variables in canonical rank order.  The parameters are a trap for any order
+#: other than plain string comparison: "b" < "b2" < "b_1" < "s" < "t".
+RANKED = ("d", "x", "y", "b", "b2", "b_1", "s", "t")
+
+
+def _reference_mono_mul(a, b):
+    """The product monomial by dict and sort on the canonical variable rank."""
+    exps = dict(a)
+    for v, e in b:
+        exps[v] = exps.get(v, 0) + e
+    return tuple(sorted(exps.items(), key=lambda it: RANKED.index(it[0])))
+
+
+def monos():
+    return st.lists(st.integers(0, 3), min_size=len(RANKED),
+                    max_size=len(RANKED)).map(
+        lambda exps: tuple((v, e) for v, e in zip(RANKED, exps) if e))
+
+
+@settings(max_examples=200)
+@given(monos(), monos())
+def test_mono_mul_matches_dict_and_sort(a, b):
+    assert mono_mul(a, b) == _reference_mono_mul(a, b)
+
+
+def test_mono_mul_parameter_order():
+    assert mono_mul((("b_1", 1),), (("x", 2), ("b2", 1))) == (
+        ("x", 2), ("b2", 1), ("b_1", 1))
+    assert str(param("b_1") * param("b2") * param("b") * Y) == "y*b*b2*b_1"
+
+
+@pytest.mark.parametrize("coef", [Fraction(3), Fraction(-5, 2)])
+def test_api_returns_fractions(coef):
+    p = coef * D * X + coef * S + coef
+    assert all(type(c) is Fraction for _, c in p.terms())
+    assert type(p.coefficient(((("d", 1), ("x", 1))))) is Fraction
+    assert type(p.coefficient((("y", 7),))) is Fraction
+    assert type(p.leading_coefficient()) is Fraction
+    assert p.leading_coefficient() == coef
+    assert type(const(coef).as_fraction()) is Fraction
+    assert type(ParamPoly.zero().as_fraction()) is Fraction
+
+
+@settings(max_examples=60)
+@given(polys())
+def test_storage_is_int_when_integral(p):
+    for c in (p * p + p)._terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(polys(max_terms=3))
+def test_power_by_squaring_matches_repeated_product(p):
+    product = const(1)
+    for n in range(14):
+        assert p ** n == product
+        product = product * p
+
+
+def test_power_of_a_variable_is_one_monomial():
+    # Squaring takes about 37 products; a loop per unit would never end.
+    big = D ** 10 ** 11
+    assert big._terms == {(("d", 10 ** 11),): 1}
+
+
+def test_monic_and_divide_give_exact_fractions():
+    p = 2 * D + 3 * X + 1
+    monic = p.monic()
+    assert monic == D + Fraction(3, 2) * X + Fraction(1, 2)
+    assert all(type(c) is Fraction for _, c in monic.terms())
+    assert not any(isinstance(c, float) for c in monic._terms.values())
+    quotient = (3 * D * X + X).exact_divide(2 * D + const(Fraction(2, 3)))
+    assert quotient == Fraction(3, 2) * X
+    assert type(quotient.coefficient((("x", 1),))) is Fraction
+    assert not any(isinstance(c, float) for c in quotient._terms.values())
+    assert (7 * D).exact_divide(const(2)) == Fraction(7, 2) * D

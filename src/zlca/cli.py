@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from . import __version__, families, feq, gd, ideals, specfile
+from . import __version__, families, feq, gd, grammar, ideals, specfile
 from .conformal import (ConformalAlgebra, NotAffineError, ZeroActionError,
                         check_jacobi, classify_support,
                         degree_relation_check, spectral_data)
@@ -62,11 +62,19 @@ def _exit_code(report: dict[str, Any]) -> int:
     return VIOLATIONS if report["status"] == "fail" else PASS
 
 
+_FRACTION = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """An ASCII integer or p/q, each part at most MAX_LITERAL_DIGITS long."""
+    match = _FRACTION.fullmatch(text)
+    if not match or max(len(match[1]), len(match[2] or "")) \
+            > grammar.MAX_LITERAL_DIGITS:
+        raise InputError(f"not a rational number p/q: {text!r}")
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise InputError(f"not a rational number: {text!r}")
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator: {text!r}")
 
 
 def _parse_bindings(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
@@ -80,7 +88,7 @@ def _parse_bindings(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
+    match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text)
     if not match:
         raise InputError(f"window must look like a..b, got {text!r}")
     low, high = int(match.group(1)), int(match.group(2))

@@ -11,8 +11,13 @@ identity against the grade-0 generator:
 Solving is exact linear algebra: the coefficients of the unknown polynomial
 (all monomials d^a x^b up to a degree bound, or one homogeneous slice) are
 unknowns, both sides are expanded over monomials in d, x, y, and the
-resulting homogeneous rational system is eliminated fraction-free.  The
-homogeneous top-degree variant drops the shifts:
+resulting homogeneous rational system is eliminated exactly.  Each unknown's
+residual has only a few terms, so the system is built as sparse rows, one per
+monomial in d, x, y that occurs, straight from those terms, and reduced by
+the sparse integer Gauss-Jordan elimination of ``linalg``.  Its reduced row
+echelon form is unique, so the kernel does not depend on the order of the
+equations or on the elimination path.  The homogeneous top-degree variant
+drops the shifts:
 
     ((wl - 1) x - y) p(d, x+y) = p(d+x, y) (d + wo*x) - (d + y + wr*x) p(d, y)
 
@@ -33,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 from . import linalg
 from .poly import (DEL, LAM, D, X, Y, MINUS_INFINITY, Mono, ParamPoly,
-                   mono_sort_key)
+                   Scalar, mono_sort_key)
 
 MAX_FULL_DEGREE = 12
 MAX_TOP_DEGREE = 6
@@ -134,14 +139,16 @@ class SolutionBasis:
 
 def _solve(monomials: Sequence[Mono],
            residual_of: Callable[[ParamPoly], ParamPoly]) -> SolutionBasis:
-    columns = [residual_of(ParamPoly({m: Fraction(1)})) for m in monomials]
-    equations = sorted({mono for col in columns for mono, _ in col.terms()},
-                       key=mono_sort_key)
-    matrix = [[col.coefficient(eq) for col in columns] for eq in equations]
-    kernel = linalg.nullspace(matrix, len(monomials))
+    ncols = len(monomials)
+    equations: dict[Mono, dict[int, Scalar]] = {}
+    for j, mono in enumerate(monomials):
+        for eq, coef in residual_of(ParamPoly({mono: 1})).items():
+            equations.setdefault(eq, {})[j] = coef
+    kernel = linalg.nullspace(list(equations.values()), ncols)
     if not kernel:
         return SolutionBasis(tuple(monomials), (), ())
-    echelon, pivots = linalg.rref(kernel)
+    echelon, pivots = linalg.rref(
+        [{c: v for c, v in enumerate(vec) if v} for vec in kernel], ncols)
     return SolutionBasis(tuple(monomials), echelon, pivots)
 
 

@@ -12,6 +12,12 @@ Grammar (whitespace insignificant):
 [a-z][a-z0-9_]* is a parameter.  `/` exists only inside rational literals
 (e.g. ``3/2``), and multiplication is always explicit: ``2x`` is an error.
 
+The grammar is ASCII: INT is [0-9]+ and whitespace is space, tab or a line
+break, so a full-width digit or letter is an error, not a number or a name.
+Input is bounded: an integer literal has at most MAX_LITERAL_DIGITS digits,
+and parentheses and unary minus signs nest at most MAX_NESTING deep.  Each
+bound ends in a ParseError, never in a recursion or conversion error.
+
 ``parse`` and ``ParamPoly.__str__`` are mutually inverse: parsing a canonical
 string and reprinting reproduces it byte for byte, and printing any
 polynomial and reparsing gives an equal polynomial.
@@ -22,6 +28,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import FORMAL_VARS, ParamPoly
+
+MAX_LITERAL_DIGITS = 1000
+MAX_NESTING = 100
+
+_DIGITS = frozenset("0123456789")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+_IDENT_CHARS = _DIGITS | _LOWER | {"_"}
+_SPACE = frozenset(" \t\n\r\f\v")
 
 
 class ParseError(ValueError):
@@ -44,24 +58,22 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     n = len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _SPACE:
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
+            if i - start > MAX_LITERAL_DIGITS:
+                raise ParseError(f"integer literal longer than "
+                                 f"{MAX_LITERAL_DIGITS} digits", start + 1)
             tokens.append((_INT, text[start:i], start + 1))
             continue
-        if ch.isalpha():
-            if not ch.islower():
-                raise ParseError(f"unexpected character {ch!r}", i + 1)
+        if ch in _LOWER:
             start = i
-            while i < n and (text[i].islower() or text[i].isdigit()
-                             or text[i] == "_"):
+            while i < n and text[i] in _IDENT_CHARS:
                 i += 1
-            if i < n and text[i].isalpha():
-                raise ParseError(f"unexpected character {text[i]!r}", i + 1)
             tokens.append((_IDENT, text[start:i], start + 1))
             continue
         if ch in "+-*^/()":
@@ -77,6 +89,13 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, col: int) -> None:
+        """Enter one level of parentheses or unary minus."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", col)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -121,10 +140,13 @@ class _Parser:
                 return value
 
     def factor(self) -> ParamPoly:
-        kind, text, _ = self.peek()
+        kind, text, col = self.peek()
         if kind == _OP and text == "-":
             self.advance()
-            return -self.factor()
+            self.nest(col)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> ParamPoly:
@@ -156,8 +178,10 @@ class _Parser:
         if kind == _IDENT:
             return ParamPoly.variable(text)
         if kind == _OP and text == "(":
+            self.nest(col)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
         if kind == _EOF:
             raise ParseError("unexpected end of input", col)

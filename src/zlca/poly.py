@@ -12,10 +12,11 @@ and as a ``fractions.Fraction`` otherwise.  ``int`` n and ``Fraction(n)``
 compare and hash equal, so the normal form is unaffected, and integer
 arithmetic skips the gcd work of ``Fraction``.  Every method that hands a
 coefficient to a caller (``terms``, ``coefficient``, ``as_fraction``,
-``leading_coefficient``) returns a ``Fraction``.  Quotients are formed with
-``Fraction``, never with ``/`` on two ints.  There is deliberately no
-process-wide cache (of monomial products or anything else): it would grow
-with every polynomial a long-running process ever saw.
+``leading_coefficient``) returns a ``Fraction``; only ``items`` hands out the
+stored values.  Quotients are formed with ``Fraction``, never with ``/`` on
+two ints.  There is deliberately no process-wide cache (of monomial products
+or anything else): it would grow with every polynomial a long-running process
+ever saw.
 
 A monomial is a tuple of ``(variable, exponent)`` pairs, sorted by the
 canonical variable precedence
@@ -30,6 +31,7 @@ terms, and exact division.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -46,6 +48,10 @@ Scalar = Union[int, Fraction]
 Coefficient = Union[int, Fraction, "ParamPoly"]
 
 ONE_MONO: Mono = ()
+
+#: Parameter names are ASCII: a lowercase letter, then lowercase letters,
+#: digits and underscores.
+_PARAM_NAME = re.compile(r"[a-z][a-z0-9_]*")
 
 _FORMAL_RANK = {DEL: (0, ""), LAM: (1, ""), MU: (2, "")}
 # Sentinel ranking above every real variable; makes a monomial that is a
@@ -186,9 +192,7 @@ class ParamPoly:
     def variable(cls, name: str) -> "ParamPoly":
         if name in _FORMAL_RANK:
             return cls({((name, 1),): 1})
-        if not name or not (name[0].isalpha() and name[0].islower()) \
-                or not all(ch.islower() or ch.isdigit() or ch == "_"
-                           for ch in name):
+        if not _PARAM_NAME.fullmatch(name):
             raise ValueError(f"invalid variable name {name!r}")
         return cls({((name, 1),): 1})
 
@@ -234,6 +238,14 @@ class ParamPoly:
         """Terms in decreasing canonical order."""
         for mono in sorted(self._terms, key=mono_sort_key):
             yield mono, Fraction(self._terms[mono])
+
+    def items(self) -> Iterator[tuple[Mono, Scalar]]:
+        """Terms in storage order, coefficients as stored (int or Fraction).
+
+        For callers that need neither the canonical order nor ``Fraction``
+        values, such as one that builds a sparse linear system.
+        """
+        return iter(self._terms.items())
 
     def coefficient(self, mono: Mono) -> Fraction:
         return Fraction(self._terms.get(mono, 0))

@@ -154,6 +154,34 @@ def test_verify_unknown_binding(vir_path):
     assert code == 2
 
 
+def verify_poly(tmp_path, poly):
+    """Exit code and stderr of verify on VIR_SPEC with its entry replaced."""
+    path = tmp_path / "hostile.json"
+    path.write_text(VIR_SPEC.replace('"d + 2*x"', json.dumps(poly)))
+    code, _, err = run(["verify", str(path)])
+    return code, err
+
+
+@pytest.mark.parametrize("poly", ["(" * 3000 + "d" + ")" * 3000,
+                                  "-" * 3000 + "d"])
+def test_verify_deep_nesting_is_input_error(tmp_path, poly):
+    code, err = verify_poly(tmp_path, poly)
+    assert code == 2
+    assert "nesting deeper than 100" in err
+
+
+def test_verify_long_literal_is_input_error(tmp_path):
+    code, err = verify_poly(tmp_path, "d + " + "7" * 5000 + "*x")
+    assert code == 2
+    assert "integer literal longer than 1000 digits (column 5)" in err
+
+
+def test_verify_non_ascii_digit_is_input_error(tmp_path):
+    code, err = verify_poly(tmp_path, "d + \uff12*x")
+    assert code == 2
+    assert "unexpected character" in err
+
+
 # -- family ------------------------------------------------------------------------
 
 def test_family_emission_verifies(tmp_path):
@@ -262,6 +290,25 @@ def test_solve_feq_input_errors():
                 "--top", "9"])[0] == 2
     assert run(["solve-feq", "--ai", "x", "--aj", "2", "--aij", "2",
                 "--top", "1"])[0] == 2
+    # Only ASCII p/q: no exponents, decimals, non-ASCII digits or q = 0,
+    # and at most 1000 digits a part.
+    for value in ("1e1000000", "1.5", "\uff12", "1/0", " 1", "+1", "1/-2",
+                  "1" * 1001, "1/" + "3" * 1001):
+        code, _, err = run(["solve-feq", f"--ai={value}", "--aj=1",
+                            "--aij=0", "--top=2"])
+        assert code == 2, value
+        assert "not a rational number" in err or "zero denominator" in err
+    assert run(["solve-feq", "--ai=" + "1" * 1000, "--aj=1", "--aij=0",
+                "--top=0"])[0] == 0
+
+
+def test_bind_value_must_be_ascii_fraction(tmp_path):
+    path = tmp_path / "cl2.json"
+    assert run(["family", "CL2", "--window=-1..1", "-o", str(path)])[0] == 0
+    for value in ("1e1000000", "\uff12", "0.5"):
+        code, _, err = run(["verify", str(path), "--bind", f"b={value}"])
+        assert code == 2, value
+        assert "not a rational number" in err
 
 
 # -- gd ----------------------------------------------------------------------------

@@ -37,6 +37,12 @@ CASES = {
     "solve_feq_full12_zero_out": (["solve-feq", "--ai=3", "--bi=1", "--aj=1",
                                    "--bj=-1", "--aij=0", "--bij=0",
                                    "--full=12"], 0),
+    "solve_feq_full12_family": (["solve-feq", "--ai=5", "--bi=-3/2", "--aj=8",
+                                 "--bj=-3", "--aij=11", "--bij=-9/2",
+                                 "--full=12"], 0),
+    "solve_feq_full12_dim2": (["solve-feq", "--ai=1", "--bi=0", "--aj=1",
+                               "--bj=0", "--aij=0", "--bij=0", "--full=12"],
+                              0),
     "solve_feq_tables": (["solve-feq", "--tables"], 0),
     "probe_cl2_half_one": (["probe", "{cl2_half_one}", "--core=-2..2"], 1),
     "ideal_check_scl2_pattern": (["ideal-check", "{cl2_half_half}",

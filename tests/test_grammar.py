@@ -35,6 +35,40 @@ def test_rational_literals():
     assert grammar.parse("-1/2*x") == Fraction(-1, 2) * X
 
 
+def test_nesting_is_bounded():
+    cap = grammar.MAX_NESTING
+    assert grammar.parse("(" * cap + "d" + ")" * cap) == D
+    assert grammar.parse("-" * cap + "d") == D
+    assert grammar.parse("-(" * (cap // 2) + "d" + ")" * (cap // 2)) == D
+    for text in ("(" * (cap + 1) + "d" + ")" * (cap + 1),
+                 "-" * (cap + 1) + "d", "-(" * (cap // 2) + "-d" + ")" * 50):
+        with pytest.raises(grammar.ParseError, match="nesting deeper"):
+            grammar.parse(text)
+
+
+def test_literal_length_is_bounded():
+    cap = grammar.MAX_LITERAL_DIGITS
+    assert grammar.parse("9" * cap) == const(int("9" * cap))
+    for text in ("1" * (cap + 1), "d^" + "2" * (cap + 1),
+                 "1/" + "3" * (cap + 1)):
+        with pytest.raises(grammar.ParseError, match="longer than"):
+            grammar.parse(text)
+
+
+@pytest.mark.parametrize("text", ["d + \uff12*x", "\u0662", "d\u00b2",
+                                  "s\u0301", "\u017f", "d +\u3000x",
+                                  "x\u2081"])
+def test_grammar_is_ascii(text):
+    with pytest.raises(grammar.ParseError, match="unexpected character"):
+        grammar.parse(text)
+
+
+@pytest.mark.parametrize("name", ["\u017f", "s\u0661", "\uff53", "\u00e9"])
+def test_parameter_names_are_ascii(name):
+    with pytest.raises(ValueError, match="invalid variable name"):
+        ParamPoly.variable(name)
+
+
 def test_adjacency_requires_star():
     with pytest.raises(grammar.ParseError) as info:
         grammar.parse("d + 2x")

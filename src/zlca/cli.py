@@ -10,7 +10,8 @@ Commands
 
 All reports are JSON on stdout with sorted keys and canonical polynomial
 strings; identical inputs produce byte-identical output.  Exit codes:
-0 = pass, 1 = violations found, 2 = input error.
+0 = pass, 1 = violations found, 2 = input error (or a probe closure cut off
+by its iteration guard, which would otherwise pass for a finding).
 """
 
 from __future__ import annotations
@@ -28,6 +29,12 @@ from .conformal import (ConformalAlgebra, NotAffineError, ZeroActionError,
                         degree_relation_check, spectral_data)
 
 PASS, VIOLATIONS, INPUT_ERROR = 0, 1, 2
+
+#: Integer arguments (window bounds, ``--top``, ``--full``) have at most this
+#: many ASCII digits, and a window holds at most MAX_WINDOW_GRADES grades, so
+#: hostile sizes end in an input error instead of a crash or a long run.
+MAX_BOUND_DIGITS = 4
+MAX_WINDOW_GRADES = 101
 
 
 class InputError(ValueError):
@@ -87,13 +94,35 @@ def _parse_bindings(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
     return bindings
 
 
+_COUNT = re.compile(f"[0-9]{{1,{MAX_BOUND_DIGITS}}}")
+_WINDOW = re.compile(f"(-?{_COUNT.pattern})\\.\\.(-?{_COUNT.pattern})")
+
+
+def _parse_count(text: Optional[str], flag: str) -> Optional[int]:
+    """An ASCII natural number of at most MAX_BOUND_DIGITS digits, or None."""
+    if text is None:
+        return None
+    if not _COUNT.fullmatch(text):
+        raise InputError(f"{flag} must be a natural number of at most "
+                         f"{MAX_BOUND_DIGITS} digits, got {text!r}")
+    return int(text)
+
+
+def _check_width(low: int, high: int) -> None:
+    if high - low >= MAX_WINDOW_GRADES:
+        raise InputError(f"window {low}..{high} has more than "
+                         f"{MAX_WINDOW_GRADES} grades")
+
+
 def _parse_window(text: str) -> tuple[int, int]:
-    match = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text)
+    match = _WINDOW.fullmatch(text)
     if not match:
-        raise InputError(f"window must look like a..b, got {text!r}")
+        raise InputError(f"window must look like a..b with at most "
+                         f"{MAX_BOUND_DIGITS} digits a bound, got {text!r}")
     low, high = int(match.group(1)), int(match.group(2))
     if low > high:
         raise InputError(f"empty window {text!r}")
+    _check_width(low, high)
     return low, high
 
 
@@ -194,12 +223,15 @@ def cmd_family(args) -> int:
         lie_constants = {(left, right): dict(terms)
                          for left, right, terms in lie_spec.brackets}
     window = _parse_window(args.window) if args.window else None
+    top = _parse_count(args.top, "--top")
+    if top is not None:
+        _check_width(-1, top)
     spec = families.FamilySpec(
         kind=args.kind,
         s=_parse_fraction(args.s) if args.s is not None else None,
         b=_parse_fraction(args.b) if args.b is not None else None,
         window=window,
-        top=args.top,
+        top=top,
         lie_names=lie_names,
         lie_constants=lie_constants,
     )
@@ -237,21 +269,18 @@ def cmd_solve_feq(args) -> int:
             raise InputError(f"--{name} is required for this mode")
         return _parse_fraction(value)
 
-    if args.top is not None:
-        if args.top < 0:
-            raise InputError("--top must be nonnegative")
+    top = _parse_count(args.top, "--top")
+    full = _parse_count(args.full, "--full")
+    if top is not None:
         try:
-            basis = feq.solve_feq_top(need("ai"), need("aj"), need("aij"),
-                                      args.top)
+            basis = feq.solve_feq_top(need("ai"), need("aj"), need("aij"), top)
         except feq.DegreeGuardError as exc:
             raise InputError(str(exc))
-    elif args.full is not None:
-        if args.full < 0:
-            raise InputError("--full must be nonnegative")
+    elif full is not None:
         triple = feq.SpectralTriple(need("ai"), need("bi"), need("aj"),
                                     need("bj"), need("aij"), need("bij"))
         try:
-            basis = feq.solve_feq(triple, args.full)
+            basis = feq.solve_feq(triple, full)
         except feq.DegreeGuardError as exc:
             raise InputError(str(exc))
     else:
@@ -372,6 +401,10 @@ def cmd_probe(args) -> int:
         probe = ideals.simplicity_probe(alg, range(low, high + 1))
     except ValueError as exc:
         raise InputError(str(exc))
+    for f in probe.findings:
+        if not f.converged:
+            raise InputError(f"closure of the seed at grade {f.seed_grade} "
+                             "did not converge within the iteration guard")
     violations = [{"kind": "proper-ideal-evidence",
                    "seed_grade": f.seed_grade,
                    "components": {str(g): desc for g, desc in f.components}}
@@ -408,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", help="rational value for s (default: symbolic)")
     p.add_argument("--b", help="rational value for b (default: symbolic)")
     p.add_argument("--window", help="grade window a..b")
-    p.add_argument("--top", type=int, help="top grade for CL1")
+    p.add_argument("--top", help="top grade for CL1")
     p.add_argument("--lie", help="Lie structure-constants spec file (Cur)")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_family)
@@ -420,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bj", help="right shift")
     p.add_argument("--aij", help="target weight")
     p.add_argument("--bij", help="target shift")
-    p.add_argument("--full", type=int, metavar="D",
+    p.add_argument("--full", metavar="D",
                    help="all solutions of degree <= D")
-    p.add_argument("--top", type=int, metavar="K",
+    p.add_argument("--top", metavar="K",
                    help="homogeneous degree-K top solutions")
     p.add_argument("--tables", action="store_true",
                    help="reproduce the homogeneous solution tables")

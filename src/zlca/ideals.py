@@ -12,12 +12,14 @@ is exact divisibility by q_w as a polynomial in d (the bracket variable and
 any parameters ride along as transparent coefficients), which is what the
 canonical-order division computes when the divisor is monic in d.
 
-``ideal_generated_by`` iterates brackets of every window generator against
-the current per-grade generators, accumulating at each landing grade the gcd
-in d of all coefficient polynomials (split by powers of the bracket
-variable), until a fixpoint.  Brackets escaping the window are counted; any
-escape makes the result a lower bound of the true ideal, which the
-simplicity probe therefore reports as evidence at truncation, never proof.
+``ideal_generated_by`` is a worklist fixpoint.  It keeps the grades whose
+component changed since they were last bracketed, brackets only those against
+the window generators, and accumulates at each landing grade the gcd in d of
+all coefficient polynomials (split by powers of the bracket variable).  A
+pair whose landing grade is already full is skipped: the gcd with 1 is 1.
+Brackets escaping the window are counted; any escape makes the result a
+lower bound of the true ideal, which the simplicity probe therefore reports
+as evidence at truncation, never proof.
 """
 
 from __future__ import annotations
@@ -195,11 +197,22 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
                        max_iterations: int = 64) -> ClosureResult:
     """Least window-closed graded submodule containing the seed.
 
-    Requires a parameter-free algebra and seed (instantiate first).  Iterates
-    brackets of every window generator against the current per-grade
-    generators, accumulating per grade the gcd in d of all landed
-    coefficients (split by powers of the bracket variable), to a fixpoint or
+    Requires a parameter-free algebra and seed (instantiate first).  Each
+    pass walks the nonzero grades in sorted order and brackets every window
+    generator against those whose component changed since they were last
+    bracketed, accumulating per grade the gcd in d of all landed coefficients
+    (split by powers of the bracket variable).  Pairs landing outside the
+    window are counted as boundary skips; pairs landing on a full grade are
+    skipped.  The result converges when a pass changes nothing, or stops at
     the iteration guard.
+
+    Skipping loses nothing: a component only ever shrinks to a divisor of
+    itself, so a value absorbed once stays divisible by its landing
+    component, and re-bracketing an unchanged component adds nothing.  Every
+    pass therefore leaves the same state as a pass over all grades would,
+    and the least closed submodule is the same.  Every grade is bracketed in
+    the pass after it first becomes nonzero, so ``window_truncated`` is the
+    same too; only the ``boundary_skips`` count falls.
     """
     if alg.params:
         raise ValueError("closure requires an instantiated algebra "
@@ -224,6 +237,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
     for gen, coef in seed.coeffs.items():
         absorb(gen.grade, coef)
 
+    pending = set(state)
     boundary_skips = 0
     iterations = 0
     converged = False
@@ -231,17 +245,25 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
         iterations += 1
         changed = False
         for v_grade in sorted(state):
+            if v_grade not in pending:
+                continue
+            pending.discard(v_grade)
             q_v = state[v_grade]
             v = alg.single_generator(v_grade)
             member = Element({v: q_v})
             for u_grade in sorted(alg.window):
-                if u_grade + v_grade not in alg.window:
+                target_grade = u_grade + v_grade
+                if target_grade not in alg.window:
                     boundary_skips += 1
+                    continue
+                if state.get(target_grade) == FULL:
                     continue
                 u = alg.single_generator(u_grade)
                 value = bracket(alg, Element.generator(u), member)
                 for target, poly in value.coeffs.items():
-                    changed = absorb(target.grade, poly) or changed
+                    if absorb(target.grade, poly):
+                        pending.add(target.grade)
+                        changed = True
         if not changed:
             converged = True
             break
@@ -257,6 +279,7 @@ class ProbeFinding:
     proper: bool
     components: tuple[tuple[int, str], ...]  # (grade, "full"|"zero"|poly) on core
     window_truncated: bool
+    converged: bool  # False: the iteration guard cut the closure short
 
 
 @dataclass(frozen=True)
@@ -293,5 +316,6 @@ def simplicity_probe(alg: ConformalAlgebra, core: Iterable[int],
                            for g in core_grades)
         proper = not all(closure.submodule.is_full(g) for g in core_grades)
         findings.append(ProbeFinding(seed_grade, proper, components,
-                                     closure.window_truncated))
+                                     closure.window_truncated,
+                                     closure.converged))
     return ProbeReport(core_grades, tuple(findings))

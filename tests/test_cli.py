@@ -3,11 +3,12 @@
 import io
 import json
 import textwrap
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from zlca import cli, specfile
+from zlca import cli, ideals, specfile
 from zlca.poly import D, X
 
 
@@ -257,6 +258,36 @@ def test_family_input_errors():
     assert run(["family", "V"])[0] == 2
 
 
+def test_integer_arguments_are_bounded(tmp_path):
+    # Window bounds, --core, --top and --full: ASCII digits, at most
+    # MAX_BOUND_DIGITS of them, and at most MAX_WINDOW_GRADES grades.
+    cl2 = write_cl2(tmp_path, "1/2", "1", window="-2..2")
+    feq = ["solve-feq", "--ai=1", "--aj=1", "--aij=0"]
+    for argv in (["family", "CL2", "--window=-5.." + "9" * 5000],
+                 ["family", "V", "--s=0", "--window=-3000..3000"],
+                 ["family", "V", "--s=0", "--window=-50..51"],
+                 ["family", "V", "--s=0", "--window=-\uff11..1"],
+                 ["family", "CL1", "--top=\uff11"],
+                 ["family", "CL1", "--top=3000"],
+                 ["family", "CL1", "--top=-1"],
+                 [*feq, "--top=\uff11"],
+                 [*feq, "--top=" + "9" * 5000],
+                 [*feq, "--top=1e3"],
+                 [*feq, "--bi=0", "--bj=0", "--bij=0", "--full=\uff11"],
+                 [*feq, "--bi=0", "--bj=0", "--bij=0", "--full=-1"],
+                 ["probe", str(cl2), "--core=-1.." + "9" * 5000]):
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert code == 2, argv
+        assert out == "" and "error" in json.loads(err), argv
+        assert time.perf_counter() - start < 1, argv
+    assert cli._parse_window("-50..50") == (-50, 50)
+    assert cli._parse_window("9999..9999") == (9999, 9999)
+    with pytest.raises(cli.InputError):
+        cli._parse_window("10000..10000")
+    assert run([*feq, "--top=0001"])[0] == 0
+
+
 # -- solve-feq ---------------------------------------------------------------------
 
 def test_solve_feq_top_json_shape():
@@ -421,6 +452,18 @@ def test_probe_clean(tmp_path):
     code, out, _ = run(["probe", str(v1), "--core=-2..2"])
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+def test_probe_closure_cut_by_the_guard_is_an_error(tmp_path, monkeypatch):
+    # A closure stopped by the iteration guard is no finding.
+    cl2 = write_cl2(tmp_path, "1/2", "1")
+    closure = ideals.ideal_generated_by
+    monkeypatch.setattr(ideals, "ideal_generated_by",
+                        lambda alg, seed: closure(alg, seed, max_iterations=1))
+    code, out, err = run(["probe", str(cl2), "--core=-1..1"])
+    assert code == 2
+    assert out == ""
+    assert "seed at grade -1 did not converge" in json.loads(err)["error"]
 
 
 # -- determinism -----------------------------------------------------------------------

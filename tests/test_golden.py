@@ -45,8 +45,15 @@ CASES = {
                               0),
     "solve_feq_tables": (["solve-feq", "--tables"], 0),
     "probe_cl2_half_one": (["probe", "{cl2_half_one}", "--core=-2..2"], 1),
+    "probe_v_bound": (["probe", "{v_5}", "--core=-2..2", "--bind", "s=1"], 0),
+    "probe_scl2_half_bound": (["probe", "{scl2_4}", "--core=-2..2",
+                               "--bind", "s=1"], 0),
+    "probe_cl2_third": (["probe", "{cl2_third_one}", "--core=-2..2"], 0),
     "ideal_check_scl2_pattern": (["ideal-check", "{cl2_half_half}",
                                   "--pattern", "{scl2_pattern}"], 0),
+    "ideal_check_scl2_pattern_moved": (["ideal-check", "{cl2_half_half}",
+                                        "--pattern", "{scl2_pattern_moved}"],
+                                       1),
     "gd_to_lca_a2": (["gd", "to-lca", "{a2}"], 0),
     "gd_from_lca_cl2": (["gd", "from-lca", "{cl2_3}"], 0),
     "family_cl2_window5": (["family", "CL2", "--window=-5..5"], 0),
@@ -78,6 +85,8 @@ def write_inputs(root: Path) -> dict[str, str]:
     family("scl2_4", "SCL2", "--b=1/2", "--window=-4..4")
     family("cl2_half_one", "CL2", "--b=1/2", "--s=1", "--window=-5..5")
     family("cl2_half_half", "CL2", "--b=1/2", "--s=1/2", "--window=-5..5")
+    family("cl2_third_one", "CL2", "--b=1/3", "--s=1", "--window=-5..5")
+    family("v_5", "V", "--window=-5..5")
     family("cl2_mutant_base", "CL2", "--b=1/2", "--window=-2..2")
 
     # One monomial added to a single off-diagonal entry breaks skew-symmetry.
@@ -89,12 +98,14 @@ def write_inputs(root: Path) -> dict[str, str]:
     paths["mutant"].write_text(json.dumps(spec, indent=2, sort_keys=True),
                                encoding="utf-8")
 
-    # The SCL2 ideal of CL2(1/2, 1/2): d + 2s at grade -2b, full elsewhere.
-    pattern = {str(g): ("d + (1)" if g == -1 else "full")
-               for g in range(-5, 6)}
-    paths["scl2_pattern"] = root / "scl2_pattern.json"
-    paths["scl2_pattern"].write_text(json.dumps(pattern, sort_keys=True),
-                                     encoding="utf-8")
+    # The SCL2 ideal of CL2(1/2, 1/2): d + 2s at grade -2b, full elsewhere;
+    # with the constant moved by 1 it is no longer closed.
+    for name, constant in (("scl2_pattern", 1), ("scl2_pattern_moved", 2)):
+        pattern = {str(g): (f"d + ({constant})" if g == -1 else "full")
+                   for g in range(-5, 6)}
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(json.dumps(pattern, sort_keys=True),
+                               encoding="utf-8")
 
     paths["a2"] = root / "a2.json"
     paths["a2"].write_text(

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from zlca import families, ideals
-from zlca.conformal import Element
-from zlca.poly import D, X, ParamPoly, const, param
+from zlca.conformal import Element, bracket
+from zlca.poly import LAM, D, X, ParamPoly, const, param
 
 S = param("s")
 
@@ -111,6 +111,100 @@ def test_closure_iteration_guard_reports_partial():
     result = ideals.ideal_generated_by(alg, seed, max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
+
+
+def reference_closure(alg, seed, max_iterations=64):
+    """Full-rescan closure: every nonzero grade against every window
+    generator on every pass, until a pass changes nothing."""
+    state = {}
+
+    def absorb(grade, poly):
+        grew = False
+        for coef in poly.coefficients_in(LAM).values():
+            current = state.get(grade)
+            new = coef.monic() if current is None \
+                else ideals._gcd_in_d(current, coef)
+            if new != current:
+                state[grade] = new
+                grew = True
+        return grew
+
+    for gen, coef in seed.coeffs.items():
+        absorb(gen.grade, coef)
+    boundary_skips = iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        iterations += 1
+        changed = False
+        for v_grade in sorted(state):
+            member = Element({alg.single_generator(v_grade): state[v_grade]})
+            for u_grade in sorted(alg.window):
+                if u_grade + v_grade not in alg.window:
+                    boundary_skips += 1
+                    continue
+                u = Element.generator(alg.single_generator(u_grade))
+                for target, poly in bracket(alg, u, member).coeffs.items():
+                    changed = absorb(target.grade, poly) or changed
+        if not changed:
+            converged = True
+            break
+    return ideals.ClosureResult(ideals.GradedSubmodule(state), converged,
+                                iterations, boundary_skips)
+
+
+def _same_closure(alg, seed, max_iterations=64):
+    got = ideals.ideal_generated_by(alg, seed, max_iterations)
+    want = reference_closure(alg, seed, max_iterations)
+    assert got.submodule == want.submodule
+    assert got.converged == want.converged
+    assert got.window_truncated == want.window_truncated
+    # the worklist leaves the reference's state after every pass
+    assert got.iterations == want.iterations
+    return want
+
+
+def test_worklist_closure_matches_full_rescan():
+    window = range(-3, 4)
+    algebras = [
+        families.make_v(1, window),
+        families.make_v(0, window),
+        families.make_cl2(F(1, 2), 1, window),   # half-integral b
+        families.make_cl2(F(-1, 2), F(1, 2), window),
+        families.make_cl2(1, F(1, 2), window),   # integral b
+        families.make_cl2(F(1, 3), 1, window),
+        families.make_cl2(0, 1, window),
+        families.make_scl2(F(1, 2), 1, window),
+    ]
+    proper = 0
+    for alg in algebras:
+        for grade in window:
+            gen = alg.single_generator(grade)
+            seeds = [Element.generator(gen)]
+            if grade in (-2, -1, 0):
+                seeds += [Element({gen: D + 2}),
+                          Element({gen: (D + 1) * (D + 3)}),
+                          Element({gen: D ** 2})]
+            for seed in seeds:
+                closure = _same_closure(alg, seed)
+                assert closure.converged
+                proper += any(not closure.submodule.is_full(g) for g in window)
+    assert proper > 0
+
+
+def test_worklist_closure_matches_full_rescan_under_the_guard():
+    # Cut off after exactly the passes that change something, the closure
+    # holds the fixpoint but has not confirmed it; one more pass does.
+    cases = [
+        (families.make_cl2(F(1, 2), 1, range(-4, 5)), 1, const(1)),
+        (families.make_cl2(1, 1, range(-4, 5)), -2, (D + 2) * (D + 5)),
+    ]
+    for alg, grade, coeff in cases:
+        seed = Element({alg.single_generator(grade): coeff})
+        changing = reference_closure(alg, seed).iterations - 1
+        assert changing == 2
+        for cap in range(changing + 2):
+            closure = _same_closure(alg, seed, max_iterations=cap)
+            assert closure.converged == (cap == changing + 1)
 
 
 def test_closure_is_sound():

@@ -9,6 +9,14 @@ family constructors store exactly the pairs whose target grade lies in the
 window, matching the window semantics of the conformal side so the
 quadratic-algebra correspondence round-trips on the nose.
 
+The law checks work over basis positions.  Each check numbers the sorted
+basis once and reads a table as ``rows[i][j]``: a tuple of (position,
+coefficient) pairs, or None where undecidable.  A law is a signed sum of
+composites such as (x o y) o z, each memoised by its position triple for the
+length of one check call, so a composite shared by several laws is computed
+once.  A law is skipped at its first undecidable part, before any arithmetic,
+and positions become basis elements again only in a reported violation.
+
 The correspondence with quadratic Lie conformal algebras:
 
     [a_x b] = d (b o a) + [b, a] + x (a o b + b o a)
@@ -21,8 +29,10 @@ the constant terms while checking the x-coefficients for consistency.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import cache
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .conformal import ConformalAlgebra, GeneratorId
 from .poly import DEL, LAM, D, X, Mono, ParamPoly, as_poly, param
@@ -130,44 +140,62 @@ class GDAlgebra:
 
 # -- combination arithmetic ---------------------------------------------------
 
-def _add(a: Optional[Combination], b: Optional[Combination],
-         sign: int = 1) -> Optional[Combination]:
-    if a is None or b is None:
-        return None
+def _add(a: Combination, b: Combination, sign: int = 1) -> Combination:
     out = dict(a)
     for g, coef in b.items():
-        out[g] = out.get(g, ParamPoly.zero()) + sign * coef
+        out[g] = out.get(g, ParamPoly.zero()) + (coef if sign > 0 else -coef)
     return {g: c for g, c in out.items() if c}
 
 
-def _extend_left(table: _FiniteTable, a: GeneratorId,
-                 combo: Optional[Combination]) -> Optional[Combination]:
-    """a against a combination: sum coef * table(a, t)."""
-    if combo is None:
-        return None
-    acc: Combination = {}
-    for t, coef in combo.items():
-        got = table.entry(a, t)
-        if got is None:
-            return None
-        for w, k in got.items():
-            acc[w] = acc.get(w, ParamPoly.zero()) + coef * k
-    return {g: c for g, c in acc.items() if c}
+#: A table entry over basis positions: (position, coefficient) pairs, or None
+#: when the entry is undecidable.
+Entry = Optional[tuple[tuple[int, ParamPoly], ...]]
 
 
-def _extend_right(table: _FiniteTable, combo: Optional[Combination],
-                  c: GeneratorId) -> Optional[Combination]:
-    """A combination against c: sum coef * table(t, c)."""
+def _positions(table: _FiniteTable) -> list[list[Entry]]:
+    """The table as rows[i][j], i and j positions in the sorted basis."""
+    index = {g: k for k, g in enumerate(table.basis)}
+    rows: list[list[Entry]] = [[None] * len(index) for _ in index]
+    for (u, v), combo in table._table.items():
+        rows[index[u]][index[v]] = tuple((index[w], c)
+                                         for w, c in combo.items())
+    return rows
+
+
+def _extend(combo: Entry, line: Sequence[Entry]) -> Entry:
+    """Sum of coef * line[t] over a combination; None when a needed entry is.
+
+    ``line`` is a row of a table (a fixed left factor) or a column (a fixed
+    right factor), so one helper extends a product on either side.
+    """
     if combo is None:
         return None
-    acc: Combination = {}
-    for t, coef in combo.items():
-        got = table.entry(t, c)
+    acc: dict[int, ParamPoly] = {}
+    for t, coef in combo:
+        got = line[t]
         if got is None:
             return None
-        for w, k in got.items():
-            acc[w] = acc.get(w, ParamPoly.zero()) + coef * k
-    return {g: c_ for g, c_ in acc.items() if c_}
+        for w, k in got:
+            acc[w] = acc[w] + coef * k if w in acc else coef * k
+    return tuple((w, c) for w, c in acc.items() if c)
+
+
+def _composites(inner: list[list[Entry]], outer: list[list[Entry]]):
+    """outer(inner(x, y), z) and outer(x, inner(y, z)), memoised by positions.
+
+    The memo lives as long as the two functions, that is one check call.
+    """
+    columns = list(zip(*outer))
+
+    @cache
+    def right(x: int, y: int, z: int) -> Entry:
+        return _extend(inner[x][y], columns[z])
+
+    @cache
+    def left(x: int, y: int, z: int) -> Entry:
+        return _extend(inner[y][z], outer[x])
+
+    return right, left
 
 
 # -- law checks ----------------------------------------------------------------
@@ -190,18 +218,39 @@ class LawReport:
         return not self.violations
 
 
-def _scan(laws) -> LawReport:
+def _signed_sum(parts) -> Optional[dict[int, ParamPoly]]:
+    """The sum of sign * part(*positions) over the parts of one law.
+
+    None at the first undecidable part, before any arithmetic is done.
+    """
+    values = []
+    for sign, part, positions in parts:
+        value = part(*positions)
+        if value is None:
+            return None
+        values.append((sign, value))
+    acc: dict[int, ParamPoly] = {}
+    for sign, value in values:
+        for w, coef in value:
+            coef = coef if sign > 0 else -coef
+            acc[w] = acc[w] + coef if w in acc else coef
+    return {w: c for w, c in acc.items() if c}
+
+
+def _scan(basis: tuple[GeneratorId, ...], laws) -> LawReport:
+    """Tally ``(positions, law, parts)`` laws; see ``_signed_sum``."""
     checked = skipped = 0
     violations: list[LawViolation] = []
-    for elements, law, residual_fn in laws:
-        residual = residual_fn()
+    for positions, law, parts in laws:
+        residual = _signed_sum(parts)
         if residual is None:
             skipped += 1
             continue
         checked += 1
         if residual:
             violations.append(LawViolation(
-                law, elements, tuple(sorted(residual.items()))))
+                law, tuple(basis[p] for p in positions),
+                tuple((basis[w], c) for w, c in sorted(residual.items()))))
     return LawReport(checked, skipped, tuple(violations))
 
 
@@ -210,71 +259,69 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
 
         (a o b) o c - a o (b o c) = (b o a) o c - b o (a o c)
         (a o b) o c = (a o c) o b
+
+    Each law is a signed sum of the memoised composites (x o y) o z and
+    x o (y o z), so every triple's two composites are computed once.
     """
-    def left_symmetry(a, b, c):
-        return _add(
-            _add(_extend_right(nov, nov.product(a, b), c),
-                 _extend_left(nov, a, nov.product(b, c)), -1),
-            _add(_extend_right(nov, nov.product(b, a), c),
-                 _extend_left(nov, b, nov.product(a, c)), -1),
-            -1)
+    rows = _positions(nov)
+    right, left = _composites(rows, rows)
 
-    def right_commutativity(a, b, c):
-        return _add(_extend_right(nov, nov.product(a, b), c),
-                    _extend_right(nov, nov.product(a, c), b), -1)
+    def laws():
+        for a, b, c in itertools.product(range(len(rows)), repeat=3):
+            abc, bac = (a, b, c), (b, a, c)
+            yield abc, "left-symmetry", ((1, right, abc), (-1, left, abc),
+                                         (-1, right, bac), (1, left, bac))
+            yield abc, "right-commutativity", ((1, right, abc),
+                                               (-1, right, (a, c, b)))
 
-    laws = []
-    for a in nov.basis:
-        for b in nov.basis:
-            for c in nov.basis:
-                laws.append(((a, b, c), "left-symmetry",
-                             lambda a=a, b=b, c=c: left_symmetry(a, b, c)))
-                laws.append(((a, b, c), "right-commutativity",
-                             lambda a=a, b=b, c=c: right_commutativity(a, b, c)))
-    return _scan(laws)
+    return _scan(nov.basis, laws())
 
 
 def check_lie(lie: LieStructure) -> LawReport:
-    """Antisymmetry on pairs and the Jacobi identity on triples."""
-    def antisymmetry(a, b):
-        return _add(lie.bracket(a, b), lie.bracket(b, a))
+    """Antisymmetry on pairs and the Jacobi identity on triples.
 
-    def jacobi(a, b, c):
-        return _add(_add(_extend_right(lie, lie.bracket(a, b), c),
-                         _extend_right(lie, lie.bracket(b, c), a)),
-                    _extend_right(lie, lie.bracket(c, a), b))
+    The three cyclic terms [[a, b], c] of a Jacobi law are one memoised
+    composite read at three rotations of the triple.
+    """
+    rows = _positions(lie)
+    right, _ = _composites(rows, rows)
 
-    laws = []
-    for a in lie.basis:
-        for b in lie.basis:
-            laws.append(((a, b), "antisymmetry",
-                         lambda a=a, b=b: antisymmetry(a, b)))
-    for a in lie.basis:
-        for b in lie.basis:
-            for c in lie.basis:
-                laws.append(((a, b, c), "jacobi",
-                             lambda a=a, b=b, c=c: jacobi(a, b, c)))
-    return _scan(laws)
+    def entry(x: int, y: int) -> Entry:
+        return rows[x][y]
+
+    def laws():
+        for a, b in itertools.product(range(len(rows)), repeat=2):
+            yield (a, b), "antisymmetry", ((1, entry, (a, b)),
+                                           (1, entry, (b, a)))
+        for a, b, c in itertools.product(range(len(rows)), repeat=3):
+            yield (a, b, c), "jacobi", ((1, right, (a, b, c)),
+                                        (1, right, (b, c, a)),
+                                        (1, right, (c, a, b)))
+
+    return _scan(lie.basis, laws())
 
 
 def check_gd(g: GDAlgebra) -> LawReport:
     """The five-term compatibility between the product and the bracket:
 
         [a o b, c] - [a o c, b] + [a, b] o c - [a, c] o b - a o [b, c] = 0
+
+    The terms come from three memoised composites: [x o y, z], [x, y] o z
+    and x o [y, z].
     """
-    nov, lie = g.nov, g.lie
+    nov, lie = _positions(g.nov), _positions(g.lie)
+    bracket_of_product, _ = _composites(nov, lie)
+    product_of_bracket, product_by_bracket = _composites(lie, nov)
 
-    def compatibility(a, b, c):
-        total = _add(_extend_right(lie, nov.product(a, b), c),
-                     _extend_right(lie, nov.product(a, c), b), -1)
-        total = _add(total, _extend_right(nov, lie.bracket(a, b), c))
-        total = _add(total, _extend_right(nov, lie.bracket(a, c), b), -1)
-        return _add(total, _extend_left(nov, a, lie.bracket(b, c)), -1)
+    def laws():
+        for a, b, c in itertools.product(range(len(nov)), repeat=3):
+            abc, acb = (a, b, c), (a, c, b)
+            yield abc, "compatibility", (
+                (1, bracket_of_product, abc), (-1, bracket_of_product, acb),
+                (1, product_of_bracket, abc), (-1, product_of_bracket, acb),
+                (-1, product_by_bracket, abc))
 
-    laws = [((a, b, c), "compatibility",
-             lambda a=a, b=b, c=c: compatibility(a, b, c))
-            for a in g.basis for b in g.basis for c in g.basis]
-    return _scan(laws)
+    return _scan(g.basis, laws())
 
 
 # -- truncated families ---------------------------------------------------------

@@ -15,8 +15,9 @@ Grammar (whitespace insignificant):
 The grammar is ASCII: INT is [0-9]+ and whitespace is space, tab or a line
 break, so a full-width digit or letter is an error, not a number or a name.
 Input is bounded: an integer literal has at most MAX_LITERAL_DIGITS digits,
-and parentheses and unary minus signs nest at most MAX_NESTING deep.  Each
-bound ends in a ParseError, never in a recursion or conversion error.
+an exponent is at most MAX_EXPONENT, and parentheses and unary minus signs
+nest at most MAX_NESTING deep.  Each bound ends in a ParseError, never in a
+recursion or conversion error or in an expansion that does not finish.
 
 ``parse`` and ``ParamPoly.__str__`` are mutually inverse: parsing a canonical
 string and reprinting reproduces it byte for byte, and printing any
@@ -31,6 +32,7 @@ from .poly import FORMAL_VARS, ParamPoly
 
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
+MAX_EXPONENT = 16
 
 _DIGITS = frozenset("0123456789")
 _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -158,7 +160,10 @@ class _Parser:
             if ekind != _INT:
                 raise ParseError("exponent must be a nonnegative integer", ecol)
             self.advance()
-            return base ** int(etext)
+            exponent = int(etext)
+            if exponent > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", ecol)
+            return base ** exponent
         return base
 
     def atom(self) -> ParamPoly:

@@ -15,9 +15,10 @@ Polynomial payloads are strings in the canonical grammar.  In conformal mode
 a missing bracket row is the zero bracket when its target grade is in the
 window and undecidable otherwise; in GD mode (``products`` present) rows are
 explicit-presence, so a row with an empty term list is a decidable zero and a
-missing row is undecidable.  Serialization is canonical: generators sorted by
-(grade, name), rows sorted by (left, right), polynomials printed in canonical
-form, keys emitted in sorted order.
+missing row is undecidable.  A bracket or product polynomial has formal
+degree at most MAX_FORMAL_DEGREE.  Serialization is canonical: generators
+sorted by (grade, name), rows sorted by (left, right), polynomials printed in
+canonical form, keys emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ class UndeclaredNameError(SpecFileError):
 class GradeMismatchError(SpecFileError):
     """A bracket term targets a generator of the wrong grade."""
 
+
+#: The highest formal (d, x, y) degree of a bracket or product polynomial; the
+#: functional-equation solver looks for structure polynomials up to this degree
+#: (``feq.MAX_FULL_DEGREE``), and the paper's families stay within degree 2.
+MAX_FORMAL_DEGREE = 12
 
 TableRows = tuple[tuple[str, str, tuple[tuple[str, ParamPoly], ...]], ...]
 
@@ -186,6 +192,10 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
                 poly = grammar.parse(poly_text)
             except grammar.ParseError as exc:
                 raise SpecFileError(f"{tctx}.poly: {exc}")
+            degree = poly.formal_degree()
+            if degree > MAX_FORMAL_DEGREE:
+                raise SpecFileError(f"{tctx}.poly: formal degree {degree} "
+                                    f"exceeds {MAX_FORMAL_DEGREE}")
             undeclared = poly.params() - params
             if undeclared:
                 raise UndeclaredNameError(

@@ -183,6 +183,38 @@ def test_verify_non_ascii_digit_is_input_error(tmp_path):
     assert "unexpected character" in err
 
 
+def v_spec_with_entry(tmp_path, poly):
+    """A V(s) spec on grades -1..1 whose (L0, L0) entry is ``poly``."""
+    path = tmp_path / "v.json"
+    assert run(["family", "V", "--window=-1..1", "-o", str(path)])[0] == 0
+    spec = json.loads(path.read_text())
+    row = next(r for r in spec["brackets"]
+               if (r["left"], r["right"]) == ("L0", "L0"))
+    row["terms"][0]["poly"] = poly
+    text = json.dumps(spec)
+    path.write_text(text)
+    return str(path), text
+
+
+def test_spec_degree_budget(tmp_path):
+    # MAX_EXPONENT caps each '^', MAX_FORMAL_DEGREE each structure polynomial.
+    for poly, message in (("d^99999999999", "exponent larger than 16"),
+                          ("(d + x + 1)^16", "formal degree 16 exceeds 12"),
+                          ("d^6*x^7 + d", "formal degree 13 exceeds 12")):
+        path, text = v_spec_with_entry(tmp_path, poly)
+        with pytest.raises(specfile.SpecFileError, match=message):
+            specfile.loads(text)
+        start = time.perf_counter()
+        code, out, err = run(["verify", path])
+        assert (code, out) == (2, "")
+        assert message in json.loads(err)["error"]
+        assert time.perf_counter() - start < 1, poly
+    path, text = v_spec_with_entry(tmp_path, "(d + x + 1)^12")
+    specfile.loads(text)
+    assert run(["verify", path])[0] == 1
+    assert specfile.MAX_FORMAL_DEGREE == 12
+
+
 # -- family ------------------------------------------------------------------------
 
 def test_family_emission_verifies(tmp_path):

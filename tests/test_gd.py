@@ -218,3 +218,200 @@ def test_random_a2_perturbations_always_caught():
         caught = (not gd.check_novikov(broken).ok
                   or not gd.check_gd(gd.GDAlgebra(broken, lie)).ok)
         assert caught, f"perturbation {trial} on {pair} accepted silently"
+
+
+# -- equivalence with the direct law checks ---------------------------------------------
+#
+# The reference below is the straightforward form of the three law checks:
+# every law recomputes each of its products from the tables, with no memo and
+# no positional index.  The module's checks must agree with it on the counts
+# and on every violation, including the order of the violations and their
+# residuals.
+
+def _reference_add(a, b, sign=1):
+    if a is None or b is None:
+        return None
+    out = dict(a)
+    for g, coef in b.items():
+        out[g] = out.get(g, ParamPoly.zero()) + sign * coef
+    return {g: c for g, c in out.items() if c}
+
+
+def _reference_extend_left(table, a, combo):
+    if combo is None:
+        return None
+    acc = {}
+    for t, coef in combo.items():
+        got = table.entry(a, t)
+        if got is None:
+            return None
+        for w, k in got.items():
+            acc[w] = acc.get(w, ParamPoly.zero()) + coef * k
+    return {g: c for g, c in acc.items() if c}
+
+
+def _reference_extend_right(table, combo, c):
+    if combo is None:
+        return None
+    acc = {}
+    for t, coef in combo.items():
+        got = table.entry(t, c)
+        if got is None:
+            return None
+        for w, k in got.items():
+            acc[w] = acc.get(w, ParamPoly.zero()) + coef * k
+    return {g: c_ for g, c_ in acc.items() if c_}
+
+
+def _reference_scan(laws):
+    checked = skipped = 0
+    violations = []
+    for elements, law, residual_fn in laws:
+        residual = residual_fn()
+        if residual is None:
+            skipped += 1
+            continue
+        checked += 1
+        if residual:
+            violations.append(gd.LawViolation(
+                law, elements, tuple(sorted(residual.items()))))
+    return gd.LawReport(checked, skipped, tuple(violations))
+
+
+def reference_check_novikov(nov):
+    add, left, right = (_reference_add, _reference_extend_left,
+                        _reference_extend_right)
+
+    def left_symmetry(a, b, c):
+        return add(add(right(nov, nov.product(a, b), c),
+                       left(nov, a, nov.product(b, c)), -1),
+                   add(right(nov, nov.product(b, a), c),
+                       left(nov, b, nov.product(a, c)), -1),
+                   -1)
+
+    def right_commutativity(a, b, c):
+        return add(right(nov, nov.product(a, b), c),
+                   right(nov, nov.product(a, c), b), -1)
+
+    laws = []
+    for a in nov.basis:
+        for b in nov.basis:
+            for c in nov.basis:
+                laws.append(((a, b, c), "left-symmetry",
+                             lambda a=a, b=b, c=c: left_symmetry(a, b, c)))
+                laws.append(((a, b, c), "right-commutativity",
+                             lambda a=a, b=b, c=c: right_commutativity(a, b, c)))
+    return _reference_scan(laws)
+
+
+def reference_check_lie(lie):
+    add, right = _reference_add, _reference_extend_right
+
+    def antisymmetry(a, b):
+        return add(lie.bracket(a, b), lie.bracket(b, a))
+
+    def jacobi(a, b, c):
+        return add(add(right(lie, lie.bracket(a, b), c),
+                       right(lie, lie.bracket(b, c), a)),
+                   right(lie, lie.bracket(c, a), b))
+
+    laws = []
+    for a in lie.basis:
+        for b in lie.basis:
+            laws.append(((a, b), "antisymmetry",
+                         lambda a=a, b=b: antisymmetry(a, b)))
+    for a in lie.basis:
+        for b in lie.basis:
+            for c in lie.basis:
+                laws.append(((a, b, c), "jacobi",
+                             lambda a=a, b=b, c=c: jacobi(a, b, c)))
+    return _reference_scan(laws)
+
+
+def reference_check_gd(g):
+    add, left, right = (_reference_add, _reference_extend_left,
+                        _reference_extend_right)
+    nov, lie = g.nov, g.lie
+
+    def compatibility(a, b, c):
+        total = add(right(lie, nov.product(a, b), c),
+                    right(lie, nov.product(a, c), b), -1)
+        total = add(total, right(nov, lie.bracket(a, b), c))
+        total = add(total, right(nov, lie.bracket(a, c), b), -1)
+        return add(total, left(nov, a, lie.bracket(b, c)), -1)
+
+    laws = [((a, b, c), "compatibility",
+             lambda a=a, b=b, c=c: compatibility(a, b, c))
+            for a in g.basis for b in g.basis for c in g.basis]
+    return _reference_scan(laws)
+
+
+def _a3_gd():
+    """A3(b) with two indices and the bracket s (i - j) L_(i+j, m+n)."""
+    nov = gd.make_a3("b", range(-1, 2), 1)
+    by_name = {g.name: g for g in nov.basis}
+    table = {}
+    for u in nov.basis:
+        for v in nov.basis:
+            (i, m), (j, n) = (tuple(map(int, g.name[1:].split("_")))
+                              for g in (u, v))
+            target = by_name.get(f"L{i + j}_{m + n}")
+            if target is not None:
+                table[(u, v)] = {target: S * (i - j)}
+    return gd.GDAlgebra(nov, gd.LieStructure(nov.basis, table))
+
+
+def _current_gd():
+    """The grade-0 GD algebra of the current algebra of sl2."""
+    return gd.gd_from_quadratic(families.make_current(
+        ["e", "f", "h"],
+        {("h", "e"): {"e": 2}, ("e", "h"): {"e": -2},
+         ("h", "f"): {"f": -2}, ("f", "h"): {"f": 2},
+         ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}}))
+
+
+EQUIVALENCE_CASES = {
+    "a1": lambda: gd.gd_a1("s", 3),
+    "a2_symbolic": lambda: gd.gd_a2("b", "s", range(-2, 3)),
+    "a2_bound": lambda: gd.gd_a2(Fraction(1, 3), Fraction(2), range(-2, 3)),
+    "a3": _a3_gd,
+    "current": _current_gd,
+}
+
+
+def _mutants(g, rng, count):
+    """g itself, then copies with changed, added or deleted table entries."""
+    yield g
+    deltas = [const(1), const(-2), const(Fraction(1, 2)), B, S - 1]
+    for _ in range(count):
+        tables = [{p: g.nov.entry(*p) for p in g.nov.pairs()},
+                  {p: g.lie.entry(*p) for p in g.lie.pairs()}]
+        for _ in range(rng.randint(1, 3)):
+            table = rng.choice(tables)
+            pair = rng.choice(sorted(table))
+            if rng.random() < 0.3:
+                del table[pair]       # the entry becomes undecidable
+                continue
+            entry = dict(table[pair])
+            target = rng.choice(g.basis)
+            entry[target] = (entry.get(target, ParamPoly.zero())
+                             + rng.choice(deltas))
+            table[pair] = entry
+        yield gd.GDAlgebra(gd.NovikovAlgebra(g.basis, tables[0]),
+                           gd.LieStructure(g.basis, tables[1]))
+
+
+@pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+def test_law_checks_match_the_reference(case):
+    rng = random.Random(f"gd-equivalence-{case}")
+    violations = 0
+    for g in _mutants(EQUIVALENCE_CASES[case](), rng, 10):
+        for check, reference, arg in (
+                (gd.check_novikov, reference_check_novikov, g.nov),
+                (gd.check_lie, reference_check_lie, g.lie),
+                (gd.check_gd, reference_check_gd, g)):
+            got, want = check(arg), reference(arg)
+            assert (got.checked, got.skipped) == (want.checked, want.skipped)
+            assert got.violations == want.violations
+            violations += len(want.violations)
+    assert violations > 0

@@ -55,6 +55,10 @@ CASES = {
                                         "--pattern", "{scl2_pattern_moved}"],
                                        1),
     "gd_to_lca_a2": (["gd", "to-lca", "{a2}"], 0),
+    "gd_to_lca_a2_broken": (["gd", "to-lca", "{a2_broken}"], 1),
+    "gd_check_a2_symbolic": (["gd", "check", "{a2}"], 0),
+    "gd_check_a1_bind": (["gd", "check", "{a1_8}", "--bind", "s=3/2"], 0),
+    "gd_check_a2_broken": (["gd", "check", "{a2_broken}"], 1),
     "gd_from_lca_cl2": (["gd", "from-lca", "{cl2_3}"], 0),
     "family_cl2_window5": (["family", "CL2", "--window=-5..5"], 0),
 }
@@ -107,10 +111,24 @@ def write_inputs(root: Path) -> dict[str, str]:
         paths[name].write_text(json.dumps(pattern, sort_keys=True),
                                encoding="utf-8")
 
-    paths["a2"] = root / "a2.json"
-    paths["a2"].write_text(
-        specfile.from_gd(gd.gd_a2("b", "s", range(-3, 4))).dumps(),
-        encoding="utf-8")
+    def gd_spec(name, structure):
+        paths[name] = root / f"{name}.json"
+        paths[name].write_text(specfile.from_gd(structure).dumps(),
+                               encoding="utf-8")
+
+    gd_spec("a2", gd.gd_a2("b", "s", range(-3, 4)))
+    gd_spec("a1_8", gd.gd_a1("s", 8))
+    gd_spec("a2_small", gd.gd_a2("b", "s", range(-2, 3)))
+
+    # One Novikov product changed from (b + 1) to (b + 2) breaks the laws.
+    spec = json.loads(paths["a2_small"].read_text(encoding="utf-8"))
+    row = next(r for r in spec["products"]
+               if (r["left"], r["right"]) == ("L0", "L1"))
+    assert row["terms"][0]["poly"] == "b + 1"
+    row["terms"][0]["poly"] = "b + 2"
+    paths["a2_broken"] = root / "a2_broken.json"
+    paths["a2_broken"].write_text(json.dumps(spec, indent=2, sort_keys=True),
+                                  encoding="utf-8")
     return {name: str(path) for name, path in paths.items()}
 
 

@@ -55,6 +55,14 @@ def test_literal_length_is_bounded():
             grammar.parse(text)
 
 
+def test_exponent_is_bounded():
+    for text in ("d^17", "d^99999999999", "s^17 + 1"):
+        with pytest.raises(grammar.ParseError, match="exponent larger than 16"):
+            grammar.parse(text)
+    assert grammar.parse("(d + s)^16") == (D + param("s")) ** 16
+    assert grammar.MAX_EXPONENT == 16
+
+
 @pytest.mark.parametrize("text", ["d + \uff12*x", "\u0662", "d\u00b2",
                                   "s\u0301", "\u017f", "d +\u3000x",
                                   "x\u2081"])

@@ -34,6 +34,7 @@ CASES = {
     "verify_cl2_bind": (["verify", "{cl2_3}", "--bind", "b=1/2",
                          "--bind", "s=1/3"], 0),
     "verify_cl2_skew_mutant": (["verify", "{mutant}"], 1),
+    "verify_scl2_fraction_mutant": (["verify", "{scl2_mutant}"], 1),
     "solve_feq_full12_zero_out": (["solve-feq", "--ai=3", "--bi=1", "--aj=1",
                                    "--bj=-1", "--aij=0", "--bij=0",
                                    "--full=12"], 0),
@@ -92,6 +93,7 @@ def write_inputs(root: Path) -> dict[str, str]:
     family("cl2_third_one", "CL2", "--b=1/3", "--s=1", "--window=-5..5")
     family("v_5", "V", "--window=-5..5")
     family("cl2_mutant_base", "CL2", "--b=1/2", "--window=-2..2")
+    family("scl2_mutant_base", "SCL2", "--b=-1/2", "--window=-3..3")
 
     # One monomial added to a single off-diagonal entry breaks skew-symmetry.
     spec = json.loads(paths["cl2_mutant_base"].read_text(encoding="utf-8"))
@@ -101,6 +103,18 @@ def write_inputs(root: Path) -> dict[str, str]:
     paths["mutant"] = root / "mutant.json"
     paths["mutant"].write_text(json.dumps(spec, indent=2, sort_keys=True),
                                encoding="utf-8")
+
+    # A parametric monomial with a coefficient of denominator 3 on top of
+    # the halves of SCL2(-1/2, s): the Jacobi residuals are nonzero and
+    # carry fractional coefficients and the parameter s.
+    spec = json.loads(paths["scl2_mutant_base"].read_text(encoding="utf-8"))
+    row = next(r for r in spec["brackets"]
+               if (r["left"], r["right"]) == ("L-1", "L0"))
+    assert row["terms"][0]["poly"] == "-3/2*d - 2*x - s"
+    row["terms"][0]["poly"] += " + 1/3*s*d*x"
+    paths["scl2_mutant"] = root / "scl2_mutant.json"
+    paths["scl2_mutant"].write_text(
+        json.dumps(spec, indent=2, sort_keys=True), encoding="utf-8")
 
     # The SCL2 ideal of CL2(1/2, 1/2): d + 2s at grade -2b, full elsewhere;
     # with the constant moved by 1 it is no longer closed.

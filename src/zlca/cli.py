@@ -11,7 +11,8 @@ Commands
 All reports are JSON on stdout with sorted keys and canonical polynomial
 strings; identical inputs produce byte-identical output.  Exit codes:
 0 = pass, 1 = violations found, 2 = input error (or a probe closure cut off
-by its iteration guard, which would otherwise pass for a finding).
+by its iteration guard, which would otherwise pass for a finding), 3 =
+internal error (an uncaught exception, reported on stderr, never a verdict).
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ from .conformal import (ConformalAlgebra, NotAffineError, ZeroActionError,
                         check_jacobi, classify_support,
                         degree_relation_check, spectral_data)
 
-PASS, VIOLATIONS, INPUT_ERROR = 0, 1, 2
+PASS, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
 #: Integer arguments (window bounds, ``--top``, ``--full``) have at most this
 #: many ASCII digits, and a window holds at most MAX_WINDOW_GRADES grades, so
-#: hostile sizes end in an input error instead of a crash or a long run.
+#: hostile sizes end in an input error instead of a crash or a long run.  A
+#: spec file is held to the same number of generators.
 MAX_BOUND_DIGITS = 4
-MAX_WINDOW_GRADES = 101
+MAX_WINDOW_GRADES = specfile.MAX_GENERATORS
 
 
 class InputError(ValueError):
@@ -490,6 +492,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (InputError, specfile.SpecFileError) as exc:
         _emit({"error": str(exc)}, sys.stderr)
         return INPUT_ERROR
+    except Exception as exc:
+        _emit({"error": f"internal error: {type(exc).__name__}: {exc}"},
+              sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

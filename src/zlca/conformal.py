@@ -13,6 +13,11 @@ undecidable (the infinite families are truncated, so absence of the grade
 carries no information), while an absent table entry whose target grade is
 *inside* the window is the zero bracket.  Axiom checks skip and count
 undecidable pairs and triples rather than failing them.
+
+The Jacobi check, the costly one, expands each triple on the algebra's
+``poly.Packing`` (integer exponent keys, integer numerators over one common
+denominator) and converts back to ``ParamPoly`` only the residuals that are
+nonzero; ``jacobi_residual`` says why that is exact.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .poly import DEL, LAM, MU, D, X, Y, Mono, ParamPoly, Scalar, as_poly
+from .poly import (DEL, LAM, MU, Mono, Packed, Packing, ParamPoly, Scalar,
+                   as_poly)
 
 TableEntry = Mapping["GeneratorId", ParamPoly]
 Table = Mapping[tuple["GeneratorId", "GeneratorId"], TableEntry]
@@ -174,10 +180,12 @@ class ConformalAlgebra:
         self.params = frozenset(param_set)
         self._table = clean
         self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
-        # Substituted table entries for jacobi_residual, filled on demand:
-        # (form, left, right) -> {target: substituted polynomial}.
-        self._jacobi_forms: dict[tuple[str, GeneratorId, GeneratorId],
-                                 dict[GeneratorId, ParamPoly]] = {}
+        # Packed, substituted table entries for jacobi_residual, filled on
+        # demand: (form, left name, right name) -> {target: packed poly}.
+        # Names are unique and hash faster than the dataclass GeneratorId.
+        self._packing: Packing | None = None
+        self._jacobi_forms: dict[tuple[str, str, str],
+                                 dict[GeneratorId, Packed]] = {}
         for g in gens:
             self._by_grade.setdefault(g.grade, ())
             self._by_grade[g.grade] += (g,)
@@ -288,29 +296,47 @@ def check_skew(alg: ConformalAlgebra) -> SkewReport:
     return SkewReport(checked, skipped, tuple(violations))
 
 
-#: The substitutions the Jacobi expansion applies to table entries.  The inner
-#: forms of the two subtracted terms carry their minus sign.
+#: The substitutions the Jacobi expansion applies to table entries, as data:
+#: form -> (sign, chain).  Each step ``(var, s, variables)`` of a chain
+#: replaces ``var`` by ``s * (sum of variables)``; the steps run in order.
+#: The inner forms of the two subtracted terms carry their minus sign.
 _JACOBI_FORMS = {
-    "inner_vw": lambda p: p.substitute(LAM, Y).substitute(DEL, D + X),
-    "inner_uv": lambda p: -p.substitute(DEL, -X - Y),
-    "outer_tw": lambda p: p.substitute(LAM, X + Y),
-    "inner_uw": lambda p: -p.substitute(DEL, D + Y),
-    "outer_vt": lambda p: p.substitute(LAM, Y),
+    "plain": (1, ()),
+    "inner_vw": (1, ((LAM, 1, (MU,)), (DEL, 1, (DEL, LAM)))),
+    "inner_uv": (-1, ((DEL, -1, (LAM, MU)),)),
+    "outer_tw": (1, ((LAM, 1, (LAM, MU)),)),
+    "inner_uw": (-1, ((DEL, 1, (DEL, MU)),)),
+    "outer_vt": (1, ((LAM, 1, (MU,)),)),
 }
 
 
+def _packing(alg: ConformalAlgebra) -> Packing:
+    """The algebra's packed format, built from its table on first use."""
+    if alg._packing is None:
+        alg._packing = Packing(p for entry in alg._table.values()
+                               for p in entry.values())
+    return alg._packing
+
+
 def _jacobi_form(alg: ConformalAlgebra, form: str, left: GeneratorId,
-                 right: GeneratorId) -> dict[GeneratorId, ParamPoly]:
-    """One table entry under one Jacobi substitution, cached on the algebra.
+                 right: GeneratorId) -> dict[GeneratorId, Packed]:
+    """One packed table entry under one Jacobi form, cached on the algebra.
 
     Raises OutOfWindowError exactly as ``structure`` does; only in-window
     entries are cached.
     """
-    key = (form, left, right)
+    key = (form, left.name, right.name)
     entry = alg._jacobi_forms.get(key)
     if entry is None:
-        sub = _JACOBI_FORMS[form]
-        entry = {t: sub(p) for t, p in alg.structure(left, right).items()}
+        packing = _packing(alg)
+        sign, chain = _JACOBI_FORMS[form]
+        entry = {}
+        for t, poly in alg.structure(left, right).items():
+            packed = packing.pack(poly)
+            for var, s, variables in chain:
+                packed = packing.substitute(packed, var, s, variables)
+            entry[t] = (packed if sign > 0
+                        else {k: -n for k, n in packed.items()})
         alg._jacobi_forms[key] = entry
     return entry
 
@@ -319,41 +345,57 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
                     w: GeneratorId) -> dict[GeneratorId, ParamPoly]:
     """Defect of the Jacobi identity on one generator triple.
 
-    Expanding [u_x [v_y w]] - [[u_x v]_{x+y} c] - [v_y [u_x w]] over the
+    Expanding [u_x [v_y w]] - [[u_x v]_{x+y} w] - [v_y [u_x w]] over the
     structure table gives, per target generator r,
 
         sum_t p^t_{v,w}(d+x, y) p^r_{u,t}(d, x)
       - sum_t p^t_{u,v}(-x-y, x) p^r_{t,w}(d, x+y)
       - sum_t p^t_{u,w}(d+y, x) p^r_{v,t}(d, y)
 
-    An all-zero map means the identity holds on this triple.  Raises
-    OutOfWindowTripleError when an inner bracket's grade is missing, or when
-    some inner bracket is nonzero and the total grade is missing.
+    An all-zero map means the identity holds on this triple; otherwise the
+    map holds the nonzero residuals only.  Raises OutOfWindowTripleError when
+    an inner bracket's grade is missing, or when some inner bracket is
+    nonzero and the total grade is missing.
 
-    The substituted entries come from ``_jacobi_form``, so each is computed
-    once per algebra rather than once per triple that touches it.
+    The sums run on the algebra's ``Packing``: packed monomials with integer
+    numerators over one common denominator ``den``, each substituted entry
+    computed once per algebra by ``_jacobi_form``.  The result is exact:
+
+    - the substitutions are linear and homogeneous with integer
+      coefficients, so they keep the total degree of every monomial and the
+      denominator ``den``;
+    - every exponent of a product is at most twice the largest total degree
+      of a table entry, which is below ``2**width``, so no field carries into
+      the next;
+    - each residual is a sum of numerators over ``den**2``, so it is zero
+      exactly when every integer numerator is zero, and only nonzero
+      residuals are unpacked.
     """
-    acc: dict[GeneratorId, ParamPoly] = {}
+    acc: dict[GeneratorId, Packed] = {}
+    mul_add = Packing.mul_add
 
     def accumulate(inner_form: str, first: GeneratorId, second: GeneratorId,
-                   outer_form: str | None, outer_pair) -> None:
+                   outer_form: str, outer_pair) -> None:
         try:
             inner = _jacobi_form(alg, inner_form, first, second)
             for t, left in inner.items():
-                outer = (alg.structure(*outer_pair(t)) if outer_form is None
-                         else _jacobi_form(alg, outer_form, *outer_pair(t)))
+                outer = _jacobi_form(alg, outer_form, *outer_pair(t))
                 for r, right in outer.items():
-                    acc[r] = acc.get(r, ParamPoly.zero()) + left * right
+                    target = acc.get(r)
+                    if target is None:
+                        target = acc[r] = {}
+                    mul_add(target, left, right)
         except OutOfWindowError:
             raise OutOfWindowTripleError((u, v, w)) from None
 
     # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
-    accumulate("inner_vw", v, w, None, lambda t: (u, t))
+    accumulate("inner_vw", v, w, "plain", lambda t: (u, t))
     # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
     accumulate("inner_uv", u, v, "outer_tw", lambda t: (t, w))
     # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
     accumulate("inner_uw", u, w, "outer_vt", lambda t: (v, t))
-    return {r: poly for r, poly in acc.items() if poly}
+    return {r: alg._packing.unpack(packed) for r, packed in acc.items()
+            if any(packed.values())}
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,11 @@ Grammar (whitespace insignificant):
 The grammar is ASCII: INT is [0-9]+ and whitespace is space, tab or a line
 break, so a full-width digit or letter is an error, not a number or a name.
 Input is bounded: an integer literal has at most MAX_LITERAL_DIGITS digits,
-an exponent is at most MAX_EXPONENT, and parentheses and unary minus signs
-nest at most MAX_NESTING deep.  Each bound ends in a ParseError, never in a
-recursion or conversion error or in an expansion that does not finish.
+an exponent is at most MAX_EXPONENT, parentheses and unary minus signs nest
+at most MAX_NESTING deep, and one product (a '*' or a squaring step of a
+'^') pairs at most MAX_PRODUCT_PAIRS terms, checked before it is multiplied
+out.  Each bound ends in a ParseError, never in a recursion or conversion
+error or in an expansion that does not finish.
 
 ``parse`` and ``ParamPoly.__str__`` are mutually inverse: parsing a canonical
 string and reprinting reproduces it byte for byte, and printing any
@@ -33,6 +35,7 @@ from .poly import FORMAL_VARS, ParamPoly
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
 MAX_EXPONENT = 16
+MAX_PRODUCT_PAIRS = 100_000
 
 _DIGITS = frozenset("0123456789")
 _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
@@ -87,6 +90,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _product(left: ParamPoly, right: ParamPoly, col: int) -> ParamPoly:
+    pairs = len(left) * len(right)
+    if pairs > MAX_PRODUCT_PAIRS:
+        raise ParseError(f"product of {len(left)} by {len(right)} terms "
+                         f"exceeds {MAX_PRODUCT_PAIRS} term pairs", col)
+    return left * right
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
@@ -134,10 +145,10 @@ class _Parser:
     def term(self) -> ParamPoly:
         value = self.factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, col = self.peek()
             if kind == _OP and text == "*":
                 self.advance()
-                value = value * self.factor()
+                value = _product(value, self.factor(), col)
             else:
                 return value
 
@@ -153,7 +164,7 @@ class _Parser:
 
     def power(self) -> ParamPoly:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, col = self.peek()
         if kind == _OP and text == "^":
             self.advance()
             ekind, etext, ecol = self.peek()
@@ -163,7 +174,15 @@ class _Parser:
             exponent = int(etext)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", ecol)
-            return base ** exponent
+            # Repeated squaring, each product checked like a '*'.
+            result = ParamPoly.const(1)
+            while exponent:
+                if exponent & 1:
+                    result = _product(result, base, col)
+                exponent >>= 1
+                if exponent:
+                    base = _product(base, base, col)
+            return result
         return base
 
     def atom(self) -> ParamPoly:

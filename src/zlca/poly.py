@@ -27,10 +27,16 @@ with no zero exponents.  The canonical monomial order is graded lexicographic:
 first by *formal* degree (parameters do not count), then lexicographically by
 exponents along the precedence above.  The same order drives printing, leading
 terms, and exact division.
+
+``Packing`` is a second format for one hot loop, the Jacobi residual: each
+monomial is one ``int`` whose bit fields hold the exponents, each coefficient
+an ``int`` numerator over a denominator shared by a whole set of polynomials.
+It converts from and back to ``ParamPoly`` and exposes nothing else.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -525,8 +531,110 @@ def as_poly(value: Coefficient) -> ParamPoly:
     return ParamPoly._coerce(value)
 
 
-def poly_sum(items: Iterable[Coefficient]) -> ParamPoly:
-    total = _ZERO
-    for item in items:
-        total = total + as_poly(item)
-    return total
+# -- packed monomials with integer numerators -----------------------------------
+
+Packed = dict[int, int]
+
+
+class Packing:
+    """Packed exponent vectors over one common denominator, for one set of
+    polynomials (Monagan and Pearce, CASC 2007).
+
+    The variables are d, x, y and then the parameters of the polynomials in
+    sorted order, which is the canonical precedence.  Variable ``i`` owns the
+    bit field ``[i*width, (i+1)*width)`` of an ``int`` key, so the product of
+    two monomials is the sum of their keys.  A packed polynomial maps keys to
+    ``int`` numerators over ``den``, the lcm of every coefficient denominator
+    of the polynomials the packing was built from.
+
+    ``width`` is the bit length of twice the largest total degree among those
+    polynomials, so a field holds any exponent of a product of two of them
+    (or of their images under ``substitute``) without carrying into the next
+    field.  A product of two packed polynomials has its numerators over
+    ``den**2``, which is what ``unpack`` divides by.
+    """
+
+    __slots__ = ("variables", "width", "den", "_shift", "_mask")
+
+    def __init__(self, polys: Iterable[ParamPoly]):
+        params: set[str] = set()
+        degree = 0
+        den = 1
+        for poly in polys:
+            params |= poly.params()
+            for mono, coef in poly._terms.items():
+                degree = max(degree, mono_total_degree(mono))
+                if coef.__class__ is not int:
+                    den = math.lcm(den, coef.denominator)
+        self.variables = FORMAL_VARS + tuple(sorted(params))
+        self.width = max(1, (2 * degree).bit_length())
+        self.den = den
+        self._shift = {v: i * self.width for i, v in enumerate(self.variables)}
+        self._mask = (1 << self.width) - 1
+
+    def pack(self, poly: ParamPoly) -> Packed:
+        """Key -> numerator over ``den`` for every term of ``poly``."""
+        shift, den = self._shift, self.den
+        out: Packed = {}
+        for mono, coef in poly._terms.items():
+            key = 0
+            for v, e in mono:
+                key += e << shift[v]
+            out[key] = (coef * den if coef.__class__ is int
+                        else coef.numerator * (den // coef.denominator))
+        return out
+
+    def substitute(self, packed: Packed, var: str, sign: int,
+                   variables: tuple[str, ...]) -> Packed:
+        """Replace ``var`` by ``sign * (sum of variables)``.
+
+        Each power of the replacement is expanded once per call; its
+        coefficients are integers, so the numerators stay over ``den``.
+        """
+        shift, mask = self._shift[var], self._mask
+        linear: Packed = {}
+        for v in variables:
+            key = 1 << self._shift[v]
+            linear[key] = linear.get(key, 0) + sign
+        powers: list[Packed] = [{0: 1}]
+        out: Packed = {}
+        get = out.get
+        for key, num in packed.items():
+            e = (key >> shift) & mask
+            rest = key - (e << shift)
+            while len(powers) <= e:
+                last: Packed = {}
+                self.mul_add(last, powers[-1], linear)
+                powers.append(last)
+            for k, c in powers[e].items():
+                k += rest
+                out[k] = get(k, 0) + num * c
+        return {k: n for k, n in out.items() if n}
+
+    @staticmethod
+    def mul_add(acc: Packed, left: Packed, right: Packed) -> None:
+        """Add the product ``left * right`` into ``acc``; zeros may remain."""
+        get = acc.get
+        right_items = right.items()
+        for k1, n1 in left.items():
+            for k2, n2 in right_items:
+                k = k1 + k2
+                acc[k] = get(k, 0) + n1 * n2
+
+    def unpack(self, packed: Packed) -> ParamPoly:
+        """The polynomial whose numerators over ``den**2`` are ``packed``."""
+        den2 = self.den * self.den
+        fields = tuple((v, self._shift[v]) for v in self.variables)
+        mask = self._mask
+        terms: dict[Mono, Scalar] = {}
+        for key, num in packed.items():
+            if not num:
+                continue
+            mono = []
+            for v, s in fields:
+                e = (key >> s) & mask
+                if e:
+                    mono.append((v, e))
+            terms[tuple(mono)] = (num // den2 if num % den2 == 0
+                                  else Fraction(num, den2))
+        return ParamPoly._adopt(terms)

@@ -15,10 +15,11 @@ Polynomial payloads are strings in the canonical grammar.  In conformal mode
 a missing bracket row is the zero bracket when its target grade is in the
 window and undecidable otherwise; in GD mode (``products`` present) rows are
 explicit-presence, so a row with an empty term list is a decidable zero and a
-missing row is undecidable.  A bracket or product polynomial has formal
-degree at most MAX_FORMAL_DEGREE.  Serialization is canonical: generators
-sorted by (grade, name), rows sorted by (left, right), polynomials printed in
-canonical form, keys emitted in sorted order.
+missing row is undecidable.  A spec declares at most MAX_GENERATORS
+generators, and a bracket or product polynomial has formal degree at most
+MAX_FORMAL_DEGREE.  Serialization is canonical: generators sorted by (grade,
+name), rows sorted by (left, right), polynomials printed in canonical form,
+keys emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ class GradeMismatchError(SpecFileError):
 #: functional-equation solver looks for structure polynomials up to this degree
 #: (``feq.MAX_FULL_DEGREE``), and the paper's families stay within degree 2.
 MAX_FORMAL_DEGREE = 12
+
+#: The most generators a spec may declare: the widest window ``zlca family``
+#: emits (``cli.MAX_WINDOW_GRADES``), one generator per grade.
+MAX_GENERATORS = 101
 
 TableRows = tuple[tuple[str, str, tuple[tuple[str, ParamPoly], ...]], ...]
 
@@ -236,6 +241,9 @@ def loads(text: str) -> SpecFile:
     gens_raw = raw.get("generators")
     _require(isinstance(gens_raw, list) and gens_raw,
              "generators must be a nonempty list")
+    _require(len(gens_raw) <= MAX_GENERATORS,
+             f"generators: {len(gens_raw)} declared, at most "
+             f"{MAX_GENERATORS} allowed")
     generators: dict[str, GeneratorId] = {}
     for idx, g in enumerate(gens_raw):
         ctx = f"generators[{idx}]"

@@ -215,6 +215,51 @@ def test_spec_degree_budget(tmp_path):
     assert specfile.MAX_FORMAL_DEGREE == 12
 
 
+def test_spec_product_budget(tmp_path):
+    # Two factors of 6,188 terms each, formal degree 0: refused before the
+    # product is multiplied out.
+    poly = "(a+b+c+e+f+1)^12*(a+b+c+e+f+1)^12"
+    path, text = v_spec_with_entry(tmp_path, poly)
+    spec = json.loads(text)
+    spec["params"] = ["a", "b", "c", "e", "f", "s"]
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert "term pairs" in json.loads(err)["error"]
+    assert time.perf_counter() - start < 1
+
+
+def test_spec_generator_budget(tmp_path):
+    # A spec declares at most as many generators as the widest family window.
+    assert specfile.MAX_GENERATORS == cli.MAX_WINDOW_GRADES == 101
+    path = tmp_path / "wide.json"
+    assert run(["family", "V", "--s=0", "--window=-50..50",
+                "-o", str(path)])[0] == 0
+    spec = json.loads(path.read_text())
+    assert len(spec["generators"]) == specfile.MAX_GENERATORS
+    specfile.loads(path.read_text())
+    spec["generators"].append({"name": "extra", "grade": 0})
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert "at most 101" in json.loads(err)["error"]
+    assert time.perf_counter() - start < 1
+
+
+def test_internal_error_exit_code(vir_path, monkeypatch):
+    # An uncaught exception is exit 3 with a JSON error, never exit 1.
+    def broken(alg):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "check_jacobi", broken)
+    code, out, err = run(["verify", vir_path])
+    assert (code, out) == (cli.INTERNAL_ERROR, "") and code == 3
+    assert json.loads(err) == {"error": "internal error: KeyError: 'boom'"}
+
+
 # -- family ------------------------------------------------------------------------
 
 def test_family_emission_verifies(tmp_path):

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from zlca import families
+from zlca import conformal, families, grammar
 from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
                             NotAffineError, OutOfWindowError,
                             OutOfWindowTripleError, ZeroActionError, bracket,
                             check_jacobi, check_skew, classify_support,
                             degree_relation_check, jacobi_residual,
                             spectral_data)
-from zlca.poly import D, X, const
+from zlca.poly import DEL, LAM, D, X, Y, ParamPoly, const, param
 
 L = GeneratorId(0, "L")
 VIR = ConformalAlgebra([L], {(L, L): {L: D + 2 * X}}, {0})
@@ -163,6 +163,125 @@ def test_jacobi_triple_out_of_window():
         jacobi_residual(alg, gens[-1], gens[-1], gens[2])
     report = check_jacobi(alg)
     assert report.ok and report.skipped > 0
+
+
+# -- the packed kernel against the ParamPoly expansion ----------------------------
+
+def reference_jacobi_residual(alg, u, v, w):
+    """The Jacobi residual expanded in ``ParamPoly`` arithmetic, uncached.
+
+    The same sums as ``jacobi_residual``, with every substitution and product
+    done on ``ParamPoly`` values, and the same undecidable points.
+    """
+    acc = {}
+
+    def accumulate(inner_sub, first, second, outer_sub, outer_pair):
+        try:
+            for t, left in alg.structure(first, second).items():
+                left = inner_sub(left)
+                for r, right in alg.structure(*outer_pair(t)).items():
+                    acc[r] = acc.get(r, ParamPoly.zero()) + left * outer_sub(right)
+        except OutOfWindowError:
+            raise OutOfWindowTripleError((u, v, w)) from None
+
+    accumulate(lambda p: p.substitute(LAM, Y).substitute(DEL, D + X), v, w,
+               lambda p: p, lambda t: (u, t))
+    accumulate(lambda p: -p.substitute(DEL, -X - Y), u, v,
+               lambda p: p.substitute(LAM, X + Y), lambda t: (t, w))
+    accumulate(lambda p: -p.substitute(DEL, D + Y), u, w,
+               lambda p: p.substitute(LAM, Y), lambda t: (v, t))
+    return {r: poly for r, poly in acc.items() if poly}
+
+
+def _outcome(residual, alg, triple):
+    try:
+        return residual(alg, *triple)
+    except OutOfWindowTripleError:
+        return "undecidable"
+
+
+def assert_matches_reference(alg, monkeypatch):
+    """Every ordered triple and the whole report agree with the reference."""
+    for triple in itertools.product(alg.generators, repeat=3):
+        assert (_outcome(jacobi_residual, alg, triple)
+                == _outcome(reference_jacobi_residual, alg, triple)), triple
+    report = check_jacobi(alg)
+    with monkeypatch.context() as patch:
+        patch.setattr(conformal, "jacobi_residual", reference_jacobi_residual)
+        assert report == check_jacobi(alg)
+    return report
+
+
+THIRD, MINUS_TWO_THIRDS, MINUS_HALF = (Fraction(1, 3), Fraction(-2, 3),
+                                       Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: families.make_v("s", range(-3, 4)),
+    lambda: families.make_v(MINUS_TWO_THIRDS, range(-3, 4)),
+    lambda: families.make_cl1("s", 4),
+    lambda: families.make_cl1(MINUS_TWO_THIRDS, 4),
+    lambda: families.make_cl2("b", "s", range(-3, 4)),
+    lambda: families.make_cl2(THIRD, MINUS_TWO_THIRDS, range(-3, 4)),
+    lambda: families.make_scl2(MINUS_HALF, "s", range(-3, 4)),
+    lambda: families.make_scl2(MINUS_HALF, MINUS_TWO_THIRDS, range(-3, 4)),
+], ids=["V", "V-bound", "CL1", "CL1-bound", "CL2", "CL2-bound", "SCL2",
+        "SCL2-bound"])
+def test_families_match_reference(build, monkeypatch):
+    report = assert_matches_reference(build(), monkeypatch)
+    assert report.ok and report.checked > 0 and report.skipped > 0
+
+
+def _with_entry(alg, pair, target, poly):
+    """The algebra with ``poly`` added to one table entry."""
+    table = {}
+    for u, v, w, entry in alg.table_items():
+        table.setdefault((u, v), {})[w] = entry
+    row = table.setdefault(pair, {})
+    row[target] = row.get(target, ParamPoly.zero()) + poly
+    return ConformalAlgebra(alg.generators, table, alg.window, alg.params)
+
+
+def test_random_mutants_match_reference(monkeypatch):
+    rng = random.Random(6)
+    bases = [families.make_cl2("b", "s", range(-2, 3)),
+             families.make_scl2(MINUS_HALF, "s", range(-2, 3)),
+             families.make_v(THIRD, range(-2, 3))]
+    failing = 0
+    for trial in range(12):
+        alg = bases[trial % len(bases)]
+        gens = alg.generators
+        u, v = rng.choice([(a, b) for a in gens for b in gens
+                           if a.grade + b.grade in alg.window])
+        target = rng.choice(alg.generators_of_grade(u.grade + v.grade))
+        coef = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((2, 3, 5)))
+        delta = (const(coef) * D ** rng.randrange(3) * X ** rng.randrange(3)
+                 * param(rng.choice("bst")) ** rng.randrange(1, 3))
+        report = assert_matches_reference(
+            _with_entry(alg, (u, v), target, delta), monkeypatch)
+        failing += not report.ok
+    assert failing >= 6
+
+
+def test_entries_at_the_spec_caps_match_reference(monkeypatch):
+    # Formal degree 12 and a parameter exponent of 16: total degree 28, so
+    # the fields are 6 bits wide and products reach s^32.
+    cap = grammar.parse("1/3*s^16*x^12 + 2/5*d^12*t^16 - 1/2*s^16*d^6*x^6")
+    alg = families.make_v("s", range(-1, 2))
+    zero, one = alg.single_generator(0), alg.single_generator(1)
+    alg = _with_entry(alg, (zero, zero), zero, cap)
+    alg = _with_entry(alg, (zero, one), one, cap * param("t"))
+    assert conformal._packing(alg).width == 6
+    report = assert_matches_reference(alg, monkeypatch)
+    assert not report.ok
+
+
+def test_jacobi_cache_is_per_algebra():
+    alg = families.make_cl2("b", "s", range(-2, 3))
+    assert alg._packing is None and not alg._jacobi_forms
+    check_jacobi(alg)
+    assert alg._packing.den == 1 and alg._jacobi_forms
+    assert not families.make_cl2("b", "s", range(-2, 3))._jacobi_forms
 
 
 # -- spectral data ----------------------------------------------------------------

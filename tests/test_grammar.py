@@ -1,5 +1,6 @@
 """Polynomial grammar: parse/print round trips and error positions."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,6 +62,20 @@ def test_exponent_is_bounded():
             grammar.parse(text)
     assert grammar.parse("(d + s)^16") == (D + param("s")) ** 16
     assert grammar.MAX_EXPONENT == 16
+
+
+def test_product_size_is_bounded():
+    cap = grammar.MAX_PRODUCT_PAIRS
+    for text in ("(a+b+c+e+f+1)^12*(a+b+c+e+f+1)^12", "(a+b+c+e+f+1)^12",
+                 "(a+b+c+e+f+g+h+i+j+k+l+m+1)^4*(a+b+c+e+f+g+h+i+j+k+l+m+1)^4"):
+        start = time.perf_counter()
+        with pytest.raises(grammar.ParseError,
+                           match=f"exceeds {cap} term pairs"):
+            grammar.parse(text)
+        assert time.perf_counter() - start < 1, text
+    assert grammar.parse("(d + x + 1)^12") == (D + X + 1) ** 12
+    assert len(grammar.parse("(d + x + s + 1)^12")) == 455
+    assert cap == 100_000
 
 
 @pytest.mark.parametrize("text", ["d + \uff12*x", "\u0662", "d\u00b2",

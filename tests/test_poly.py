@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlca.poly import (D, X, Y, MINUS_INFINITY, NotDivisibleError, ParamPoly,
-                       SubstituteParamError, ZeroPolynomialError, const,
-                       mono_mul, param)
+from zlca.poly import (D, X, Y, FORMAL_VARS, MINUS_INFINITY, NotDivisibleError,
+                       Packing, ParamPoly, SubstituteParamError,
+                       ZeroPolynomialError, const, mono_mul, param)
 
 S = param("s")
 B = param("b")
@@ -280,3 +280,54 @@ def test_monic_and_divide_give_exact_fractions():
     assert type(quotient.coefficient((("x", 1),))) is Fraction
     assert not any(isinstance(c, float) for c in quotient._terms.values())
     assert (7 * D).exact_divide(const(2)) == Fraction(7, 2) * D
+
+
+# -- packed monomials ----------------------------------------------------------------
+
+def _assert_stored_canonically(p):
+    for c in p._terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def linear_replacements():
+    """(var, sign, variables): var -> sign * (sum of variables)."""
+    return st.tuples(st.sampled_from(FORMAL_VARS), st.sampled_from((1, -1)),
+                     st.lists(st.sampled_from(FORMAL_VARS), min_size=1,
+                              max_size=3).map(tuple))
+
+
+@settings(max_examples=80)
+@given(polys(max_terms=6), linear_replacements())
+def test_packed_substitute_matches_substitute(p, replacement):
+    var, sign, variables = replacement
+    packing = Packing([p])
+    packed = packing.substitute(packing.pack(p), var, sign, variables)
+    # A product with the packed 1 puts the numerators over den**2.
+    product = {}
+    Packing.mul_add(product, packed, packing.pack(const(1)))
+    result = packing.unpack(product)
+    expected = p.substitute(
+        var, sign * sum((ParamPoly.variable(v) for v in variables),
+                        ParamPoly.zero()))
+    assert result == expected
+    _assert_stored_canonically(result)
+
+
+@settings(max_examples=60)
+@given(polys(), polys())
+def test_packed_product_matches_product(p, q):
+    packing = Packing([p, q])
+    product = {}
+    Packing.mul_add(product, packing.pack(p), packing.pack(q))
+    result = packing.unpack(product)
+    assert result == p * q
+    _assert_stored_canonically(result)
+
+
+def test_packing_layout():
+    p = Fraction(1, 6) * D ** 3 * param("t") + Fraction(3, 4) * param("b") * X
+    packing = Packing([p, const(Fraction(2, 5))])
+    assert packing.variables == ("d", "x", "y", "b", "t")
+    assert packing.width == 4  # 2 * total degree 4 = 8 needs 4 bits
+    assert packing.den == 60
+    assert Packing([]).width == Packing([const(3)]).width == 1

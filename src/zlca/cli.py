@@ -128,6 +128,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     return low, high
 
 
+def _check_bindings(bindings: dict[str, Fraction], params) -> None:
+    unknown = set(bindings) - set(params)
+    if unknown:
+        raise InputError(f"binding for unknown parameter {sorted(unknown)[0]!r}")
+
+
 def _load_algebra(path: str, bind: Optional[Sequence[str]]) -> ConformalAlgebra:
     spec = specfile.load_path(path)
     try:
@@ -135,9 +141,7 @@ def _load_algebra(path: str, bind: Optional[Sequence[str]]) -> ConformalAlgebra:
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     bindings = _parse_bindings(bind)
-    unknown = set(bindings) - set(alg.params)
-    if unknown:
-        raise InputError(f"binding for unknown parameter {sorted(unknown)[0]!r}")
+    _check_bindings(bindings, alg.params)
     return alg.instantiate(bindings) if bindings else alg
 
 
@@ -296,15 +300,8 @@ def cmd_solve_feq(args) -> int:
 
 
 def cmd_gd(args) -> int:
-    spec = specfile.load_path(args.spec)
-    bindings = _parse_bindings(args.bind)
-
     if args.subcommand == "from-lca":
-        try:
-            alg = spec.algebra()
-        except ValueError as exc:
-            raise InputError(f"{args.spec}: {exc}")
-        alg = alg.instantiate(bindings) if bindings else alg
+        alg = _load_algebra(args.spec, args.bind)
         try:
             structure = gd.gd_from_quadratic(alg)
         except (gd.NotQuadraticError, gd.InconsistentStarError) as exc:
@@ -315,10 +312,13 @@ def cmd_gd(args) -> int:
         _emit_spec(specfile.from_gd(structure), args.output)
         return PASS
 
+    spec = specfile.load_path(args.spec)
+    bindings = _parse_bindings(args.bind)
     try:
         structure = spec.gd_algebra()
     except ValueError as exc:
         raise InputError(f"{args.spec}: {exc}")
+    _check_bindings(bindings, structure.nov.params | structure.lie.params)
     if bindings:
         def bind_table(table, cls):
             return cls(table.basis,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .poly import (DEL, LAM, MU, Mono, Packed, Packing, ParamPoly, Scalar,
                    as_poly)
@@ -78,6 +78,27 @@ class GeneratorId:
 
     def __str__(self) -> str:
         return self.name
+
+
+def graded_generators(window: Iterable[int]) -> dict[int, GeneratorId]:
+    """One generator ``L<i>`` per grade i of the window, in grade order."""
+    return {i: GeneratorId(i, f"L{i}") for i in sorted(set(window))}
+
+
+def graded_table(gens: Mapping[int, GeneratorId],
+                 entry: Callable[[int, int], ParamPoly]
+                 ) -> dict[tuple[GeneratorId, GeneratorId],
+                           dict[GeneratorId, ParamPoly]]:
+    """The table of a one-generator-per-grade family written as a formula.
+
+    ``gens`` maps each grade to its generator and ``entry(i, j)`` is the
+    coefficient of the grade-(i + j) generator in the product of the grade-i
+    and grade-j ones.  Exactly the pairs whose sum grade carries a generator
+    are stored (a zero value included), so the window's boundary pairs stay
+    undecidable, as the window semantics above require.
+    """
+    return {(gens[i], gens[j]): {gens[i + j]: entry(i, j)}
+            for i in gens for j in gens if i + j in gens}
 
 
 def _validate_coeffs(coeffs: Mapping[GeneratorId, ParamPoly],

@@ -1,8 +1,11 @@
 """Constructors for the classified graded Lie conformal algebra families.
 
 All of Vir, the current algebra of a Lie algebra, V(s), CL1(s), CL2(b, s) and
-SCL2(b, s) are built here on an explicit finite window of grades.  SCL2 is
-built two independent ways:
+SCL2(b, s) are built here on an explicit finite window of grades.  V, CL2 and
+SCL2 are each one bracket formula in the grades i and j, handed to
+``conformal.graded_table``; CL1 is not written separately, since
+CL1(s) = CL2(1, -s) on the grades >= -1, and ``make_cl1`` builds it so.  SCL2
+is built two independent ways:
 
 * ``make_scl2`` embeds it as the graded ideal of CL2(b, s) spanned by the
   ordinary generators away from grade -2b together with M = (d + 2s) L_{-2b},
@@ -22,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
-from .conformal import ConformalAlgebra, GeneratorId
+from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
+                        graded_table)
 from .poly import D, X, ParamPoly, as_poly, param
 
 Coefficientish = Union[int, Fraction, str, ParamPoly]
@@ -48,10 +52,6 @@ def _coeff(value: Coefficientish) -> ParamPoly:
     if isinstance(value, str):
         return param(value)
     return as_poly(value)
-
-
-def _lgen(grade: int) -> GeneratorId:
-    return GeneratorId(grade, f"L{grade}")
 
 
 def make_vir() -> ConformalAlgebra:
@@ -95,30 +95,16 @@ def make_current(names: Iterable[str],
 def make_v(s: Coefficientish, window: Iterable[int]) -> ConformalAlgebra:
     """The family [L_i x L_j] = (d + 2x + s(i-j)) L_{i+j}."""
     s = _coeff(s)
-    win = sorted(set(window))
-    gens = {i: _lgen(i) for i in win}
-    table = {}
-    for i in win:
-        for j in win:
-            if i + j in gens:
-                table[(gens[i], gens[j])] = {gens[i + j]: D + 2 * X + s * (i - j)}
-    return ConformalAlgebra(gens.values(), table, win)
+    gens = graded_generators(window)
+    table = graded_table(gens, lambda i, j: D + 2 * X + s * (i - j))
+    return ConformalAlgebra(gens.values(), table, gens.keys())
 
 
 def make_cl1(s: Coefficientish, top: int) -> ConformalAlgebra:
     """The family on grades -1..top: [L_i x L_j] = ((i+1)d + (i+j+2)x + s(j-i)) L_{i+j}."""
     if top < -1:
         raise ValueError("window top must be at least -1")
-    s = _coeff(s)
-    win = range(-1, top + 1)
-    gens = {i: _lgen(i) for i in win}
-    table = {}
-    for i in win:
-        for j in win:
-            if i + j in gens:
-                poly = (i + 1) * D + (i + j + 2) * X + s * (j - i)
-                table[(gens[i], gens[j])] = {gens[i + j]: poly}
-    return ConformalAlgebra(gens.values(), table, win)
+    return make_cl2(1, -_coeff(s), range(-1, top + 1))
 
 
 def cl2_entry(b: ParamPoly, s: ParamPoly, i: int, j: int) -> ParamPoly:
@@ -130,32 +116,24 @@ def make_cl2(b: Coefficientish, s: Coefficientish,
              window: Iterable[int]) -> ConformalAlgebra:
     """The family [L_i x L_j] = ((i+b)d + (i+j+2b)x + s(i-j)) L_{i+j}."""
     b, s = _coeff(b), _coeff(s)
-    win = sorted(set(window))
-    gens = {i: _lgen(i) for i in win}
-    table = {}
-    for i in win:
-        for j in win:
-            if i + j in gens:
-                table[(gens[i], gens[j])] = {gens[i + j]: cl2_entry(b, s, i, j)}
-    return ConformalAlgebra(gens.values(), table, win)
+    gens = graded_generators(window)
+    table = graded_table(gens, lambda i, j: cl2_entry(b, s, i, j))
+    return ConformalAlgebra(gens.values(), table, gens.keys())
 
 
-def _scl2_validate(b: Fraction, window: Iterable[int]) -> tuple[Fraction, list[int], int, int]:
+def _scl2_validate(b: Fraction, window: Iterable[int]
+                   ) -> tuple[Fraction, dict[int, GeneratorId], int]:
+    """b as a Fraction, the generators (M at grade -2b) and the grade -2b."""
     b = Fraction(b)
     if b == 0 or (2 * b).denominator != 1:
         raise ValueError("SCL2 requires a nonzero rational b with 2b an integer")
     special = int(-2 * b)
     low = int(-4 * b)
-    win = sorted(set(window))
-    if special not in win or low not in win:
+    gens = graded_generators(window)
+    if special not in gens or low not in gens:
         raise ValueError(f"window must contain grades {special} and {low}")
-    return b, win, special, low
-
-
-def _scl2_generators(win: list[int], special: int) -> dict[int, GeneratorId]:
-    gens = {i: _lgen(i) for i in win if i != special}
     gens[special] = GeneratorId(special, SPECIAL_NAME)
-    return gens
+    return b, gens, special
 
 
 def make_scl2(b: Fraction, s: Coefficientish,
@@ -170,29 +148,27 @@ def make_scl2(b: Fraction, s: Coefficientish,
     RewriteFailedError.
     """
     sp = _coeff(s)
-    b, win, special, _ = _scl2_validate(b, window)
-    gens = _scl2_generators(win, special)
+    b, gens, special = _scl2_validate(b, window)
     divisor = D + 2 * sp
     left_factor = -X + 2 * sp
     right_factor = D + X + 2 * sp
-    table = {}
-    for i in win:
-        for j in win:
-            if i + j not in gens:
-                continue
-            raw = cl2_entry(_coeff(b), sp, i, j)
-            if i == special:
-                raw = raw * left_factor
-            if j == special:
-                raw = raw * right_factor
-            if i + j == special:
-                try:
-                    raw = raw.exact_divide(divisor)
-                except ArithmeticError as exc:
-                    raise RewriteFailedError(
-                        f"bracket ({i}, {j}) is not divisible by {divisor}") from exc
-            table[(gens[i], gens[j])] = {gens[i + j]: raw}
-    return ConformalAlgebra(gens.values(), table, win)
+
+    def entry(i: int, j: int) -> ParamPoly:
+        raw = cl2_entry(_coeff(b), sp, i, j)
+        if i == special:
+            raw = raw * left_factor
+        if j == special:
+            raw = raw * right_factor
+        if i + j != special:
+            return raw
+        try:
+            return raw.exact_divide(divisor)
+        except ArithmeticError as exc:
+            raise RewriteFailedError(
+                f"bracket ({i}, {j}) is not divisible by {divisor}") from exc
+
+    return ConformalAlgebra(gens.values(), graded_table(gens, entry),
+                            gens.keys())
 
 
 def make_scl2_literal(b: Fraction, s: Coefficientish,
@@ -212,8 +188,7 @@ def make_scl2_literal(b: Fraction, s: Coefficientish,
     generator).  Pairs with M on the left are completed by skew-symmetry.
     """
     sp = _coeff(s)
-    b, win, special, _ = _scl2_validate(b, window)
-    gens = _scl2_generators(win, special)
+    b, gens, special = _scl2_validate(b, window)
     flip = -(D + X)
 
     def entry(i: int, j: int) -> ParamPoly:
@@ -230,12 +205,8 @@ def make_scl2_literal(b: Fraction, s: Coefficientish,
             return as_poly(Fraction(i - j, 2))
         return cl2_entry(_coeff(b), sp, i, j)
 
-    table = {}
-    for i in win:
-        for j in win:
-            if i + j in gens:
-                table[(gens[i], gens[j])] = {gens[i + j]: entry(i, j)}
-    return ConformalAlgebra(gens.values(), table, win)
+    return ConformalAlgebra(gens.values(), graded_table(gens, entry),
+                            gens.keys())
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .poly import (DEL, LAM, D, X, Y, MINUS_INFINITY, Mono, ParamPoly,
-                   Scalar, mono_sort_key)
+from .poly import (DEL, LAM, D, X, Y, MINUS_INFINITY, Coefficient, Mono,
+                   ParamPoly, Scalar, mono_sort_key)
 
 MAX_FULL_DEGREE = 12
 MAX_TOP_DEGREE = 6
@@ -69,25 +69,30 @@ class SpectralTriple:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
-def feq_residual(p: ParamPoly, t: SpectralTriple) -> ParamPoly:
-    """Left side minus right side of the functional equation at p."""
+def _residual(p: ParamPoly, wl: Fraction, sl: Coefficient, wr: Fraction,
+              sr: Coefficient, wo: Fraction, so: Coefficient) -> ParamPoly:
+    """The one residual formula: weights w and shifts s (left, right, out)."""
     p_sum = p.substitute(LAM, X + Y)
     p_shift = p.substitute(LAM, Y).substitute(DEL, D + X)
     p_mu = p.substitute(LAM, Y)
-    return ((-X - Y + t.weight_left * X + t.shift_left) * p_sum
-            - p_shift * (D + t.weight_out * X + t.shift_out)
-            + (D + Y + t.weight_right * X + t.shift_right) * p_mu)
+    return (((wl - 1) * X - Y + sl) * p_sum
+            - p_shift * (D + wo * X + so)
+            + (D + Y + wr * X + sr) * p_mu)
+
+
+def feq_residual(p: ParamPoly, t: SpectralTriple) -> ParamPoly:
+    """Left side minus right side of the functional equation at p."""
+    return _residual(p, t.weight_left, t.shift_left, t.weight_right,
+                     t.shift_right, t.weight_out, t.shift_out)
 
 
 def top_residual(p: ParamPoly, weight_left: Fraction, weight_right: Fraction,
                  weight_out: Fraction) -> ParamPoly:
-    """Residual of the homogeneous top-degree equation at p."""
-    p_sum = p.substitute(LAM, X + Y)
-    p_shift = p.substitute(LAM, Y).substitute(DEL, D + X)
-    p_mu = p.substitute(LAM, Y)
-    return (((Fraction(weight_left) - 1) * X - Y) * p_sum
-            - p_shift * (D + Fraction(weight_out) * X)
-            + (D + Y + Fraction(weight_right) * X) * p_mu)
+    """Residual of the homogeneous top-degree equation at p: all shifts 0."""
+    # The zero polynomial, not the int 0: adding it skips the conversion.
+    zero = ParamPoly.zero()
+    return _residual(p, Fraction(weight_left), zero, Fraction(weight_right),
+                     zero, Fraction(weight_out), zero)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ explicit: a stored key is a decidable product (possibly zero, stored as an
 empty combination), a missing key is undecidable at this truncation.  The
 family constructors store exactly the pairs whose target grade lies in the
 window, matching the window semantics of the conformal side so the
-quadratic-algebra correspondence round-trips on the nose.
+quadratic-algebra correspondence round-trips on the nose.  A2(b) and the
+bracket of ``s_bracket`` are each one formula in the grades, handed to
+``conformal.graded_table``; A1 is not written separately, since A1 = A2(1) on
+the grades >= -1, and ``make_a1`` builds it so.
 
 The law checks work over basis positions.  Each check numbers the sorted
 basis once and reads a table as ``rows[i][j]``: a tuple of (position,
@@ -34,7 +37,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .conformal import ConformalAlgebra, GeneratorId
+from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
+                        graded_table)
 from .poly import DEL, LAM, D, X, Mono, ParamPoly, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
@@ -326,31 +330,16 @@ def check_gd(g: GDAlgebra) -> LawReport:
 
 # -- truncated families ---------------------------------------------------------
 
-def _graded_basis(grades: Iterable[int]) -> dict[int, GeneratorId]:
-    return {i: GeneratorId(i, f"L{i}") for i in sorted(set(grades))}
-
-
 def make_a1(top: int) -> NovikovAlgebra:
     """Truncation of the Novikov algebra L_i o L_j = (j+1) L_{i+j}, i, j >= -1."""
-    gens = _graded_basis(range(-1, top + 1))
-    table = {}
-    for i in gens:
-        for j in gens:
-            if i + j in gens:
-                table[(gens[i], gens[j])] = {gens[i + j]: as_poly(j + 1)}
-    return NovikovAlgebra(gens.values(), table)
+    return make_a2(1, range(-1, top + 1))
 
 
 def make_a2(b, window: Iterable[int]) -> NovikovAlgebra:
     """Truncation of L_i o L_j = (j + b) L_{i+j} on integer grades."""
     b = param(b) if isinstance(b, str) else as_poly(b)
-    gens = _graded_basis(window)
-    table = {}
-    for i in gens:
-        for j in gens:
-            if i + j in gens:
-                table[(gens[i], gens[j])] = {gens[i + j]: j + b}
-    return NovikovAlgebra(gens.values(), table)
+    gens = graded_generators(window)
+    return NovikovAlgebra(gens.values(), graded_table(gens, lambda i, j: j + b))
 
 
 def make_a3(b, window: Iterable[int], depth: int) -> NovikovAlgebra:
@@ -389,17 +378,13 @@ def s_bracket(basis: Iterable[GeneratorId], s) -> LieStructure:
     gens = {g.grade: g for g in elements}
     if len(gens) != len(elements):
         raise ValueError("s_bracket requires one basis element per grade")
-    table = {}
-    for i in gens:
-        for j in gens:
-            if i + j in gens:
-                table[(gens[i], gens[j])] = {gens[i + j]: s * (i - j)}
-    return LieStructure(gens.values(), table)
+    return LieStructure(gens.values(),
+                        graded_table(gens, lambda i, j: s * (i - j)))
 
 
 def gd_a1(s, top: int) -> GDAlgebra:
-    nov = make_a1(top)
-    return GDAlgebra(nov, s_bracket(nov.basis, s))
+    """A1 with the bracket of s_bracket, that is gd_a2(1, s) on grades >= -1."""
+    return gd_a2(1, s, range(-1, top + 1))
 
 
 def gd_a2(b, s, window: Iterable[int]) -> GDAlgebra:

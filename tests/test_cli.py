@@ -478,6 +478,23 @@ def test_gd_from_lca_rejects_nonquadratic(tmp_path):
     assert json.loads(out)["violations"][0]["kind"] == "not-quadratic"
 
 
+@pytest.mark.parametrize("name", ["d", "zz"])
+@pytest.mark.parametrize("subcommand", ["check", "to-lca", "from-lca"])
+def test_gd_unknown_binding(tmp_path, subcommand, name):
+    # A formal variable or an undeclared name is an input error, as in verify,
+    # not a crash (d) or a binding silently ignored (zz).
+    path = tmp_path / "in.json"
+    if subcommand == "from-lca":
+        assert run(["family", "CL2", "--window=-2..2", "-o", str(path)])[0] == 0
+    else:
+        path.write_text(a1_spec_text())
+    code, out, err = run(["gd", subcommand, str(path), "--bind", f"{name}=1"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == f"binding for unknown parameter {name!r}"
+    code, _, err = run(["gd", subcommand, str(path), "--bind", "s=1"])
+    assert (code, err) == (0, "")
+
+
 # -- ideal-check and probe -----------------------------------------------------------
 
 def write_cl2(tmp_path, b, s, window="-5..5"):

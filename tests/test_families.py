@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from zlca import families
-from zlca.conformal import (check_jacobi, check_skew, classify_support,
-                            spectral_data)
+from zlca import families, specfile
+from zlca.conformal import (ConformalAlgebra, GeneratorId, check_jacobi,
+                            check_skew, classify_support, spectral_data)
 from zlca.families import NotALieAlgebraError
-from zlca.poly import D, X, ParamPoly, const, param
+from zlca.poly import D, X, ParamPoly, as_poly, const, param
 
 S = param("s")
 B = param("b")
@@ -218,3 +218,91 @@ def test_make_family_dispatch():
                                                  window=(-6, 6)))
     with pytest.raises(ValueError):
         families.make_family(families.FamilySpec(kind="nope"))
+
+
+# -- the grade-formula constructors against explicit loops ---------------------------
+#
+# V, CL1 and CL2 are built from one formula each by conformal.graded_table, and
+# CL1 as CL2(1, -s).  The references below are the constructors written out as
+# double loops over the window, one per family, CL1 from its own formula.
+
+def _reference_coeff(value):
+    return param(value) if isinstance(value, str) else as_poly(value)
+
+
+def _reference_gens(window):
+    return {i: GeneratorId(i, f"L{i}") for i in sorted(set(window))}
+
+
+def reference_make_v(s, window):
+    s = _reference_coeff(s)
+    gens = _reference_gens(window)
+    table = {}
+    for i in gens:
+        for j in gens:
+            if i + j in gens:
+                table[(gens[i], gens[j])] = {gens[i + j]: D + 2 * X + s * (i - j)}
+    return ConformalAlgebra(gens.values(), table, gens)
+
+
+def reference_make_cl1(s, top):
+    if top < -1:
+        raise ValueError("window top must be at least -1")
+    s = _reference_coeff(s)
+    gens = _reference_gens(range(-1, top + 1))
+    table = {}
+    for i in gens:
+        for j in gens:
+            if i + j in gens:
+                poly = (i + 1) * D + (i + j + 2) * X + s * (j - i)
+                table[(gens[i], gens[j])] = {gens[i + j]: poly}
+    return ConformalAlgebra(gens.values(), table, gens)
+
+
+def reference_make_cl2(b, s, window):
+    b, s = _reference_coeff(b), _reference_coeff(s)
+    gens = _reference_gens(window)
+    table = {}
+    for i in gens:
+        for j in gens:
+            if i + j in gens:
+                poly = (i + b) * D + (i + j + 2 * b) * X + s * (i - j)
+                table[(gens[i], gens[j])] = {gens[i + j]: poly}
+    return ConformalAlgebra(gens.values(), table, gens)
+
+
+WINDOWS = [range(-3, 4), range(0, 4), range(-5, 1), (-2, 0, 1, 3), (0,), ()]
+S_VALUES = ["s", S + 1, Fraction(-2, 3), 0, Fraction(5, 7)]
+
+
+def assert_same_algebra(got, want):
+    assert got == want
+    assert (specfile.from_algebra(got).dumps()
+            == specfile.from_algebra(want).dumps())
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_make_v_matches_the_reference(s):
+    for window in WINDOWS:
+        assert_same_algebra(families.make_v(s, window),
+                            reference_make_v(s, window))
+
+
+@pytest.mark.parametrize("s", S_VALUES)
+def test_make_cl1_matches_the_reference(s):
+    for top in (-1, 0, 1, 2, 5, 8):
+        assert_same_algebra(families.make_cl1(s, top),
+                            reference_make_cl1(s, top))
+    with pytest.raises(ValueError):
+        families.make_cl1(s, -2)
+
+
+# b = 1 makes the (L-1, L-1) entry vanish; s = 0 the antisymmetric part.
+@pytest.mark.parametrize("b,s", [("b", "s"), (1, "s"), (1, 0), ("b", 0),
+                                 (Fraction(1, 2), Fraction(-2, 3)),
+                                 (Fraction(-1, 3), Fraction(5, 7)),
+                                 (B - 1, S + 1)])
+def test_make_cl2_matches_the_reference(b, s):
+    for window in WINDOWS + [range(-1, 6)]:
+        assert_same_algebra(families.make_cl2(b, s, window),
+                            reference_make_cl2(b, s, window))

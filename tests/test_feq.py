@@ -7,7 +7,7 @@ import pytest
 from zlca import families, feq
 from zlca.conformal import spectral_data
 from zlca.grammar import parse
-from zlca.poly import D, X, ParamPoly
+from zlca.poly import D, X, Y, ParamPoly
 
 
 def triple(*values) -> feq.SpectralTriple:
@@ -32,6 +32,21 @@ def test_shift_mismatch_kills_solutions(shifts):
     assert sl + sr != so
     t = triple(2, sl, 2, sr, 2, so)
     assert feq.solve_feq(t, 3).dimension == 0
+
+
+def test_top_residual_is_the_full_residual_without_shifts():
+    polys = [D + 2 * X, D * D * X - 3 * X ** 3 + F(1, 2) * D, ParamPoly({(): 1})]
+    for p in polys:
+        for wl, wr, wo in ((2, 2, 2), (F(1, 3), 0, -1), (1, F(5, 2), 0)):
+            top = feq.top_residual(p, F(wl), F(wr), F(wo))
+            assert top == feq.feq_residual(p, triple(wl, 0, wr, 0, wo, 0))
+            # ((wl - 1) x - y) p(d, x+y) - p(d+x, y)(d + wo x)
+            #     + (d + y + wr x) p(d, y), written out
+            p_sum = p.substitute("x", X + Y)
+            p_shift = p.substitute("x", Y).substitute("d", D + X)
+            assert top == (((F(wl) - 1) * X - Y) * p_sum
+                           - p_shift * (D + F(wo) * X)
+                           + (D + Y + F(wr) * X) * p.substitute("x", Y))
 
 
 def test_degree_guard():

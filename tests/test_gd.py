@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from zlca import families, gd
+from zlca import families, gd, specfile
 from zlca.conformal import GeneratorId, check_jacobi, check_skew
-from zlca.poly import D, X, ParamPoly, const, param
+from zlca.poly import D, X, ParamPoly, as_poly, const, param
 
 S = param("s")
 B = param("b")
@@ -415,3 +415,76 @@ def test_law_checks_match_the_reference(case):
             assert got.violations == want.violations
             violations += len(want.violations)
     assert violations > 0
+
+
+# -- the grade-formula constructors against explicit loops ---------------------------
+#
+# A2 and s_bracket are built from one formula each by conformal.graded_table,
+# and A1 as A2(1).  The references below write them out as double loops, A1
+# from its own formula.
+
+def reference_make_a1(top):
+    gens = {i: GeneratorId(i, f"L{i}") for i in range(-1, top + 1)}
+    table = {}
+    for i in gens:
+        for j in gens:
+            if i + j in gens:
+                table[(gens[i], gens[j])] = {gens[i + j]: as_poly(j + 1)}
+    return gd.NovikovAlgebra(gens.values(), table)
+
+
+def reference_make_a2(b, window):
+    b = param(b) if isinstance(b, str) else as_poly(b)
+    gens = {i: GeneratorId(i, f"L{i}") for i in sorted(set(window))}
+    table = {}
+    for i in gens:
+        for j in gens:
+            if i + j in gens:
+                table[(gens[i], gens[j])] = {gens[i + j]: j + b}
+    return gd.NovikovAlgebra(gens.values(), table)
+
+
+def reference_s_bracket(basis, s):
+    s = param(s) if isinstance(s, str) else as_poly(s)
+    gens = {g.grade: g for g in basis}
+    table = {}
+    for i in gens:
+        for j in gens:
+            if i + j in gens:
+                table[(gens[i], gens[j])] = {gens[i + j]: s * (i - j)}
+    return gd.LieStructure(gens.values(), table)
+
+
+def assert_same_gd(got, want):
+    assert got == want
+    assert specfile.from_gd(got).dumps() == specfile.from_gd(want).dumps()
+
+
+GD_S_VALUES = ["s", S + 1, Fraction(-2, 3), 0, Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("s", GD_S_VALUES)
+def test_gd_a1_matches_the_reference(s):
+    for top in (-2, -1, 0, 1, 3, 8):
+        nov = reference_make_a1(top)
+        assert gd.make_a1(top) == nov
+        assert_same_gd(gd.gd_a1(s, top),
+                       gd.GDAlgebra(nov, reference_s_bracket(nov.basis, s)))
+
+
+# b = 1 makes every product by L-1 vanish; b = -2 those by L2.
+@pytest.mark.parametrize("b", ["b", 1, -2, Fraction(1, 3), B + S])
+def test_gd_a2_matches_the_reference(b):
+    for window in (range(-3, 4), range(-1, 5), (-2, 0, 1, 3), (0,), ()):
+        nov = reference_make_a2(b, window)
+        assert gd.make_a2(b, window) == nov
+        for s in GD_S_VALUES:
+            assert_same_gd(gd.gd_a2(b, s, window),
+                           gd.GDAlgebra(nov, reference_s_bracket(nov.basis, s)))
+
+
+def test_s_bracket_matches_the_reference_on_any_names():
+    basis = [GeneratorId(2, "c"), GeneratorId(-1, "a"), GeneratorId(0, "b"),
+             GeneratorId(1, "z"), GeneratorId(3, "y")]
+    for s in GD_S_VALUES:
+        assert gd.s_bracket(basis, s) == reference_s_bracket(basis, s)

@@ -62,6 +62,12 @@ CASES = {
     "gd_check_a2_broken": (["gd", "check", "{a2_broken}"], 1),
     "gd_from_lca_cl2": (["gd", "from-lca", "{cl2_3}"], 0),
     "family_cl2_window5": (["family", "CL2", "--window=-5..5"], 0),
+    "family_cl1_top5": (["family", "CL1", "--top=5"], 0),
+    "family_v_half_window4": (["family", "V", "--s=1/2", "--window=-4..4"],
+                              0),
+    "family_scl2_literal_b1_window4": (["family", "SCL2Literal", "--b=1",
+                                        "--window=-4..4"], 0),
+    "gd_to_lca_a1": (["gd", "to-lca", "{a1_8}"], 0),
 }
 
 

@@ -250,6 +250,12 @@ def cmd_family(args) -> int:
 
 
 def cmd_solve_feq(args) -> int:
+    modes = [flag for flag, given in (("--full", args.full is not None),
+                                      ("--top", args.top is not None),
+                                      ("--tables", args.tables)) if given]
+    if len(modes) != 1:
+        raise InputError(f"choose one mode: --full D, --top K or --tables "
+                         f"(got {' '.join(modes) or 'none'})")
     if args.tables:
         report_obj = feq.reproduce_tables()
         cases = [{
@@ -282,15 +288,13 @@ def cmd_solve_feq(args) -> int:
             basis = feq.solve_feq_top(need("ai"), need("aj"), need("aij"), top)
         except feq.DegreeGuardError as exc:
             raise InputError(str(exc))
-    elif full is not None:
+    else:
         triple = feq.SpectralTriple(need("ai"), need("bi"), need("aj"),
                                     need("bj"), need("aij"), need("bij"))
         try:
             basis = feq.solve_feq(triple, full)
         except feq.DegreeGuardError as exc:
             raise InputError(str(exc))
-    else:
-        raise InputError("choose a mode: --full D, --top K or --tables")
     report = _report("solve-feq", 1, 0, [],
                      dimension=basis.dimension,
                      basis=[str(p) for p in basis.basis],

@@ -10,14 +10,27 @@ identity against the grade-0 generator:
 
 Solving is exact linear algebra: the coefficients of the unknown polynomial
 (all monomials d^a x^b up to a degree bound, or one homogeneous slice) are
-unknowns, both sides are expanded over monomials in d, x, y, and the
-resulting homogeneous rational system is eliminated exactly.  Each unknown's
-residual has only a few terms, so the system is built as sparse rows, one per
-monomial in d, x, y that occurs, straight from those terms, and reduced by
-the sparse integer Gauss-Jordan elimination of ``linalg``.  Its reduced row
+unknowns, and both sides are expanded over monomials in d, x, y.  The
+residual is linear in p, so column j of the system is the residual of the
+j-th unit monomial, and for p = d^a x^b it has a closed form by the binomial
+theorem:
+
+    ((wl - 1) x - y + sl) d^a sum_k C(b,k) x^k y^(b-k)
+        - sum_k C(a,k) d^(a-k) x^k y^b (d + wo*x + so)
+        + (d + y + wr*x + sr) d^a y^b
+
+``integer_system`` collects like terms and writes them straight into sparse
+rows, one per exponent triple (e_d, e_x, e_y) that occurs.  It works in
+integers: the six constants are scaled by the lcm L of their denominators and
+each literal 1 becomes L.  The system is homogeneous, so scaling every row by
+L changes no primitive row and no solution.  The rows are reduced by the
+sparse integer Gauss-Jordan elimination of ``linalg``.  Its reduced row
 echelon form is unique, so the kernel does not depend on the order of the
-equations or on the elimination path.  The homogeneous top-degree variant
-drops the shifts:
+equations or on the elimination path.  ``feq_residual`` is the same residual
+computed by polynomial substitution and products, the independent route the
+closed form is tested against.
+
+The homogeneous top-degree variant drops the shifts:
 
     ((wl - 1) x - y) p(d, x+y) = p(d+x, y) (d + wo*x) - (d + y + wr*x) p(d, y)
 
@@ -34,11 +47,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from math import comb, lcm
+from typing import Optional, Sequence
 
 from . import linalg
 from .poly import (DEL, LAM, D, X, Y, MINUS_INFINITY, Coefficient, Mono,
-                   ParamPoly, Scalar, mono_sort_key)
+                   ParamPoly, mono_sort_key)
 
 MAX_FULL_DEGREE = 12
 MAX_TOP_DEGREE = 6
@@ -89,10 +103,8 @@ def feq_residual(p: ParamPoly, t: SpectralTriple) -> ParamPoly:
 def top_residual(p: ParamPoly, weight_left: Fraction, weight_right: Fraction,
                  weight_out: Fraction) -> ParamPoly:
     """Residual of the homogeneous top-degree equation at p: all shifts 0."""
-    # The zero polynomial, not the int 0: adding it skips the conversion.
-    zero = ParamPoly.zero()
-    return _residual(p, Fraction(weight_left), zero, Fraction(weight_right),
-                     zero, Fraction(weight_out), zero)
+    return _residual(p, Fraction(weight_left), 0, Fraction(weight_right), 0,
+                     Fraction(weight_out), 0)
 
 
 @dataclass(frozen=True)
@@ -142,13 +154,51 @@ class SolutionBasis:
         return hashlib.sha256(f"{monos};;{payload}".encode()).hexdigest()
 
 
-def _solve(monomials: Sequence[Mono],
-           residual_of: Callable[[ParamPoly], ParamPoly]) -> SolutionBasis:
-    ncols = len(monomials)
-    equations: dict[Mono, dict[int, Scalar]] = {}
+#: An equation of the system: the exponents (e_d, e_x, e_y) of its monomial.
+Equation = tuple[int, int, int]
+
+
+def integer_system(monomials: Sequence[Mono], wl: Fraction, sl: Fraction,
+                   wr: Fraction, sr: Fraction, wo: Fraction, so: Fraction
+                   ) -> tuple[dict[Equation, dict[int, int]], int]:
+    """The residuals of the unit monomials as sparse integer rows, and L.
+
+    Row (e_d, e_x, e_y) maps column j to L times the coefficient of
+    d^e_d x^e_x y^e_y in the residual of ``monomials[j]``, where L is the lcm
+    of the denominators of the six constants; zero entries are left out.
+    """
+    scale = lcm(*(c.denominator for c in (wl, sl, wr, sr, wo, so)))
+    wl, sl, wr, sr, wo, so = (c.numerator * (scale // c.denominator)
+                              for c in (wl, sl, wr, sr, wo, so))
+    equations: dict[Equation, dict[int, int]] = {}
     for j, mono in enumerate(monomials):
-        for eq, coef in residual_of(ParamPoly({mono: 1})).items():
-            equations.setdefault(eq, {})[j] = coef
+        exps = dict(mono)
+        a, b = exps.get(DEL, 0), exps.get(LAM, 0)
+        # The closed form with like terms collected: d^(a+1) y^b and
+        # d^a y^(b+1) cancel, d^a x y^b and d^a y^b take a term from each
+        # of the three products, the x- and y-terms of the first product
+        # pair up, and so do the d- and x-terms of the second.  No two
+        # entries below share a monomial.
+        terms = [((a, 1, b), wl - scale + wr - wo - (a + b) * scale),
+                 ((a, 0, b), sl + sr - so)]
+        for k in range(1, b + 1):
+            c = comb(b, k)
+            terms += (((a, k + 1, b - k),
+                       (wl - scale) * c - scale * comb(b, k + 1)),
+                      ((a, k, b - k), sl * c))
+        for k in range(1, a + 1):
+            c = comb(a, k)
+            terms += (((a - k, k + 1, b), -wo * c - scale * comb(a, k + 1)),
+                      ((a - k, k, b), -so * c))
+        for eq, v in terms:
+            if v:
+                equations.setdefault(eq, {})[j] = v
+    return equations, scale
+
+
+def _solve(monomials: Sequence[Mono], *constants: Fraction) -> SolutionBasis:
+    ncols = len(monomials)
+    equations, _ = integer_system(monomials, *constants)
     kernel = linalg.nullspace(list(equations.values()), ncols)
     if not kernel:
         return SolutionBasis(tuple(monomials), (), ())
@@ -171,8 +221,9 @@ def solve_feq(triple: SpectralTriple, max_degree: int) -> SolutionBasis:
     if max_degree > MAX_FULL_DEGREE:
         raise DegreeGuardError(f"degree bound {max_degree} exceeds "
                                f"{MAX_FULL_DEGREE}")
-    return _solve(_monomials_up_to(max_degree),
-                  lambda p: feq_residual(p, triple))
+    return _solve(_monomials_up_to(max_degree), triple.weight_left,
+                  triple.shift_left, triple.weight_right, triple.shift_right,
+                  triple.weight_out, triple.shift_out)
 
 
 def solve_feq_top(weight_left: Fraction, weight_right: Fraction,
@@ -183,8 +234,9 @@ def solve_feq_top(weight_left: Fraction, weight_right: Fraction,
                                f"{MAX_TOP_DEGREE}")
     monos = [m for m in _monomials_up_to(degree)
              if sum(e for _, e in m) == degree]
-    return _solve(monos, lambda p: top_residual(p, weight_left, weight_right,
-                                                weight_out))
+    zero = Fraction(0)
+    return _solve(monos, Fraction(weight_left), zero, Fraction(weight_right),
+                  zero, Fraction(weight_out), zero)
 
 
 def factor_check(sol: ParamPoly, triple: SpectralTriple) -> ParamPoly:

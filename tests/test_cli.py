@@ -408,6 +408,15 @@ def test_solve_feq_input_errors():
         assert "not a rational number" in err or "zero denominator" in err
     assert run(["solve-feq", "--ai=" + "1" * 1000, "--aj=1", "--aij=0",
                 "--top=0"])[0] == 0
+    # Exactly one mode: two of --full, --top and --tables are an error, not
+    # a silent choice of one of them.
+    weights = ["--ai=2", "--bi=0", "--aj=2", "--bj=0", "--aij=2", "--bij=0"]
+    for modes in (["--full=3", "--top=2"], ["--tables", "--full=3"],
+                  ["--tables", "--top=1"], ["--full=1", "--top=1", "--tables"]):
+        code, out, err = run(["solve-feq", *weights, *modes])
+        assert (code, out) == (2, ""), modes
+        message = json.loads(err)["error"]
+        assert message.startswith("choose one mode") and "\n" not in message
 
 
 def test_bind_value_must_be_ascii_fraction(tmp_path):

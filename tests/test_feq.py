@@ -1,10 +1,13 @@
 """Functional equation solver: nullspaces, tables, factorization."""
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from zlca import families, feq
+from zlca import families, feq, linalg
 from zlca.conformal import spectral_data
 from zlca.grammar import parse
 from zlca.poly import D, X, Y, ParamPoly
@@ -86,6 +89,101 @@ def test_shift_rescaling_preserves_dimension():
         for scale in (F(2), F(-3), F(1, 2)):
             rescaled = triple(wl, sl * scale, wr, sr * scale, wo, so * scale)
             assert feq.solve_feq(rescaled, 4).dimension == dim
+
+
+# -- the closed-form integer rows against the polynomial residual ----------------
+
+#: Zero, negative and mixed-denominator weights and shifts.  (1, 0, 1, 0, 1, 0)
+#: zeroes the (wl - 1) x term; at (2, 1, 3, 1, 4, 2), wl - 1 + wr = wo and
+#: sl + sr = so, so the d^a y^b entry of every residual vanishes.
+KERNEL_TRIPLES = [
+    (2, 0, 2, 0, 2, 0),
+    (0, 0, 0, 0, 0, 0),
+    (1, 0, 1, 0, 1, 0),
+    (2, 1, 3, 1, 4, 2),
+    (F(-3, 2), F(5, 7), F(1, 3), F(-2, 9), F(-5, 4), F(7, 6)),
+    (F(7, 2), F(-9, 10), 5, F(-9, 5), F(13, 2), F(-27, 10)),
+    (-1, F(1, 1000003), F(-6, 5), 0, F(2, 3), -4),
+]
+
+#: Weights of the top-degree equation (all shifts 0).
+KERNEL_TOP_WEIGHTS = [
+    (F(5, 3), F(5, 3), F(-2, 3)),
+    (1, F(7, 4), F(-1, 4)),
+    (0, 0, 0),
+    (F(-1, 2), 3, F(2, 5)),
+]
+
+
+def kernel_residuals(monomials, constants):
+    """Each column of ``integer_system`` as a polynomial, divided by L."""
+    constants = [F(c) for c in constants]
+    equations, scale = feq.integer_system(monomials, *constants)
+    assert scale == lcm(*(c.denominator for c in constants))
+    columns = [{} for _ in monomials]
+    for exps, row in equations.items():
+        mono = tuple((v, e) for v, e in zip("dxy", exps) if e)
+        for j, value in row.items():
+            assert value.__class__ is int and value != 0
+            columns[j][mono] = F(value, scale)
+    return [ParamPoly(col) for col in columns]
+
+
+def unit(mono):
+    return ParamPoly({mono: 1})
+
+
+def assert_rows_are_the_residual(values, degree):
+    monos = feq._monomials_up_to(degree)
+    t = triple(*values)
+    for mono, got in zip(monos, kernel_residuals(monos, values)):
+        assert got == feq.feq_residual(unit(mono), t), mono
+
+
+@pytest.mark.parametrize("values", KERNEL_TRIPLES)
+def test_integer_rows_are_the_residual(values):
+    assert_rows_are_the_residual(values, feq.MAX_FULL_DEGREE)
+
+
+@pytest.mark.parametrize("weights", KERNEL_TOP_WEIGHTS)
+def test_integer_rows_are_the_top_residual(weights):
+    wl, wr, wo = weights
+    monos = feq._monomials_up_to(feq.MAX_FULL_DEGREE)
+    got = kernel_residuals(monos, (wl, 0, wr, 0, wo, 0))
+    for mono, column in zip(monos, got):
+        assert column == feq.top_residual(unit(mono), F(wl), F(wr), F(wo))
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[small_rationals] * 6))
+def test_integer_rows_property(values):
+    assert_rows_are_the_residual(values, 5)
+
+
+def reference_solve_feq(t, degree):
+    """The system built from polynomial residuals of the unit monomials."""
+    monos = feq._monomials_up_to(degree)
+    equations = {}
+    for j, mono in enumerate(monos):
+        for eq, coef in feq.feq_residual(unit(mono), t).items():
+            equations.setdefault(eq, {})[j] = coef
+    kernel = linalg.nullspace(list(equations.values()), len(monos))
+    if not kernel:
+        return feq.SolutionBasis(tuple(monos), (), ())
+    echelon, pivots = linalg.rref(
+        [{c: v for c, v in enumerate(vec) if v} for vec in kernel], len(monos))
+    return feq.SolutionBasis(tuple(monos), echelon, pivots)
+
+
+# Two more with solutions: a factorizing triple, and one of dimension 2.
+@pytest.mark.parametrize("values", KERNEL_TRIPLES + [(3, 1, 1, -1, 0, 0),
+                                                     (1, 2, 1, -1, 0, 1)])
+def test_solution_space_matches_the_polynomial_route(values):
+    t = triple(*values)
+    assert feq.solve_feq(t, 6) == reference_solve_feq(t, 6)
 
 
 # -- top mode ------------------------------------------------------------------

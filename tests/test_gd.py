@@ -465,11 +465,20 @@ GD_S_VALUES = ["s", S + 1, Fraction(-2, 3), 0, Fraction(5, 7)]
 
 @pytest.mark.parametrize("s", GD_S_VALUES)
 def test_gd_a1_matches_the_reference(s):
-    for top in (-2, -1, 0, 1, 3, 8):
+    for top in (-1, 0, 1, 3, 8):
         nov = reference_make_a1(top)
         assert gd.make_a1(top) == nov
         assert_same_gd(gd.gd_a1(s, top),
                        gd.GDAlgebra(nov, reference_s_bracket(nov.basis, s)))
+
+
+def test_a1_rejects_a_top_below_minus_one():
+    # As families.make_cl1 does: grade -1 is the lowest grade of A1.
+    for top in (-2, -5):
+        with pytest.raises(ValueError, match="window top must be at least -1"):
+            gd.make_a1(top)
+        with pytest.raises(ValueError, match="window top must be at least -1"):
+            gd.gd_a1("s", top)
 
 
 # b = 1 makes every product by L-1 vanish; b = -2 those by L2.

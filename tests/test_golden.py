@@ -45,6 +45,14 @@ CASES = {
                                "--bj=0", "--aij=0", "--bij=0", "--full=12"],
                               0),
     "solve_feq_tables": (["solve-feq", "--tables"], 0),
+    # CL2(2/3, 3/5) at grades 1, 2 and 3: weights over 1 and 2, shifts over
+    # 5 and 10, one solution.
+    "solve_feq_full12_cl2_fractional": (["solve-feq", "--ai=7/2",
+                                         "--bi=-9/10", "--aj=5",
+                                         "--bj=-9/5", "--aij=13/2",
+                                         "--bij=-27/10", "--full=12"], 0),
+    "solve_feq_top3_fractional": (["solve-feq", "--ai=5/3", "--aj=5/3",
+                                   "--aij=-2/3", "--top=3"], 0),
     "probe_cl2_half_one": (["probe", "{cl2_half_one}", "--core=-2..2"], 1),
     "probe_v_bound": (["probe", "{v_5}", "--core=-2..2", "--bind", "s=1"], 0),
     "probe_scl2_half_bound": (["probe", "{scl2_4}", "--core=-2..2",

@@ -36,6 +36,32 @@ def polys(max_terms=5):
 
 # -- arithmetic ---------------------------------------------------------------
 
+def test_adding_scalar_zero_returns_the_polynomial():
+    p = D + 2 * X - S
+    assert p + 0 is p
+    assert 0 + p is p
+    assert p - 0 is p
+    assert p + Fraction(0) is p
+    assert p - Fraction(0) is p
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), st.sampled_from([0, 1, -3, Fraction(3, 2), Fraction(-1, 3),
+                                 Fraction(4, 2)]))
+def test_scalar_add_and_sub_match_the_polynomial_route(p, value):
+    c = const(value)
+    assert p + value == p + c
+    assert value + p == c + p
+    assert p - value == p - c
+    assert value - p == c - p
+    assert p + Fraction(3, 2) == p + const(Fraction(3, 2))
+    assert Fraction(3, 2) - p == const(Fraction(3, 2)) - p
+    # integral constants are stored as int, whatever the operand type
+    for q in (p + value, value - p):
+        assert all(v.__class__ is int or v.denominator != 1
+                   for _, v in q.items())
+
+
 def test_additive_cancellation():
     assert (D + X) + (-X) == D
 

@@ -158,18 +158,19 @@ class SolutionBasis:
 Equation = tuple[int, int, int]
 
 
-def integer_system(monomials: Sequence[Mono], wl: Fraction, sl: Fraction,
-                   wr: Fraction, sr: Fraction, wo: Fraction, so: Fraction
-                   ) -> tuple[dict[Equation, dict[int, int]], int]:
-    """The residuals of the unit monomials as sparse integer rows, and L.
+def integer_system(monomials: Sequence[Mono], t: SpectralTriple
+                   ) -> dict[Equation, dict[int, int]]:
+    """The residuals of the unit monomials as sparse integer rows.
 
     Row (e_d, e_x, e_y) maps column j to L times the coefficient of
     d^e_d x^e_x y^e_y in the residual of ``monomials[j]``, where L is the lcm
     of the denominators of the six constants; zero entries are left out.
     """
-    scale = lcm(*(c.denominator for c in (wl, sl, wr, sr, wo, so)))
+    constants = (t.weight_left, t.shift_left, t.weight_right, t.shift_right,
+                 t.weight_out, t.shift_out)
+    scale = lcm(*(c.denominator for c in constants))
     wl, sl, wr, sr, wo, so = (c.numerator * (scale // c.denominator)
-                              for c in (wl, sl, wr, sr, wo, so))
+                              for c in constants)
     equations: dict[Equation, dict[int, int]] = {}
     for j, mono in enumerate(monomials):
         exps = dict(mono)
@@ -193,12 +194,12 @@ def integer_system(monomials: Sequence[Mono], wl: Fraction, sl: Fraction,
         for eq, v in terms:
             if v:
                 equations.setdefault(eq, {})[j] = v
-    return equations, scale
+    return equations
 
 
-def _solve(monomials: Sequence[Mono], *constants: Fraction) -> SolutionBasis:
+def _solve(monomials: Sequence[Mono], t: SpectralTriple) -> SolutionBasis:
     ncols = len(monomials)
-    equations, _ = integer_system(monomials, *constants)
+    equations = integer_system(monomials, t)
     kernel = linalg.nullspace(list(equations.values()), ncols)
     if not kernel:
         return SolutionBasis(tuple(monomials), (), ())
@@ -221,9 +222,7 @@ def solve_feq(triple: SpectralTriple, max_degree: int) -> SolutionBasis:
     if max_degree > MAX_FULL_DEGREE:
         raise DegreeGuardError(f"degree bound {max_degree} exceeds "
                                f"{MAX_FULL_DEGREE}")
-    return _solve(_monomials_up_to(max_degree), triple.weight_left,
-                  triple.shift_left, triple.weight_right, triple.shift_right,
-                  triple.weight_out, triple.shift_out)
+    return _solve(_monomials_up_to(max_degree), triple)
 
 
 def solve_feq_top(weight_left: Fraction, weight_right: Fraction,
@@ -234,9 +233,8 @@ def solve_feq_top(weight_left: Fraction, weight_right: Fraction,
                                f"{MAX_TOP_DEGREE}")
     monos = [m for m in _monomials_up_to(degree)
              if sum(e for _, e in m) == degree]
-    zero = Fraction(0)
-    return _solve(monos, Fraction(weight_left), zero, Fraction(weight_right),
-                  zero, Fraction(weight_out), zero)
+    return _solve(monos, SpectralTriple(weight_left, 0, weight_right, 0,
+                                        weight_out, 0))
 
 
 def factor_check(sol: ParamPoly, triple: SpectralTriple) -> ParamPoly:

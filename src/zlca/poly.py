@@ -283,10 +283,7 @@ class ParamPoly:
         raise TypeError(f"cannot treat {value!r} as a polynomial")
 
     def __add__(self, other: Coefficient) -> "ParamPoly":
-        if other.__class__ is not ParamPoly:
-            if isinstance(other, (int, Fraction)):
-                return self._plus_scalar(other)
-            other = self._coerce(other)
+        other = self._coerce(other)
         if not other._terms:
             return self
         if not self._terms:
@@ -305,33 +302,13 @@ class ParamPoly:
 
     __radd__ = __add__
 
-    def _plus_scalar(self, value: Scalar) -> "ParamPoly":
-        """self + value: only the constant term changes, and 0 returns self."""
-        if not value:
-            return self
-        out = dict(self._terms)
-        c = out.get(ONE_MONO, 0) + value
-        if not c:
-            del out[ONE_MONO]
-        elif c.__class__ is int or c.denominator != 1:
-            out[ONE_MONO] = c
-        else:
-            out[ONE_MONO] = c.numerator
-        return self._adopt(out)
-
     def __neg__(self) -> "ParamPoly":
         return self._adopt({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: Coefficient) -> "ParamPoly":
-        if other.__class__ is not ParamPoly:
-            if isinstance(other, (int, Fraction)):
-                return self._plus_scalar(-other)
-            other = self._coerce(other)
-        return self + (-other)
+        return self + (-self._coerce(other))
 
     def __rsub__(self, other: Coefficient) -> "ParamPoly":
-        if isinstance(other, (int, Fraction)):
-            return (-self)._plus_scalar(other)
         return self._coerce(other) + (-self)
 
     def __mul__(self, other: Coefficient) -> "ParamPoly":

@@ -117,9 +117,8 @@ KERNEL_TOP_WEIGHTS = [
 
 def kernel_residuals(monomials, constants):
     """Each column of ``integer_system`` as a polynomial, divided by L."""
-    constants = [F(c) for c in constants]
-    equations, scale = feq.integer_system(monomials, *constants)
-    assert scale == lcm(*(c.denominator for c in constants))
+    scale = lcm(*(F(c).denominator for c in constants))
+    equations = feq.integer_system(monomials, triple(*constants))
     columns = [{} for _ in monomials]
     for exps, row in equations.items():
         mono = tuple((v, e) for v, e in zip("dxy", exps) if e)

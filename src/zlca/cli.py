@@ -18,6 +18,7 @@ internal error (an uncaught exception, reported on stderr, never a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -488,9 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call in this process shares.
+
+    Building the seven subcommands costs more than a small job; a parse
+    writes only to the namespace it returns, so reuse carries no state.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, specfile.SpecFileError) as exc:

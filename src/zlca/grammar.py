@@ -24,13 +24,32 @@ error or in an expansion that does not finish.
 ``parse`` and ``ParamPoly.__str__`` are mutually inverse: parsing a canonical
 string and reprinting reproduces it byte for byte, and printing any
 polynomial and reparsing gives an equal polynomial.
+
+``parse`` reads a string by one of two routes; both accept the grammar above
+and give the same polynomial, and only the second reports errors.
+
+- The flat route reads a sum of monomials as ``ParamPoly.__str__`` prints
+  it, in one pass: terms joined by exactly `` + `` or `` - `` (the first one
+  may start with ``-``), each an optional literal ``n`` or ``n/m`` with m > 0
+  and a ``*``-product of identifiers with optional exponents from 2 to
+  MAX_EXPONENT; a term that is only a literal is a constant.  One regular
+  expression checks the whole string, including the digit bound, so every
+  string it admits is valid.  Each coefficient is an integer pair until the
+  end, when it becomes one ``Fraction`` per monomial.  Every spec zlca writes
+  takes this route.
+- The recursive descent reads everything else: parentheses, ``^`` on a
+  number or an exponent below 2, ``*`` between numbers, other spacing, and
+  every string that breaks a bound or is not in the grammar, so it alone
+  raises ParseError and sets the column.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from typing import Optional
 
-from .poly import FORMAL_VARS, ParamPoly
+from .poly import FORMAL_VARS, ONE_MONO, Mono, ParamPoly, mono_mul
 
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
@@ -212,8 +231,53 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}", col)
 
 
+# The flat route's sublanguage: what ``ParamPoly.__str__`` prints.  Its bounds
+# are part of the pattern (a literal of at most MAX_LITERAL_DIGITS digits, a
+# nonzero denominator, an exponent from 2 to MAX_EXPONENT), so a string that
+# matches is one the recursive descent accepts with the same value.
+_FACTOR = (r"[a-z][a-z0-9_]*(?:\^(?:"
+           + "|".join(str(e) for e in range(2, MAX_EXPONENT + 1)) + "))?")
+_TERM = (rf"(?:[0-9]{{1,{MAX_LITERAL_DIGITS}}}"
+         rf"(?:/[1-9][0-9]{{0,{MAX_LITERAL_DIGITS - 1}}})?|{_FACTOR})"
+         rf"(?:\*{_FACTOR})*")
+_FLAT = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
+
+
+def _parse_flat(text: str) -> Optional[ParamPoly]:
+    """A sum of monomials read in one pass; None when text is not one."""
+    if _FLAT.fullmatch(text) is None:
+        return None
+    coefs: dict[Mono, tuple[int, int]] = {}
+    for term in text.replace(" - ", " + -").split(" + "):
+        sign = 1
+        if term[0] == "-":
+            sign = -1
+            term = term[1:]
+        factors = term.split("*")
+        num = den = 1
+        if term[0] in _DIGITS:
+            n, _, d = factors.pop(0).partition("/")
+            num = int(n)
+            if d:
+                den = int(d)
+        mono = ONE_MONO
+        for factor in factors:
+            var, _, exp = factor.partition("^")
+            mono = mono_mul(mono, ((var, int(exp) if exp else 1),))
+        if mono in coefs:
+            n0, d0 = coefs[mono]
+            coefs[mono] = (n0 * den + sign * num * d0, d0 * den)
+        else:
+            coefs[mono] = (sign * num, den)
+    return ParamPoly._wrap({mono: num if den == 1 else Fraction(num, den)
+                            for mono, (num, den) in coefs.items()})
+
+
 def parse(text: str) -> ParamPoly:
     """Parse a polynomial string in the canonical grammar."""
+    flat = _parse_flat(text)
+    if flat is not None:
+        return flat
     return _Parser(_tokenize(text)).parse()
 
 

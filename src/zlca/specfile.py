@@ -32,7 +32,7 @@ from . import grammar
 from .conformal import ConformalAlgebra, GeneratorId
 from .gd import GDAlgebra, LieStructure, NovikovAlgebra
 from .ideals import GradedSubmodule
-from .poly import ParamPoly
+from .poly import FORMAL_VARS, ParamPoly
 
 
 class SpecFileError(ValueError):
@@ -51,6 +51,12 @@ class GradeMismatchError(SpecFileError):
 #: functional-equation solver looks for structure polynomials up to this degree
 #: (``feq.MAX_FULL_DEGREE``), and the paper's families stay within degree 2.
 MAX_FORMAL_DEGREE = 12
+
+#: The most terms a bracket or product polynomial may have once expanded: 4
+#: times the largest entry in any golden, test or workload spec, the 153 terms
+#: of ``(d + x + 1)^16``; the paper's families have at most 7.  It bounds the
+#: size of every table entry that verification multiplies.
+MAX_TABLE_TERMS = 612
 
 #: The most generators a spec may declare: the widest window ``zlca family``
 #: emits (``cli.MAX_WINDOW_GRADES``), one generator per grade.
@@ -163,55 +169,86 @@ def _require(cond: bool, message: str) -> None:
         raise SpecFileError(message)
 
 
+def _degree_and_stray(poly: ParamPoly, params: set[str]) -> tuple[int, bool]:
+    """Formal degree (0 for zero) and whether an undeclared parameter occurs.
+
+    One walk over the terms serves both load checks.
+    """
+    degree = 0
+    stray = False
+    for mono, _ in poly.items():
+        mono_degree = 0
+        for var, exp in mono:
+            if var in FORMAL_VARS:
+                mono_degree += exp
+            elif var not in params:
+                stray = True
+        if mono_degree > degree:
+            degree = mono_degree
+    return degree, stray
+
+
 def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
                params: set[str], graded: bool) -> TableRows:
-    _require(isinstance(raw, list), f"{where} must be a list")
+    # Every message is formatted only on the way to its raise: a CL2 window
+    # has thousands of terms, and loading is a large part of a short job.
+    if not isinstance(raw, list):
+        raise SpecFileError(f"{where} must be a list")
     rows = []
     seen: set[tuple[str, str]] = set()
     for idx, row in enumerate(raw):
-        ctx = f"{where}[{idx}]"
-        _require(isinstance(row, dict), f"{ctx} must be an object")
+        if not isinstance(row, dict):
+            raise SpecFileError(f"{where}[{idx}] must be an object")
         left, right = row.get("left"), row.get("right")
-        _require(isinstance(left, str) and isinstance(right, str),
-                 f"{ctx} needs string 'left' and 'right'")
+        if not (isinstance(left, str) and isinstance(right, str)):
+            raise SpecFileError(f"{where}[{idx}] needs string 'left' and "
+                                f"'right'")
         for name in (left, right):
             if name not in generators:
-                raise UndeclaredNameError(f"{ctx}: undeclared generator {name!r}")
-        _require((left, right) not in seen,
-                 f"{ctx}: duplicate row for ({left}, {right})")
+                raise UndeclaredNameError(f"{where}[{idx}]: undeclared "
+                                          f"generator {name!r}")
+        if (left, right) in seen:
+            raise SpecFileError(f"{where}[{idx}]: duplicate row for "
+                                f"({left}, {right})")
         seen.add((left, right))
         terms_raw = row.get("terms", [])
-        _require(isinstance(terms_raw, list), f"{ctx}.terms must be a list")
+        if not isinstance(terms_raw, list):
+            raise SpecFileError(f"{where}[{idx}].terms must be a list")
+        want = generators[left].grade + generators[right].grade
         terms = []
         for tdx, term in enumerate(terms_raw):
-            tctx = f"{ctx}.terms[{tdx}]"
-            _require(isinstance(term, dict), f"{tctx} must be an object")
+            if not isinstance(term, dict):
+                raise SpecFileError(f"{where}[{idx}].terms[{tdx}] must be an "
+                                    f"object")
             target = term.get("target")
             poly_text = term.get("poly")
-            _require(isinstance(target, str) and isinstance(poly_text, str),
-                     f"{tctx} needs string 'target' and 'poly'")
+            if not (isinstance(target, str) and isinstance(poly_text, str)):
+                raise SpecFileError(f"{where}[{idx}].terms[{tdx}] needs string "
+                                    f"'target' and 'poly'")
             if target not in generators:
-                raise UndeclaredNameError(f"{tctx}: undeclared generator "
-                                          f"{target!r}")
+                raise UndeclaredNameError(f"{where}[{idx}].terms[{tdx}]: "
+                                          f"undeclared generator {target!r}")
             try:
                 poly = grammar.parse(poly_text)
             except grammar.ParseError as exc:
-                raise SpecFileError(f"{tctx}.poly: {exc}")
-            degree = poly.formal_degree()
+                raise SpecFileError(f"{where}[{idx}].terms[{tdx}].poly: {exc}")
+            if len(poly) > MAX_TABLE_TERMS:
+                raise SpecFileError(f"{where}[{idx}].terms[{tdx}].poly: "
+                                    f"{len(poly)} terms exceed "
+                                    f"{MAX_TABLE_TERMS}")
+            degree, stray = _degree_and_stray(poly, params)
             if degree > MAX_FORMAL_DEGREE:
-                raise SpecFileError(f"{tctx}.poly: formal degree {degree} "
-                                    f"exceeds {MAX_FORMAL_DEGREE}")
-            undeclared = poly.params() - params
-            if undeclared:
+                raise SpecFileError(f"{where}[{idx}].terms[{tdx}].poly: "
+                                    f"formal degree {degree} exceeds "
+                                    f"{MAX_FORMAL_DEGREE}")
+            if stray:
                 raise UndeclaredNameError(
-                    f"{tctx}.poly: undeclared parameter "
-                    f"{sorted(undeclared)[0]!r}")
-            if graded:
-                want = generators[left].grade + generators[right].grade
-                if generators[target].grade != want:
-                    raise GradeMismatchError(
-                        f"{tctx}: target {target!r} has grade "
-                        f"{generators[target].grade}, expected {want}")
+                    f"{where}[{idx}].terms[{tdx}].poly: undeclared parameter "
+                    f"{sorted(poly.params() - params)[0]!r}")
+            if graded and generators[target].grade != want:
+                raise GradeMismatchError(
+                    f"{where}[{idx}].terms[{tdx}]: target {target!r} has grade "
+                    f"{generators[target].grade}, expected {want}")
             terms.append((target, poly))
         rows.append((left, right, tuple(terms)))
     return tuple(rows)
@@ -221,7 +258,9 @@ def loads(text: str) -> SpecFile:
     """Parse and validate a spec file; raises SpecFileError subclasses."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # A decode error, an integer literal over the interpreter's digit
+        # limit, or arrays and objects nested deeper than the recursion limit.
         raise SpecFileError(f"invalid JSON: {exc}")
     _require(isinstance(raw, dict), "spec file must be a JSON object")
 

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from zlca import cli, ideals, specfile
-from zlca.poly import D, X
+from zlca.poly import D, X, ParamPoly
 
 
 def run(argv):
@@ -229,6 +229,41 @@ def test_spec_product_budget(tmp_path):
     assert (code, out) == (2, "")
     assert "term pairs" in json.loads(err)["error"]
     assert time.perf_counter() - start < 1
+
+
+def test_spec_term_budget(tmp_path):
+    # A stored table polynomial has at most MAX_TABLE_TERMS terms.  Each row
+    # of this V spec gains 3,003 terms, built by a product under the product
+    # cap (63,504 term pairs); verify on such a table runs for minutes.
+    cap = specfile.MAX_TABLE_TERMS
+    assert cap == 612
+    path = tmp_path / "v.json"
+    assert run(["family", "V", "--window=-3..3", "-o", str(path)])[0] == 0
+    spec = json.loads(path.read_text())
+    spec["params"] = ["a", "b", "c", "e", "f", "s"]
+    for row in spec["brackets"]:
+        row["terms"][0]["poly"] += " + (a+b+c+e+f+1)^5*(a+b+c+e+f+1)^5"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == ("brackets[0].terms[0].poly: 3006 "
+                                        "terms exceed 612")
+    assert time.perf_counter() - start < 2
+
+    a, b, c = (ParamPoly.variable(name) for name in "abc")
+    monos = [a ** i * b ** j * c ** k
+             for i in range(17) for j in range(17) for k in range(17)]
+    for size in (cap, cap + 1):
+        path, text = v_spec_with_entry(tmp_path, str(sum(monos[:size],
+                                                         ParamPoly.zero())))
+        text = text.replace('"params": ["s"]', '"params": ["a", "b", "c", "s"]')
+        if size == cap:
+            assert len(specfile.loads(text).brackets) == 7
+        else:
+            with pytest.raises(specfile.SpecFileError,
+                               match=f"{cap + 1} terms exceed {cap}"):
+                specfile.loads(text)
 
 
 def test_spec_generator_budget(tmp_path):
@@ -582,3 +617,30 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     first = [run(argv) for argv in battery]
     second = [run(argv) for argv in battery]
     assert first == second
+
+
+def test_main_calls_share_no_state(tmp_path):
+    # main reuses one parser; no option, default or --bind list may carry over
+    # from one call to the next.
+    path = tmp_path / "cl2.json"
+    assert run(["family", "CL2", "--window=-2..2", "-o", str(path)])[0] == 0
+    unbound = run(["verify", str(path)])
+    bound = run(["verify", str(path), "--bind", "b=1/2", "--bind", "s=1"])
+    probed = run(["probe", str(path), "--core=-1..1", "--bind", "b=1/3",
+                  "--bind", "s=2"])
+    assert run(["verify", str(path)]) == unbound
+    assert run(["verify", str(path), "--bind", "b=1/2",
+                "--bind", "s=1"]) == bound
+    assert run(["probe", str(path), "--core=-1..1", "--bind", "b=1/3",
+                "--bind", "s=2"]) == probed
+    assert "free parameters remain: ['b', 's']" in unbound[1]
+    assert "free parameters remain" not in bound[1]
+    half = run(["family", "V", "--s=1/2", "--window=-1..1"])[1]
+    symbolic = run(["family", "V", "--window=-1..1"])[1]
+    assert json.loads(half)["params"] == []
+    assert json.loads(symbolic)["params"] == ["s"]
+    first = cli._parser().parse_args(["verify", "a.json", "--bind", "s=1"])
+    second = cli._parser().parse_args(["verify", "a.json", "--bind", "b=2"])
+    third = cli._parser().parse_args(["probe", "a.json", "--core=0..0"])
+    assert (first.bind, second.bind, third.bind) == (["s=1"], ["b=2"], None)
+    assert cli._parser() is cli._parser()

@@ -1,12 +1,16 @@
 """Polynomial grammar: parse/print round trips and error positions."""
 
+import io
+import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from zlca import grammar
+from zlca import cli, gd, grammar, specfile
 from zlca.poly import D, X, Y, ParamPoly, const, param
 
 from test_poly import polys
@@ -118,6 +122,7 @@ def test_error_positions():
 @given(polys())
 def test_parse_after_print_is_identity(p):
     assert grammar.parse(str(p)) == p
+    assert grammar._parse_flat(str(p)) == p
 
 
 @settings(max_examples=80)
@@ -135,3 +140,163 @@ def test_canonical_strings_stay_canonical():
                  "d*x - 3*x^2"):
         parsed = grammar.parse(text)
         assert str(parsed) == str(grammar.parse(str(parsed)))
+
+
+# -- the two parse routes -----------------------------------------------------------
+
+def descent(text):
+    """The recursive-descent route alone: its value, or its error and column."""
+    try:
+        return grammar._Parser(grammar._tokenize(text)).parse()
+    except grammar.ParseError as exc:
+        return ("error", str(exc), exc.column)
+
+
+def parsed(text):
+    try:
+        return grammar.parse(text)
+    except grammar.ParseError as exc:
+        return ("error", str(exc), exc.column)
+
+
+_LONG = "7" * (grammar.MAX_LITERAL_DIGITS + 1)
+_CAP = "7" * grammar.MAX_LITERAL_DIGITS
+
+#: Near-flat strings: each is one step outside the printed form, or on a bound.
+NEAR_FLAT = [
+    "d  + x", "d +x", "d+ x", " d", "d ", "d\t+ x", "- d", "--d", "d - -x",
+    "x*x", "x^2*x^3", "d*x*d", "b*d", "x*s*d", "s*b", "y*x", "t*s*b*a",
+    "x^0", "x^1", "x^01", "x^16", "x^17", "x^20", "d^99999", "2^2", "x^2^2",
+    "0*x", "0", "-0", "00", "0/5", "1*d", "2/4", "-4/2*x", "3/1", "1/0",
+    "1/00", "d/2", "1/d", "2*3", "2*d*3", "2/3/4", "d + d", "d - d",
+    "1/2*x + 1/3*x", _LONG, "d + " + _LONG + "*x", "1/" + _LONG, "x^" + _LONG,
+    _CAP + "/" + _CAP + "*d", "(d + x)", "-(d)", "2*(d)", "d*", "*d", "d +",
+    "", " ", "+d", "D", "dx", "d2", "d_x^2", "d + 2x", "x2^3",
+]
+
+
+def short_id(text):
+    return text if len(text) <= 24 else f"{text[:10]}...{len(text)}chars"
+
+
+@pytest.mark.parametrize("text", NEAR_FLAT, ids=short_id)
+def test_flat_route_matches_descent_on_near_flat_strings(text):
+    assert parsed(text) == descent(text)
+
+
+_SPACES = (" + ", " - ", " + ", " - ", "+", "-", "  + ", " +\t", " - -")
+_EXPONENTS = ("", "", "", "^2", "^16", "^0", "^1", "^17", "^01")
+_VARIABLES = ("d", "x", "y", "b", "s", "t", "s_2")
+
+
+@st.composite
+def near_flat_strings(draw):
+    """Sums of monomials as printed, with some pieces moved off the form."""
+    literal = draw(st.sampled_from(("0", "1", "2", "4", "12", "07", _LONG)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        factors = [draw(st.sampled_from(_VARIABLES))
+                   + draw(st.sampled_from(_EXPONENTS))
+                   for _ in range(draw(st.integers(0, 3)))]
+        coef = draw(st.one_of(
+            st.none(), st.integers(0, 10 ** 12).map(str),
+            st.tuples(st.integers(0, 99), st.integers(0, 12)).map(
+                lambda nd: f"{nd[0]}/{nd[1]}"),
+            st.just(literal)))
+        if coef is not None or not factors:
+            factors.insert(0, coef if coef is not None else literal)
+        if draw(st.integers(0, 9)) == 0:
+            factors.insert(draw(st.integers(0, len(factors))), literal)
+        terms.append("*".join(factors))
+    text = draw(st.sampled_from(("", "", "-"))) + terms[0]
+    for term in terms[1:]:
+        text += draw(st.sampled_from(_SPACES)) + term
+    if draw(st.integers(0, 9)) == 0:
+        text = f"({text})"
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_flat_strings())
+@example("-7/2*d - 3*x - 4")
+@example("x*x - b*d + x^0 + 0*x + 2/4")
+def test_flat_route_matches_descent(text):
+    assert parsed(text) == descent(text)
+
+
+def wide_polys():
+    """Polynomials with big coefficients, every exponent and several names."""
+    names = ("d", "x", "y", "a", "b", "s", "z9", "q_1")
+    monos = st.dictionaries(st.sampled_from(names), st.integers(1, 16),
+                            max_size=4)
+    coefs = st.fractions(max_denominator=10 ** 6).filter(bool)
+    return st.lists(st.tuples(coefs, monos), max_size=6).map(
+        lambda parts: sum((const(c) * _product(m) for c, m in parts),
+                          ParamPoly.zero()))
+
+
+def _product(exponents):
+    out = const(1)
+    for name, exp in exponents.items():
+        out = out * ParamPoly.variable(name) ** exp
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_polys())
+def test_every_printed_polynomial_takes_the_flat_route(p):
+    text = str(p)
+    assert grammar._parse_flat(text) == p
+    assert descent(text) == p
+
+
+def _emit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, ""), argv
+    return out.getvalue()
+
+
+def test_emitted_specs_take_the_flat_route(tmp_path, monkeypatch):
+    # Every spec zlca writes loads without the recursive descent.
+    lie = tmp_path / "sl2.json"
+    lie.write_text(json.dumps({
+        "generators": [{"name": n, "grade": 0} for n in "efh"],
+        "brackets": [{"left": u, "right": v,
+                      "terms": [{"target": w, "poly": c}]}
+                     for u, v, w, c in (("h", "e", "e", "2"),
+                                        ("e", "h", "e", "-2"),
+                                        ("h", "f", "f", "-2"),
+                                        ("f", "h", "f", "2"),
+                                        ("e", "f", "h", "1"),
+                                        ("f", "e", "h", "-1"))]}))
+    emitted = [_emit(["family", "Cur", "--lie", str(lie)]),
+               _emit(["family", "Vir"]),
+               _emit(["family", "CL1", "--top=5"]),
+               _emit(["family", "CL1", "--s=-2/3", "--top=5"])]
+    for kind, bindings in (("V", ([], ["--s=3/7"])),
+                           ("CL2", ([], ["--b=-1", "--s=-5/2"],
+                                    ["--b=2/3", "--s=3/7"])),
+                           ("SCL2", (["--b=1/2"], ["--b=-1/2", "--s=5/3"])),
+                           ("SCL2Literal", (["--b=1"], ["--b=-1/2"]))):
+        for bound in bindings:
+            emitted.append(_emit(["family", kind, "--window=-5..5", *bound]))
+    for structure in (gd.gd_a1("s", 5), gd.gd_a1(Fraction(-3, 4), 5),
+                      gd.gd_a2("b", "s", range(-5, 6)),
+                      gd.gd_a2(Fraction(1, 3), 2, range(-5, 6))):
+        path = tmp_path / "gd.json"
+        path.write_text(specfile.from_gd(structure).dumps())
+        emitted.append(path.read_text())
+        emitted.append(_emit(["gd", "to-lca", str(path)]))
+
+    def refuse(tokens):
+        raise AssertionError("a printed polynomial left the flat route")
+
+    monkeypatch.setattr(grammar, "_Parser", refuse)
+    terms = 0
+    for text in emitted:
+        spec = specfile.loads(text)
+        for rows in (spec.brackets, spec.products or ()):
+            terms += sum(len(row_terms) for _, _, row_terms in rows)
+    assert terms > 1000

@@ -1,0 +1,108 @@
+"""Spec-file loading under hostile input: every text ends in a SpecFile or a
+SpecFileError, within a bounded time."""
+
+import json
+from datetime import timedelta
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from zlca import families, gd, specfile
+
+#: Real spec texts: a symbolic and a bound window, a GD structure, and a
+#: spec with a submodule pattern.
+SPECS = [
+    specfile.from_algebra(families.make_cl2("b", "s", range(-2, 3))).dumps(),
+    specfile.from_algebra(
+        families.make_scl2(Fraction(1, 2), "s", range(-2, 3))).dumps(),
+    specfile.from_gd(gd.gd_a2("b", "s", range(-1, 2))).dumps(),
+    json.dumps({"params": ["s"], "generators": [{"name": "L", "grade": 0}],
+                "brackets": [{"left": "L", "right": "L",
+                              "terms": [{"target": "L",
+                                         "poly": "d + 2*x + s"}]}],
+                "submodule": {"0": "d + s", "1": "full", "-1": "zero"}}),
+]
+
+
+def outcome(text):
+    """loads(text), failing the test on any exception but SpecFileError."""
+    try:
+        return specfile.loads(text)
+    except specfile.SpecFileError as exc:
+        return exc
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12)
+    | st.sampled_from(["L0", "L1", "L-1", "d + 2*x", "s", "full", "zero",
+                       "(d + x)^16", "1/0", "x^17"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["params", "generators", "brackets",
+                                       "products", "submodule", "name",
+                                       "grade", "left", "right", "terms",
+                                       "target", "poly", "0", "-1"])
+                      | st.text(max_size=6), inner, max_size=5),
+    max_leaves=30)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000, "{\"a\": " * 50_000, "1" * 5000,
+    "{\"generators\": [{\"name\": \"L\", \"grade\": " + "1" * 5000 + "}]}",
+    "", "nul", "\"\\ud800\"", "NaN", "{\"generators\": [], \"params\": 1}",
+], ids=["deep-array", "deep-object", "long-int", "long-grade", "empty", "nul",
+        "lone-surrogate", "nan", "bad-params"])
+def test_hostile_json_is_a_spec_error(text):
+    assert isinstance(outcome(text), specfile.SpecFileError)
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(st.one_of(json_values.map(json.dumps), st.text(max_size=80)))
+def test_any_json_loads_or_is_refused(text):
+    assert isinstance(outcome(text), (specfile.SpecFile, specfile.SpecFileError))
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for idx, value in enumerate(node):
+            yield from _paths(value, path + (idx,))
+
+
+@st.composite
+def mutated_specs(draw):
+    """A real spec with one JSON node replaced, or its text edited."""
+    text = draw(st.sampled_from(SPECS))
+    if draw(st.booleans()):
+        spec = json.loads(text)
+        path = draw(st.sampled_from(list(_paths(spec))[1:]))
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = draw(json_values)
+        return json.dumps(spec)
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(st.sampled_from(
+            ["", "0", "-", "*", "^", "/", "(", ")", " ", "\"", "[", "}", ",",
+             "x", "9" * 20, "^16", "1/0", "\\u00b2", text[start:end] * 2]
+        )) + text[end:]
+    return text
+
+
+@settings(max_examples=300, deadline=timedelta(seconds=2))
+@given(mutated_specs())
+def test_mutated_specs_load_or_are_refused(text):
+    assert isinstance(outcome(text), (specfile.SpecFile, specfile.SpecFileError))
+
+
+def test_unmutated_specs_load():
+    for text in SPECS:
+        assert specfile.loads(text).dumps() == json.dumps(
+            json.loads(text), indent=2, sort_keys=True) + "\n"

@@ -325,13 +325,8 @@ def cmd_gd(args) -> int:
         raise InputError(f"{args.spec}: {exc}")
     _check_bindings(bindings, structure.nov.params | structure.lie.params)
     if bindings:
-        def bind_table(table, cls):
-            return cls(table.basis,
-                       {pair: {w: coef.instantiate(bindings)
-                               for w, coef in table.entry(*pair).items()}
-                        for pair in table.pairs()})
-        structure = gd.GDAlgebra(bind_table(structure.nov, gd.NovikovAlgebra),
-                                 bind_table(structure.lie, gd.LieStructure))
+        structure = gd.GDAlgebra(structure.nov.instantiate(bindings),
+                                 structure.lie.instantiate(bindings))
 
     if args.subcommand == "to-lca":
         try:
@@ -341,6 +336,10 @@ def cmd_gd(args) -> int:
                              [{"kind": "not-gd", "detail": str(exc)}])
             _emit(report)
             return _exit_code(report)
+        except ValueError as exc:
+            # A lawful structure that is no conformal algebra on this basis:
+            # a product target at the wrong grade, or an undecidable pair.
+            raise InputError(f"{args.spec}: {exc}")
         _emit_spec(specfile.from_algebra(alg), args.output)
         return PASS
 
@@ -368,25 +367,9 @@ def cmd_gd(args) -> int:
 def cmd_ideal_check(args) -> int:
     alg = _load_algebra(args.spec, args.bind)
     if args.pattern:
-        try:
-            with open(args.pattern, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InputError(f"cannot read pattern {args.pattern}: {exc}")
-        if isinstance(raw, dict) and isinstance(raw.get("submodule"), dict):
-            raw = raw["submodule"]
-        if not isinstance(raw, dict):
-            raise InputError("pattern file must be a JSON object")
-        try:
-            sub = specfile.parse_pattern(raw)
-        except specfile.SpecFileError as exc:
-            raise InputError(str(exc))
+        sub = specfile.load_pattern(args.pattern)
     else:
-        spec = specfile.load_path(args.spec)
-        try:
-            sub = spec.submodule_pattern()
-        except specfile.SpecFileError as exc:
-            raise InputError(str(exc))
+        sub = specfile.load_path(args.spec).submodule_pattern()
     try:
         result = ideals.is_graded_ideal(alg, sub)
     except ValueError as exc:

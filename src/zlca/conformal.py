@@ -1,18 +1,29 @@
 """Z-graded Lie conformal algebras with finitely many free generators.
 
-An algebra is a finite window of integer grades, a list of generators (each a
-free rank-one direct summand at its grade), and a structure table sending a
-pair of generators ``(u, v)`` to a finite sum ``sum_w p^w_{u,v}(d, x) w`` over
-generators of grade ``u.grade + v.grade``.  Brackets of arbitrary elements
-follow by sesquilinearity:
+An algebra is a list of generators (each a free rank-one direct summand at
+its grade) and a structure table sending a pair of generators ``(u, v)`` to a
+finite sum ``sum_w p^w_{u,v}(d, x) w`` over generators of grade
+``u.grade + v.grade``.  Its window is the set of the generators' grades.
+Brackets of arbitrary elements follow by sesquilinearity:
 
     [f(d)u_x g(d)v] = f(-x) g(d+x) [u_x v]
+
+An ``Element`` has coefficients in d; ``bracket`` returns its value as
+``{target: nonzero polynomial in d, x}``, the shape ``structure`` gives a
+generator pair.
 
 Window semantics: a pair whose target grade lies *outside* the window is
 undecidable (the infinite families are truncated, so absence of the grade
 carries no information), while an absent table entry whose target grade is
 *inside* the window is the zero bracket.  Axiom checks skip and count
 undecidable pairs and triples rather than failing them.
+
+``StructureTable`` is the one validated table type; ``ConformalAlgebra``
+and the Gel'fand-Dorfman structures of ``gd`` each add only a coefficient
+rule (here a target at the sum grade and no ``y``; in ``gd`` no formal
+variable).  Its presence rule: a stored row is decidable and a missing row
+is not.  ``ConformalAlgebra`` drops empty rows, since inside its window
+absence already means zero.
 
 The Jacobi check, the costly one, expands each triple on the algebra's
 ``poly.Packing`` (integer exponent keys, integer numerators over one common
@@ -29,8 +40,8 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .poly import (DEL, LAM, MU, Mono, Packed, Packing, ParamPoly, Scalar,
                    as_poly)
 
-TableEntry = Mapping["GeneratorId", ParamPoly]
-Table = Mapping[tuple["GeneratorId", "GeneratorId"], TableEntry]
+Table = Mapping[tuple["GeneratorId", "GeneratorId"],
+                Mapping["GeneratorId", ParamPoly]]
 
 
 class OutOfWindowError(LookupError):
@@ -101,21 +112,6 @@ def graded_table(gens: Mapping[int, GeneratorId],
             for i in gens for j in gens if i + j in gens}
 
 
-def _validate_coeffs(coeffs: Mapping[GeneratorId, ParamPoly],
-                     allowed: tuple[str, ...], what: str
-                     ) -> dict[GeneratorId, ParamPoly]:
-    out: dict[GeneratorId, ParamPoly] = {}
-    for gen, poly in coeffs.items():
-        poly = as_poly(poly)
-        bad = [v for v in poly.variables()
-               if v in (DEL, LAM, MU) and v not in allowed]
-        if bad:
-            raise ValueError(f"{what} coefficient on {gen.name} uses {bad}")
-        if poly:
-            out[gen] = poly
-    return out
-
-
 @dataclass(frozen=True)
 class Element:
     """A finite sum  sum_u f_u(d) u  with polynomial coefficients in d."""
@@ -123,8 +119,15 @@ class Element:
     coeffs: Mapping[GeneratorId, ParamPoly]
 
     def __init__(self, coeffs: Mapping[GeneratorId, ParamPoly]):
-        object.__setattr__(self, "coeffs",
-                           _validate_coeffs(coeffs, (DEL,), "element"))
+        clean: dict[GeneratorId, ParamPoly] = {}
+        for gen, poly in coeffs.items():
+            poly = as_poly(poly)
+            bad = [v for v in poly.variables() if v in (LAM, MU)]
+            if bad:
+                raise ValueError(f"element coefficient on {gen.name} uses {bad}")
+            if poly:
+                clean[gen] = poly
+        object.__setattr__(self, "coeffs", clean)
 
     @classmethod
     def generator(cls, gen: GeneratorId) -> "Element":
@@ -137,69 +140,85 @@ class Element:
         return isinstance(other, Element) and dict(self.coeffs) == dict(other.coeffs)
 
 
-@dataclass(frozen=True)
-class LambdaElement:
-    """A bracket value: coefficients are polynomials in d and x."""
+class StructureTable:
+    """A finite basis and a validated binary structure table.
 
-    coeffs: Mapping[GeneratorId, ParamPoly]
+    The table maps a pair ``(u, v)`` of basis elements to a finite sum of
+    basis elements with polynomial coefficients.  Names are unique, every
+    pair and target is declared, coefficients are coerced and zeros dropped,
+    and ``params`` is the declared parameters together with those the
+    coefficients use.  A stored row is decidable (an empty row is zero), a
+    missing row undecidable.  A subclass states its coefficient rule in
+    ``_check``.
+    """
 
-    def __init__(self, coeffs: Mapping[GeneratorId, ParamPoly]):
-        object.__setattr__(self, "coeffs",
-                           _validate_coeffs(coeffs, (DEL, LAM), "bracket"))
+    def __init__(self, basis: Iterable[GeneratorId], table: Table,
+                 params: Iterable[str] = ()):
+        self.basis = tuple(sorted(basis))
+        if len({g.name for g in self.basis}) != len(self.basis):
+            raise ValueError("basis names must be unique")
+        known = set(self.basis)
+        used = set(params)
+        clean: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, ParamPoly]] = {}
+        for (u, v), row in dict(table).items():
+            if u not in known or v not in known:
+                raise ValueError(f"table pair ({u.name}, {v.name}) uses an "
+                                 f"undeclared element")
+            entry: dict[GeneratorId, ParamPoly] = {}
+            for w, coef in dict(row).items():
+                if w not in known:
+                    raise ValueError(f"target {w.name} is undeclared")
+                coef = as_poly(coef)
+                if coef:
+                    self._check(u, v, w, coef)
+                    used |= coef.params()
+                    entry[w] = coef
+            clean[(u, v)] = entry
+        self.params = frozenset(used)
+        self._table = clean
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
+               coef: ParamPoly) -> None:
+        """Raise ValueError when ``coef`` may not be the (u, v) entry at w."""
+        raise NotImplementedError
 
-    def coefficient(self, gen: GeneratorId) -> ParamPoly:
-        return self.coeffs.get(gen, ParamPoly.zero())
+    def entry(self, u: GeneratorId, v: GeneratorId
+              ) -> dict[GeneratorId, ParamPoly] | None:
+        """The stored row of a pair; None when the table has none."""
+        got = self._table.get((u, v))
+        return dict(got) if got is not None else None
+
+    def pairs(self) -> list[tuple[GeneratorId, GeneratorId]]:
+        return sorted(self._table)
+
+    def instantiate(self, bindings: Mapping[str, Scalar]):
+        """The same table with parameters bound to rationals."""
+        table = {pair: {w: coef.instantiate(bindings)
+                        for w, coef in row.items()}
+                 for pair, row in self._table.items()}
+        return type(self)(self.basis, table, self.params - set(bindings))
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, LambdaElement)
-                and dict(self.coeffs) == dict(other.coeffs))
+        return (type(self) is type(other)
+                and self.basis == other.basis
+                and self._table == other._table)
 
 
-class ConformalAlgebra:
-    """Immutable structure-table model of a Z-graded Lie conformal algebra."""
+class ConformalAlgebra(StructureTable):
+    """Immutable structure-table model of a Z-graded Lie conformal algebra.
+
+    The generators are the basis and the window is the set of their grades.
+    """
 
     def __init__(self, generators: Iterable[GeneratorId], table: Table,
-                 window: Iterable[int], params: Iterable[str] = ()):
-        gens = tuple(sorted(generators))
-        names = [g.name for g in gens]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
-        win = frozenset(window)
-        for g in gens:
-            if g.grade not in win:
-                raise ValueError(f"generator {g.name} has grade {g.grade} "
-                                 f"outside the window")
-        known = set(gens)
-        clean: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, ParamPoly]] = {}
-        param_set = set(params)
-        for (u, v), entry in dict(table).items():
-            if u not in known or v not in known:
-                raise ValueError(f"table entry ({u.name}, {v.name}) uses an "
-                                 f"undeclared generator")
-            cleaned: dict[GeneratorId, ParamPoly] = {}
-            for w, poly in dict(entry).items():
-                poly = as_poly(poly)
-                if poly.is_zero():
-                    continue
-                if w not in known:
-                    raise ValueError(f"bracket target {w.name} is undeclared")
-                if w.grade != u.grade + v.grade:
-                    raise ValueError(
-                        f"bracket ({u.name}, {v.name}) targets {w.name} of "
-                        f"grade {w.grade}, expected {u.grade + v.grade}")
-                if MU in poly.variables():
-                    raise ValueError("structure polynomials may not use y")
-                param_set |= poly.params()
-                cleaned[w] = poly
-            if cleaned:
-                clean[(u, v)] = cleaned
-        self.generators = gens
-        self.window = win
-        self.params = frozenset(param_set)
-        self._table = clean
+                 params: Iterable[str] = ()):
+        super().__init__(generators, table, params)
+        # Inside the window an absent row already means zero.  Deleting the
+        # few empty rows spares rehashing every pair of a rebuilt dict.
+        for pair in [pair for pair, row in self._table.items() if not row]:
+            del self._table[pair]
+        self.generators = self.basis
+        self.window = frozenset(g.grade for g in self.basis)
         self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
         # Packed, substituted table entries for jacobi_residual, filled on
         # demand: (form, left name, right name) -> {target: packed poly}.
@@ -207,9 +226,18 @@ class ConformalAlgebra:
         self._packing: Packing | None = None
         self._jacobi_forms: dict[tuple[str, str, str],
                                  dict[GeneratorId, Packed]] = {}
-        for g in gens:
+        for g in self.basis:
             self._by_grade.setdefault(g.grade, ())
             self._by_grade[g.grade] += (g,)
+
+    def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
+               coef: ParamPoly) -> None:
+        if w.grade != u.grade + v.grade:
+            raise ValueError(
+                f"bracket ({u.name}, {v.name}) targets {w.name} of "
+                f"grade {w.grade}, expected {u.grade + v.grade}")
+        if MU in coef.variables():
+            raise ValueError("structure polynomials may not use y")
 
     # -- lookup -------------------------------------------------------------
 
@@ -241,25 +269,16 @@ class ConformalAlgebra:
             for w in sorted(entry):
                 yield u, v, w, entry[w]
 
-    def instantiate(self, bindings: Mapping[str, Scalar]) -> "ConformalAlgebra":
-        """Bind parameters to rationals throughout the structure table."""
-        table = {pair: {w: poly.instantiate(bindings)
-                        for w, poly in entry.items()}
-                 for pair, entry in self._table.items()}
-        remaining = self.params - set(bindings)
-        return ConformalAlgebra(self.generators, table, self.window, remaining)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, ConformalAlgebra)
-                and self.generators == other.generators
-                and self.window == other.window
-                and self._table == other._table)
-
 
 # -- bracket evaluation ------------------------------------------------------
 
-def bracket(alg: ConformalAlgebra, a: Element, b: Element) -> LambdaElement:
-    """Bilinear extension of the structure table by sesquilinearity."""
+def bracket(alg: ConformalAlgebra, a: Element, b: Element
+            ) -> dict[GeneratorId, ParamPoly]:
+    """Bilinear extension of the structure table by sesquilinearity.
+
+    The value maps each target to its nonzero coefficient in d and x, as
+    ``structure`` does for a generator pair.
+    """
     acc: dict[GeneratorId, ParamPoly] = {}
     minus_x = -ParamPoly.variable(LAM)
     shift = ParamPoly.variable(DEL) + ParamPoly.variable(LAM)
@@ -270,7 +289,7 @@ def bracket(alg: ConformalAlgebra, a: Element, b: Element) -> LambdaElement:
             scale = f_left * g_right
             for w, poly in alg.structure(u, v).items():
                 acc[w] = acc.get(w, ParamPoly.zero()) + scale * poly
-    return LambdaElement(acc)
+    return {w: poly for w, poly in acc.items() if poly}
 
 
 # -- axiom checks -------------------------------------------------------------

@@ -57,7 +57,7 @@ def _coeff(value: Coefficientish) -> ParamPoly:
 def make_vir() -> ConformalAlgebra:
     """The Virasoro conformal algebra: one grade-0 generator, [L_x L] = (d+2x)L."""
     gen = GeneratorId(0, "L")
-    return ConformalAlgebra([gen], {(gen, gen): {gen: D + 2 * X}}, {0})
+    return ConformalAlgebra([gen], {(gen, gen): {gen: D + 2 * X}})
 
 
 def make_current(names: Iterable[str],
@@ -89,7 +89,7 @@ def make_current(names: Iterable[str],
         first = report.violations[0]
         raise NotALieAlgebraError(
             f"{first.law} fails on ({', '.join(g.name for g in first.elements)})")
-    return ConformalAlgebra(basis, table, {0})
+    return ConformalAlgebra(basis, table)
 
 
 def make_v(s: Coefficientish, window: Iterable[int]) -> ConformalAlgebra:
@@ -97,7 +97,7 @@ def make_v(s: Coefficientish, window: Iterable[int]) -> ConformalAlgebra:
     s = _coeff(s)
     gens = graded_generators(window)
     table = graded_table(gens, lambda i, j: D + 2 * X + s * (i - j))
-    return ConformalAlgebra(gens.values(), table, gens.keys())
+    return ConformalAlgebra(gens.values(), table)
 
 
 def make_cl1(s: Coefficientish, top: int) -> ConformalAlgebra:
@@ -118,7 +118,7 @@ def make_cl2(b: Coefficientish, s: Coefficientish,
     b, s = _coeff(b), _coeff(s)
     gens = graded_generators(window)
     table = graded_table(gens, lambda i, j: cl2_entry(b, s, i, j))
-    return ConformalAlgebra(gens.values(), table, gens.keys())
+    return ConformalAlgebra(gens.values(), table)
 
 
 def _scl2_validate(b: Fraction, window: Iterable[int]
@@ -167,8 +167,7 @@ def make_scl2(b: Fraction, s: Coefficientish,
             raise RewriteFailedError(
                 f"bracket ({i}, {j}) is not divisible by {divisor}") from exc
 
-    return ConformalAlgebra(gens.values(), graded_table(gens, entry),
-                            gens.keys())
+    return ConformalAlgebra(gens.values(), graded_table(gens, entry))
 
 
 def make_scl2_literal(b: Fraction, s: Coefficientish,
@@ -205,8 +204,7 @@ def make_scl2_literal(b: Fraction, s: Coefficientish,
             return as_poly(Fraction(i - j, 2))
         return cl2_entry(_coeff(b), sp, i, j)
 
-    return ConformalAlgebra(gens.values(), graded_table(gens, entry),
-                            gens.keys())
+    return ConformalAlgebra(gens.values(), graded_table(gens, entry))
 
 
 @dataclass(frozen=True)

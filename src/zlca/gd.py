@@ -2,15 +2,17 @@
 
 Both structures share one finite basis of named (graded) elements and a
 binary table mapping ``(u, v)`` to a finite combination of basis elements
-with coefficients in Q[params] (no formal variables).  Table presence is
-explicit: a stored key is a decidable product (possibly zero, stored as an
-empty combination), a missing key is undecidable at this truncation.  The
-family constructors store exactly the pairs whose target grade lies in the
-window, matching the window semantics of the conformal side so the
-quadratic-algebra correspondence round-trips on the nose.  A2(b) and the
-bracket of ``s_bracket`` are each one formula in the grades, handed to
-``conformal.graded_table``; A1 is not written separately, since A1 = A2(1) on
-the grades >= -1, and ``make_a1`` builds it so.
+with coefficients in Q[params] (no formal variables).  Both are
+``conformal.StructureTable``, the table type of the conformal side, and add
+only that coefficient rule.  Table presence is explicit: a stored key is a
+decidable product (possibly zero, stored as an empty combination), a missing
+key is undecidable at this truncation.  The family constructors store exactly
+the pairs whose target grade lies in the window, matching the window
+semantics of the conformal side so the quadratic-algebra correspondence
+round-trips on the nose.  A2(b) and the bracket of ``s_bracket`` are each one
+formula in the grades, handed to ``conformal.graded_table``; A1 is not
+written separately, since A1 = A2(1) on the grades >= -1, and ``make_a1``
+builds it so.
 
 The law checks work over basis positions.  Each check numbers the sorted
 basis once and reads a table as ``rows[i][j]``: a tuple of (position,
@@ -35,15 +37,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
-                        graded_table)
+from .conformal import (ConformalAlgebra, GeneratorId, StructureTable,
+                        graded_generators, graded_table)
 from .poly import DEL, LAM, D, X, Mono, ParamPoly, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
-TableInput = Mapping[tuple[GeneratorId, GeneratorId],
-                     Mapping[GeneratorId, ParamPoly]]
 
 
 class NotGDError(ValueError):
@@ -69,61 +69,25 @@ class InconsistentStarError(ValueError):
         self.pair = pair
 
 
-class _FiniteTable:
-    """Finite basis plus an explicit-presence binary structure table."""
-
-    def __init__(self, basis: Iterable[GeneratorId], table: TableInput):
-        self.basis = tuple(sorted(basis))
-        names = [g.name for g in self.basis]
-        if len(set(names)) != len(names):
-            raise ValueError("basis names must be unique")
-        known = set(self.basis)
-        params: set[str] = set()
-        clean: dict[tuple[GeneratorId, GeneratorId], Combination] = {}
-        for (u, v), combo in dict(table).items():
-            if u not in known or v not in known:
-                raise ValueError(f"table pair ({u.name}, {v.name}) uses an "
-                                 f"undeclared element")
-            entry: Combination = {}
-            for w, coef in dict(combo).items():
-                coef = as_poly(coef)
-                if w not in known:
-                    raise ValueError(f"target {w.name} is undeclared")
-                if not coef.is_formal_constant():
-                    raise ValueError("structure constants must be free of d, x, y")
-                if coef:
-                    params |= coef.params()
-                    entry[w] = coef
-            clean[(u, v)] = entry
-        self._table = clean
-        self.params = frozenset(params)
-
-    def entry(self, u: GeneratorId, v: GeneratorId) -> Optional[Combination]:
-        """The product/bracket of two basis elements; None when undecidable."""
-        got = self._table.get((u, v))
-        return dict(got) if got is not None else None
-
-    def pairs(self):
-        return sorted(self._table)
-
-    def __eq__(self, other: object) -> bool:
-        return (type(self) is type(other)
-                and self.basis == other.basis
-                and self._table == other._table)
+def _structure_constant(table: StructureTable, u: GeneratorId,
+                        v: GeneratorId, w: GeneratorId, coef: ParamPoly) -> None:
+    """The GD coefficient rule: a scalar in the parameters only."""
+    if not coef.is_formal_constant():
+        raise ValueError("structure constants must be free of d, x, y")
 
 
-class NovikovAlgebra(_FiniteTable):
+class NovikovAlgebra(StructureTable):
     """A bilinear product intended to satisfy the Novikov laws."""
 
-    def product(self, u: GeneratorId, v: GeneratorId) -> Optional[Combination]:
-        return self.entry(u, v)
+    _check = _structure_constant
+    product = StructureTable.entry
 
 
-class LieStructure(_FiniteTable):
+class LieStructure(StructureTable):
     """A bilinear bracket intended to satisfy antisymmetry and Jacobi."""
 
-    def bracket(self, u: GeneratorId, v: GeneratorId) -> Optional[Combination]:
-        return self.entry(u, v)
+    _check = _structure_constant
+    bracket = StructureTable.entry
 
 
 @dataclass(frozen=True)
@@ -156,7 +120,7 @@ def _add(a: Combination, b: Combination, sign: int = 1) -> Combination:
 Entry = Optional[tuple[tuple[int, ParamPoly], ...]]
 
 
-def _positions(table: _FiniteTable) -> list[list[Entry]]:
+def _positions(table: StructureTable) -> list[list[Entry]]:
     """The table as rows[i][j], i and j positions in the sorted basis."""
     index = {g: k for k, g in enumerate(table.basis)}
     rows: list[list[Entry]] = [[None] * len(index) for _ in index]
@@ -437,7 +401,7 @@ def quadratic_from_gd(g: GDAlgebra) -> ConformalAlgebra:
                 if poly:
                     entry[w] = poly
             table[(u, v)] = entry
-    return ConformalAlgebra(g.basis, table, window)
+    return ConformalAlgebra(g.basis, table)
 
 
 def gd_from_quadratic(alg: ConformalAlgebra) -> GDAlgebra:

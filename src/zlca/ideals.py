@@ -260,7 +260,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
                     continue
                 u = alg.single_generator(u_grade)
                 value = bracket(alg, Element.generator(u), member)
-                for target, poly in value.coeffs.items():
+                for target, poly in value.items():
                     if absorb(target.grade, poly):
                         pending.add(target.grade)
                         changed = True

@@ -11,9 +11,12 @@ The on-disk format is a single JSON object:
       "submodule": {"-2": "d + 2*s", "0": "full", "1": "zero"}   # optional
     }
 
-Polynomial payloads are strings in the canonical grammar.  In conformal mode
-a missing bracket row is the zero bracket when its target grade is in the
-window and undecidable otherwise; in GD mode (``products`` present) rows are
+Polynomial payloads are strings in the canonical grammar.  Both modes load
+into ``conformal.StructureTable``, which keeps every row it is given and
+whose ``params`` are the declared ones together with those the entries use.
+In conformal mode ``ConformalAlgebra`` drops the empty rows, and a missing
+bracket row is the zero bracket when its target grade is in the window and
+undecidable otherwise; in GD mode (``products`` present) rows are
 explicit-presence, so a row with an empty term list is a decidable zero and a
 missing row is undecidable.  A spec declares at most MAX_GENERATORS
 generators, and a bracket or product polynomial has formal degree at most
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from . import grammar
-from .conformal import ConformalAlgebra, GeneratorId
+from .conformal import ConformalAlgebra, GeneratorId, StructureTable
 from .gd import GDAlgebra, LieStructure, NovikovAlgebra
 from .ideals import GradedSubmodule
 from .poly import FORMAL_VARS, ParamPoly
@@ -78,29 +81,23 @@ class SpecFile:
     def _by_name(self) -> dict[str, GeneratorId]:
         return {g.name: g for g in self.generators}
 
-    def _as_table(self, rows: TableRows, explicit: bool):
+    def _as_table(self, rows: TableRows):
         names = self._by_name()
-        table: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, ParamPoly]] = {}
-        for left, right, terms in rows:
-            entry = {names[target]: poly for target, poly in terms}
-            key = (names[left], names[right])
-            if explicit or entry:
-                table[key] = entry
-        return table
+        return {(names[left], names[right]):
+                {names[target]: poly for target, poly in terms}
+                for left, right, terms in rows}
 
     def algebra(self) -> ConformalAlgebra:
-        window = {g.grade for g in self.generators}
-        return ConformalAlgebra(self.generators,
-                                self._as_table(self.brackets, explicit=False),
-                                window, self.params)
+        return ConformalAlgebra(self.generators, self._as_table(self.brackets),
+                                self.params)
 
     def gd_algebra(self) -> GDAlgebra:
         if self.products is None:
             raise SpecFileError("spec file has no products table (not GD mode)")
-        nov = NovikovAlgebra(self.generators,
-                             self._as_table(self.products, explicit=True))
-        lie = LieStructure(self.generators,
-                           self._as_table(self.brackets, explicit=True))
+        nov = NovikovAlgebra(self.generators, self._as_table(self.products),
+                             self.params)
+        lie = LieStructure(self.generators, self._as_table(self.brackets),
+                           self.params)
         return GDAlgebra(nov, lie)
 
     def submodule_pattern(self) -> GradedSubmodule:
@@ -254,14 +251,26 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
     return tuple(rows)
 
 
-def loads(text: str) -> SpecFile:
-    """Parse and validate a spec file; raises SpecFileError subclasses."""
+def _decode(text: str) -> Any:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # A decode error, an integer literal over the interpreter's digit
         # limit, or arrays and objects nested deeper than the recursion limit.
         raise SpecFileError(f"invalid JSON: {exc}")
+
+
+def _read(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise SpecFileError(f"cannot read {path}: {exc}")
+
+
+def loads(text: str) -> SpecFile:
+    """Parse and validate a spec file; raises SpecFileError subclasses."""
+    raw = _decode(text)
     _require(isinstance(raw, dict), "spec file must be a JSON object")
 
     params_raw = raw.get("params", [])
@@ -322,34 +331,30 @@ def loads(text: str) -> SpecFile:
 
 
 def load_path(path: str) -> SpecFile:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise SpecFileError(f"cannot read {path}: {exc}")
-    return loads(text)
+    return loads(_read(path))
+
+
+def load_pattern(path: str) -> GradedSubmodule:
+    """A pattern file: a {grade: component} object, bare or as "submodule"."""
+    raw = _decode(_read(path))
+    if isinstance(raw, dict) and isinstance(raw.get("submodule"), dict):
+        raw = raw["submodule"]
+    _require(isinstance(raw, dict), "pattern file must be a JSON object")
+    return parse_pattern(raw)
 
 
 # -- writers --------------------------------------------------------------------
 
+def _rows(table: StructureTable) -> TableRows:
+    return tuple((u.name, v.name, tuple((w.name, poly) for w, poly
+                                        in sorted(table.entry(u, v).items())))
+                 for u, v in table.pairs())
+
+
 def from_algebra(alg: ConformalAlgebra) -> SpecFile:
-    rows: dict[tuple[str, str], list[tuple[str, ParamPoly]]] = {}
-    for u, v, w, poly in alg.table_items():
-        rows.setdefault((u.name, v.name), []).append((w.name, poly))
-    brackets = tuple((left, right, tuple(terms))
-                     for (left, right), terms in sorted(rows.items()))
-    return SpecFile(tuple(sorted(alg.params)), alg.generators, brackets)
+    return SpecFile(tuple(sorted(alg.params)), alg.generators, _rows(alg))
 
 
 def from_gd(g: GDAlgebra) -> SpecFile:
-    def rows_of(table) -> TableRows:
-        rows = []
-        for (u, v) in table.pairs():
-            entry = table.entry(u, v)
-            rows.append((u.name, v.name,
-                         tuple((w.name, poly)
-                               for w, poly in sorted(entry.items()))))
-        return tuple(rows)
-
     params = sorted(g.nov.params | g.lie.params)
-    return SpecFile(tuple(params), g.basis, rows_of(g.lie), rows_of(g.nov))
+    return SpecFile(tuple(params), g.basis, _rows(g.lie), _rows(g.nov))

@@ -171,8 +171,7 @@ def test_criterion_8_mutation_sensitivity():
             for (uu, vv, ww, pp) in entries:
                 table.setdefault((uu, vv), {})[ww] = pp
             table[(u, v)][w] = poly + delta
-            mutated = ConformalAlgebra(alg.generators, table, alg.window,
-                                       alg.params)
+            mutated = ConformalAlgebra(alg.generators, table, alg.params)
             assert mutated != alg
             caught = not check_skew(mutated).ok
             if not caught:

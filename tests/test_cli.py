@@ -539,6 +539,77 @@ def test_gd_unknown_binding(tmp_path, subcommand, name):
     assert (code, err) == (0, "")
 
 
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_gd_to_lca_input_errors(tmp_path):
+    # Both structures pass gd check, but neither is a conformal algebra on its
+    # basis: the message of the failed conversion is an input error.
+    wrong_grade = write_json(tmp_path / "grade.json", {
+        "generators": [{"name": "A", "grade": 0}, {"name": "B", "grade": 1}],
+        "products": [{"left": u, "right": v,
+                      "terms": ([{"target": "B", "poly": "1"}]
+                                if (u, v) == ("A", "A") else [])}
+                     for u in "AB" for v in "AB"],
+        "brackets": [{"left": u, "right": v, "terms": []}
+                     for u in "AB" for v in "AB"]})
+    empty = write_json(tmp_path / "empty.json", {
+        "generators": [{"name": "A", "grade": 0}], "products": [],
+        "brackets": []})
+    for path, message in (
+            (wrong_grade, "bracket (A, A) targets B of grade 1, expected 0"),
+            (empty, "pair (A, A) lands in the window but the product or "
+                    "bracket is undecidable")):
+        assert run(["gd", "check", path])[0] == 0
+        code, out, err = run(["gd", "to-lca", path])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": f"{path}: {message}"}
+
+
+def test_declared_parameters_bind_in_verify_and_gd(tmp_path):
+    # CL2(1, 0) declaring s, which no entry uses: --bind s=1 is accepted by
+    # verify and by gd alike, and an undeclared name is refused by both.
+    family = run(["family", "CL2", "--b", "1", "--s", "0", "--window=-2..2"])[1]
+    spec = json.loads(family)
+    spec["params"] = ["s"]
+    lca = write_json(tmp_path / "cl2.json", spec)
+    gd_path = tmp_path / "gd.json"
+    assert run(["gd", "from-lca", lca, "-o", str(gd_path)])[0] == 0
+    spec = json.loads(gd_path.read_text())
+    assert spec["params"] == []
+    spec["params"] = ["s"]
+    gd_spec = write_json(gd_path, spec)
+    for argv in (["verify", lca], ["gd", "check", gd_spec],
+                 ["gd", "to-lca", gd_spec]):
+        code, out, err = run([*argv, "--bind", "s=1"])
+        assert (code, err) == (0, ""), argv
+        code, out, err = run([*argv, "--bind", "zz=1"])
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == "binding for unknown parameter 'zz'"
+    assert run(["gd", "to-lca", gd_spec, "--bind", "s=1"])[1] == family
+
+
+def test_table_rules_reach_the_cli_as_input_errors(tmp_path):
+    # Each table type's coefficient rule: no y in a bracket polynomial, no
+    # formal variable in a GD structure constant.
+    path = tmp_path / "y.json"
+    path.write_text(VIR_SPEC.replace("d + 2*x", "d + 2*x + y"))
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (f"{path}: structure polynomials may "
+                                        f"not use y")
+    spec = json.loads(a1_spec_text())
+    spec["products"][0]["terms"][0]["poly"] = "d"
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(["gd", "check", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (f"{path}: structure constants must be "
+                                        f"free of d, x, y")
+
+
 # -- ideal-check and probe -----------------------------------------------------------
 
 def write_cl2(tmp_path, b, s, window="-5..5"):
@@ -558,6 +629,18 @@ def test_ideal_check_closed(tmp_path):
     code, out, _ = run(["ideal-check", str(cl2), "--pattern", str(pat)])
     assert code == 0
     assert json.loads(out)["closed"] is True
+
+
+@pytest.mark.parametrize("text", ['{"0": ' + "1" * 5000 + "}", "[" * 100_000],
+                         ids=["long-int", "deep-array"])
+def test_ideal_check_pattern_the_decoder_cannot_hold(tmp_path, text):
+    # Refused as the same text given as a spec is: an input error.
+    cl2 = write_cl2(tmp_path, "1", None)
+    pat = tmp_path / "pattern.json"
+    pat.write_text(text)
+    code, out, err = run(["ideal-check", str(cl2), "--pattern", str(pat)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith("invalid JSON: ")
 
 
 def test_ideal_check_embedded_pattern_not_closed(tmp_path):

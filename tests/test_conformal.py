@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zlca import conformal, families, grammar
+from zlca import conformal, families, gd, grammar
 from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
                             NotAffineError, OutOfWindowError,
                             OutOfWindowTripleError, ZeroActionError, bracket,
@@ -16,7 +16,7 @@ from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
 from zlca.poly import DEL, LAM, D, X, Y, ParamPoly, const, param
 
 L = GeneratorId(0, "L")
-VIR = ConformalAlgebra([L], {(L, L): {L: D + 2 * X}}, {0})
+VIR = ConformalAlgebra([L], {(L, L): {L: D + 2 * X}})
 
 
 def lam(alg, a, b):
@@ -27,17 +27,17 @@ def lam(alg, a, b):
 
 def test_vir_bracket():
     value = lam(VIR, Element.generator(L), Element.generator(L))
-    assert value.coefficient(L) == D + 2 * X
+    assert value == {L: D + 2 * X}
 
 
 def test_vir_bracket_left_derivative():
     value = lam(VIR, Element({L: D}), Element.generator(L))
-    assert value.coefficient(L) == -X * (D + 2 * X)
+    assert value == {L: -X * (D + 2 * X)}
 
 
 def test_vir_bracket_right_derivative():
     value = lam(VIR, Element.generator(L), Element({L: D}))
-    assert value.coefficient(L) == (D + X) * (D + 2 * X)
+    assert value == {L: (D + X) * (D + 2 * X)}
 
 
 def test_bracket_sesquilinear_on_random_elements():
@@ -61,9 +61,8 @@ def test_bracket_sesquilinear_on_random_elements():
             right = lam(alg, a, Element({g: D * f for g, f in b.coeffs.items()}))
         except OutOfWindowError:
             continue
-        for g in base.coeffs:
-            assert left.coefficient(g) == -X * base.coefficient(g)
-            assert right.coefficient(g) == (D + X) * base.coefficient(g)
+        assert left == {g: -X * p for g, p in base.items()}
+        assert right == {g: (D + X) * p for g, p in base.items()}
 
 
 def test_bracket_out_of_window():
@@ -76,11 +75,43 @@ def test_bracket_out_of_window():
 def test_element_coefficient_validation():
     with pytest.raises(ValueError):
         Element({L: D + X})  # bracket variable in a module coefficient
-    from zlca.conformal import LambdaElement
-    from zlca.poly import Y
     with pytest.raises(ValueError):
-        LambdaElement({L: D + Y})
+        Element({L: D + Y})
     assert Element({L: const(0)}).is_zero()
+
+
+# -- structure-table rules ----------------------------------------------------
+
+A = GeneratorId(0, "A")
+B1 = GeneratorId(1, "B")
+
+
+@pytest.mark.parametrize("cls", [ConformalAlgebra, gd.NovikovAlgebra,
+                                 gd.LieStructure])
+def test_table_rejects_bad_names_pairs_and_targets(cls):
+    with pytest.raises(ValueError, match="names must be unique"):
+        cls([A, GeneratorId(1, "A")], {})
+    with pytest.raises(ValueError, match="undeclared"):
+        cls([A], {(A, B1): {}})
+    with pytest.raises(ValueError, match="undeclared"):
+        cls([A], {(B1, A): {}})
+    with pytest.raises(ValueError, match="undeclared"):
+        cls([A], {(A, A): {GeneratorId(0, "Q"): const(1)}})
+    assert cls([A], {(A, A): {A: const(1)}}) == cls([A], {(A, A): {A: 1}})
+
+
+def test_conformal_table_rejects_a_wrong_target_grade_and_y():
+    with pytest.raises(ValueError, match="targets B of grade 1, expected 0"):
+        ConformalAlgebra([A, B1], {(A, A): {B1: D}})
+    with pytest.raises(ValueError, match="may not use y"):
+        ConformalAlgebra([A], {(A, A): {A: D + Y}})
+
+
+@pytest.mark.parametrize("cls", [gd.NovikovAlgebra, gd.LieStructure])
+def test_gd_table_rejects_formal_variables(cls):
+    for poly in (D, X, Y, D * param("s")):
+        with pytest.raises(ValueError, match="must be free of d, x, y"):
+            cls([A], {(A, A): {A: poly}})
 
 
 # -- skew-symmetry -------------------------------------------------------------
@@ -95,7 +126,7 @@ def test_cl1_skew_clean_symbolically():
 
 
 def test_skew_violation_residual():
-    bad = ConformalAlgebra([L], {(L, L): {L: D + 3 * X}}, {0})
+    bad = ConformalAlgebra([L], {(L, L): {L: D + 3 * X}})
     report = check_skew(bad)
     assert len(report.violations) == 1
     assert report.violations[0].residual == -D
@@ -131,7 +162,7 @@ def perturbed_v0():
     one = alg.single_generator(1)
     two = alg.single_generator(2)
     table[(one, one)][two] = table[(one, one)][two] + X ** 2
-    return ConformalAlgebra(alg.generators, table, alg.window)
+    return ConformalAlgebra(alg.generators, table)
 
 
 def test_perturbed_v0_jacobi_residual_nonzero():
@@ -239,7 +270,7 @@ def _with_entry(alg, pair, target, poly):
         table.setdefault((u, v), {})[w] = entry
     row = table.setdefault(pair, {})
     row[target] = row.get(target, ParamPoly.zero()) + poly
-    return ConformalAlgebra(alg.generators, table, alg.window, alg.params)
+    return ConformalAlgebra(alg.generators, table, alg.params)
 
 
 def test_random_mutants_match_reference(monkeypatch):
@@ -325,7 +356,7 @@ def test_spectral_requires_one_generator_per_grade():
 
 def test_spectral_zero_action():
     one = GeneratorId(1, "A")
-    alg = ConformalAlgebra([L, one], {(L, L): {L: D + 2 * X}}, {0, 1})
+    alg = ConformalAlgebra([L, one], {(L, L): {L: D + 2 * X}})
     with pytest.raises(ZeroActionError):
         spectral_data(alg)
 
@@ -334,7 +365,7 @@ def test_spectral_not_affine():
     one = GeneratorId(1, "A")
     table = {(L, L): {L: D + 2 * X},
              (L, one): {one: D + X ** 2}}
-    alg = ConformalAlgebra([L, one], table, {0, 1})
+    alg = ConformalAlgebra([L, one], table)
     with pytest.raises(NotAffineError):
         spectral_data(alg)
 
@@ -369,7 +400,7 @@ def test_degree_relation_violation_hand_built():
         (L, a2): {a2: D + 5 * X},  # weight 5 breaks the (1,1) bookkeeping
         (a1, a1): {a2: D + 2 * X},
     }
-    alg = ConformalAlgebra([L, a1, a2], table, {0, 1, 2})
+    alg = ConformalAlgebra([L, a1, a2], table)
     data = spectral_data(alg)
     violations = degree_relation_check(alg, data)
     assert any(v.left_grade == 1 and v.right_grade == 1 and

@@ -242,7 +242,7 @@ def reference_make_v(s, window):
         for j in gens:
             if i + j in gens:
                 table[(gens[i], gens[j])] = {gens[i + j]: D + 2 * X + s * (i - j)}
-    return ConformalAlgebra(gens.values(), table, gens)
+    return ConformalAlgebra(gens.values(), table)
 
 
 def reference_make_cl1(s, top):
@@ -256,7 +256,7 @@ def reference_make_cl1(s, top):
             if i + j in gens:
                 poly = (i + 1) * D + (i + j + 2) * X + s * (j - i)
                 table[(gens[i], gens[j])] = {gens[i + j]: poly}
-    return ConformalAlgebra(gens.values(), table, gens)
+    return ConformalAlgebra(gens.values(), table)
 
 
 def reference_make_cl2(b, s, window):
@@ -268,7 +268,7 @@ def reference_make_cl2(b, s, window):
             if i + j in gens:
                 poly = (i + b) * D + (i + j + 2 * b) * X + s * (i - j)
                 table[(gens[i], gens[j])] = {gens[i + j]: poly}
-    return ConformalAlgebra(gens.values(), table, gens)
+    return ConformalAlgebra(gens.values(), table)
 
 
 WINDOWS = [range(-3, 4), range(0, 4), range(-5, 1), (-2, 0, 1, 3), (0,), ()]
@@ -306,3 +306,15 @@ def test_make_cl2_matches_the_reference(b, s):
     for window in WINDOWS + [range(-1, 6)]:
         assert_same_algebra(families.make_cl2(b, s, window),
                             reference_make_cl2(b, s, window))
+
+
+def test_zero_entry_family_equals_its_spec_round_trip():
+    # CL2(1, s) brackets L-1 with itself to zero: the family stores the pair
+    # with a zero value, the spec writes no row, and both read as the same
+    # algebra (inside the window an absent row is the zero bracket).
+    alg = families.make_cl2(1, "s", range(-3, 4))
+    low = alg.single_generator(-1)
+    assert alg.structure(low, low) == {}
+    spec = specfile.from_algebra(alg)
+    assert ("L-1", "L-1") not in {(left, right) for left, right, _ in spec.brackets}
+    assert specfile.loads(spec.dumps()).algebra() == alg

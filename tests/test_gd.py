@@ -1,5 +1,6 @@
 """Novikov / Gel'fand-Dorfman structures and the quadratic correspondence."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -173,7 +174,7 @@ def test_gd_from_quadratic_rejects_scl2():
 def test_gd_from_quadratic_star_consistency():
     L = GeneratorId(0, "L")
     from zlca.conformal import ConformalAlgebra
-    alg = ConformalAlgebra([L], {(L, L): {L: D + 3 * X}}, {0})
+    alg = ConformalAlgebra([L], {(L, L): {L: D + 3 * X}})
     with pytest.raises(gd.InconsistentStarError):
         gd.gd_from_quadratic(alg)
 
@@ -497,3 +498,24 @@ def test_s_bracket_matches_the_reference_on_any_names():
              GeneratorId(1, "z"), GeneratorId(3, "y")]
     for s in GD_S_VALUES:
         assert gd.s_bracket(basis, s) == reference_s_bracket(basis, s)
+
+
+# -- table presence in GD mode ---------------------------------------------------------
+
+def one_generator_gd(products, brackets):
+    return specfile.loads(json.dumps({
+        "generators": [{"name": "A", "grade": 0}],
+        "products": products, "brackets": brackets})).gd_algebra()
+
+
+def test_gd_row_with_empty_terms_is_checked_and_missing_row_skipped():
+    empty = [{"left": "A", "right": "A", "terms": []}]
+    present = one_generator_gd(empty, [])
+    assert present.nov.entry(*present.basis * 2) == {}
+    assert present.lie.entry(*present.basis * 2) is None
+    novikov = gd.check_novikov(present.nov)
+    assert (novikov.checked, novikov.skipped) == (2, 0)
+    lie = gd.check_lie(present.lie)
+    assert (lie.checked, lie.skipped) == (0, 2)
+    lie = gd.check_lie(one_generator_gd([], empty).lie)
+    assert (lie.checked, lie.skipped) == (2, 0)

@@ -143,7 +143,7 @@ def reference_closure(alg, seed, max_iterations=64):
                     boundary_skips += 1
                     continue
                 u = Element.generator(alg.single_generator(u_grade))
-                for target, poly in bracket(alg, u, member).coeffs.items():
+                for target, poly in bracket(alg, u, member).items():
                     changed = absorb(target.grade, poly) or changed
         if not changed:
             converged = True

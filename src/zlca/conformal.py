@@ -25,6 +25,13 @@ variable).  Its presence rule: a stored row is decidable and a missing row
 is not.  ``ConformalAlgebra`` drops empty rows, since inside its window
 absence already means zero.
 
+With one generator per grade (every family here) the table is the rank-one
+table ``p_{i,j}(d, x)``, the coefficient of the grade-(i + j) generator in
+the bracket of the grade-i and grade-j ones.  ``graded_entry(i, j)`` is the
+one reader of it: the spectral, degree and support diagnostics and
+``ideals.is_graded_ideal`` take ``p_{i,j}`` from it alone.  The diagnostics
+take no parameter values: bind first, with ``instantiate``.
+
 The Jacobi check, the costly one, expands each triple on the algebra's
 ``poly.Packing`` (integer exponent keys, integer numerators over one common
 denominator) and converts back to ``ParamPoly`` only the residuals that are
@@ -35,10 +42,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .poly import (DEL, LAM, MU, Mono, Packed, Packing, ParamPoly, Scalar,
-                   as_poly)
+from .poly import DEL, LAM, MU, Packed, Packing, ParamPoly, Scalar, as_poly
 
 Table = Mapping[tuple["GeneratorId", "GeneratorId"],
                 Mapping["GeneratorId", ParamPoly]]
@@ -80,8 +86,7 @@ class ZeroActionError(ValueError):
         self.grade = grade
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     """A free generator: its grade and a name unique within the algebra."""
 
     grade: int
@@ -191,12 +196,12 @@ class StructureTable:
     def pairs(self) -> list[tuple[GeneratorId, GeneratorId]]:
         return sorted(self._table)
 
-    def instantiate(self, bindings: Mapping[str, Scalar]):
+    def instantiate(self, values: Mapping[str, Scalar]):
         """The same table with parameters bound to rationals."""
-        table = {pair: {w: coef.instantiate(bindings)
+        table = {pair: {w: coef.instantiate(values)
                         for w, coef in row.items()}
                  for pair, row in self._table.items()}
-        return type(self)(self.basis, table, self.params - set(bindings))
+        return type(self)(self.basis, table, self.params - set(values))
 
     def __eq__(self, other: object) -> bool:
         return (type(self) is type(other)
@@ -221,10 +226,9 @@ class ConformalAlgebra(StructureTable):
         self.window = frozenset(g.grade for g in self.basis)
         self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
         # Packed, substituted table entries for jacobi_residual, filled on
-        # demand: (form, left name, right name) -> {target: packed poly}.
-        # Names are unique and hash faster than the dataclass GeneratorId.
+        # demand: (form, left, right) -> {target: packed poly}.
         self._packing: Packing | None = None
-        self._jacobi_forms: dict[tuple[str, str, str],
+        self._jacobi_forms: dict[tuple[str, GeneratorId, GeneratorId],
                                  dict[GeneratorId, Packed]] = {}
         for g in self.basis:
             self._by_grade.setdefault(g.grade, ())
@@ -260,6 +264,19 @@ class ConformalAlgebra(StructureTable):
         if left.grade + right.grade not in self.window:
             raise OutOfWindowError(left, right)
         return dict(self._table.get((left, right), {}))
+
+    def graded_entry(self, i: int, j: int) -> ParamPoly:
+        """p_{i,j}: the coefficient of L_{i+j} in [L_i x L_j], zero if absent.
+
+        Raises OutOfWindowError as ``structure`` does, and ValueError when a
+        grade it reads has other than one generator.
+        """
+        left = self.single_generator(i)
+        right = self.single_generator(j)
+        if i + j not in self.window:
+            raise OutOfWindowError(left, right)
+        row = self._table.get((left, right), {})
+        return row.get(self.single_generator(i + j), ParamPoly.zero())
 
     def table_items(self) -> Iterator[tuple[GeneratorId, GeneratorId,
                                             GeneratorId, ParamPoly]]:
@@ -365,7 +382,7 @@ def _jacobi_form(alg: ConformalAlgebra, form: str, left: GeneratorId,
     Raises OutOfWindowError exactly as ``structure`` does; only in-window
     entries are cached.
     """
-    key = (form, left.name, right.name)
+    key = (form, left, right)
     entry = alg._jacobi_forms.get(key)
     if entry is None:
         packing = _packing(alg)
@@ -509,47 +526,36 @@ class SpectralLine:
 class SpectralData:
     lines: Mapping[int, SpectralLine]
     uniform_scale: bool
-    bindings: Mapping[str, Fraction]
 
 
-def spectral_data(alg: ConformalAlgebra,
-                  bindings: Mapping[str, Scalar] = ()) -> SpectralData:
-    """Read (scale, weight, shift) off the grade-0 action on every grade.
+def spectral_data(alg: ConformalAlgebra) -> SpectralData:
+    """Read (scale, weight, shift) off the grade-0 action p_{0,j} per grade.
 
-    Requires exactly one generator per grade.  Raises ZeroActionError when the
+    Requires exactly one generator per grade; bind first (``instantiate``)
+    to read the data at parameter values.  Raises ZeroActionError when the
     action on some grade vanishes (that grade spans a proper ideal), and
     NotAffineError when the action is not scale*(d + weight*x + shift) with
-    rational weight and shift after binding.
+    rational weight and shift.
     """
     if not alg.one_generator_per_grade():
         raise ValueError("spectral data requires exactly one generator per grade")
-    bindings = dict(bindings)
-    zero = alg.single_generator(0)
-    d_mono: Mono = ((DEL, 1),)
-    x_mono: Mono = ((LAM, 1),)
     lines: dict[int, SpectralLine] = {}
     for grade in sorted(alg.window):
-        gen = alg.single_generator(grade)
-        entry = alg.structure(zero, gen)
-        poly = entry.get(gen, ParamPoly.zero()).instantiate(bindings)
+        poly = alg.graded_entry(0, grade)
         if poly.is_zero():
             raise ZeroActionError(grade)
-        parts = poly.formal_coefficients()
-        if set(parts) - {(), d_mono, x_mono}:
+        parts = poly.affine_parts()
+        if parts is None or parts[0].is_zero():
             raise NotAffineError(grade, poly)
-        scale = parts.get(d_mono, ParamPoly.zero())
-        if scale.is_zero():
-            raise NotAffineError(grade, poly)
+        scale, x_part, constant = parts
         try:
-            weight = parts.get(x_mono, ParamPoly.zero()).exact_divide(scale)
-            shift = parts.get((), ParamPoly.zero()).exact_divide(scale)
-            lines[grade] = SpectralLine(scale, weight.as_fraction(),
-                                        shift.as_fraction())
+            lines[grade] = SpectralLine(
+                scale, x_part.exact_divide(scale).as_fraction(),
+                constant.exact_divide(scale).as_fraction())
         except (ArithmeticError, ValueError):
             raise NotAffineError(grade, poly) from None
     scales = {line.scale for line in lines.values()}
-    return SpectralData(lines, len(scales) <= 1,
-                        {k: Fraction(v) for k, v in bindings.items()})
+    return SpectralData(lines, len(scales) <= 1)
 
 
 @dataclass(frozen=True)
@@ -564,25 +570,25 @@ def degree_relation_check(alg: ConformalAlgebra, spectral: SpectralData
                           ) -> list[DegreeRelationViolation]:
     """Check the weight/shift bookkeeping of nonzero structure polynomials.
 
-    For every pair of grades (i, j) with a nonzero bracket landing in the
+    For every pair of grades (i, j) with a nonzero p_{i,j} landing in the
     window, the weights must satisfy
         weight_i + weight_j = weight_{i+j} + deg p_{i,j} + 1
     and the shifts must be additive: shift_i + shift_j = shift_{i+j}.
+    Bind first: an algebra with free parameters is a ValueError, since its
+    degrees need not be those at any binding.
     """
+    if alg.params:
+        raise ValueError("degree relations require an instantiated algebra "
+                         f"(free parameters: {sorted(alg.params)})")
     if not alg.one_generator_per_grade():
         raise ValueError("degree relations require exactly one generator per grade")
-    bindings = spectral.bindings
     violations: list[DegreeRelationViolation] = []
     grades = sorted(alg.window)
     for i in grades:
         for j in grades:
             if i + j not in alg.window:
                 continue
-            u = alg.single_generator(i)
-            v = alg.single_generator(j)
-            target = alg.single_generator(i + j)
-            poly = alg.structure(u, v).get(target, ParamPoly.zero())
-            poly = poly.instantiate(bindings)
+            poly = alg.graded_entry(i, j)
             if poly.is_zero():
                 continue
             deg = poly.formal_degree()
@@ -608,27 +614,23 @@ class SupportClassification:
     unclassified: frozenset[int]
 
 
-def classify_support(alg: ConformalAlgebra,
-                     bindings: Mapping[str, Scalar] = ()) -> SupportClassification:
+def classify_support(alg: ConformalAlgebra) -> SupportClassification:
     """Classify each positive grade k by the degree of p_{k,-k}.
 
     A grade whose opposite is missing from the window, or whose pairing
-    polynomial has degree above 2, lands in ``unclassified``.
+    polynomial has degree above 2, lands in ``unclassified``.  Bind first
+    (``instantiate``) to classify at parameter values.
     """
     if not alg.one_generator_per_grade():
         raise ValueError("support classification requires one generator per grade")
     alg.single_generator(0)
-    bindings = dict(bindings)
     buckets: dict[int, set[int]] = {0: set(), 1: set(), 2: set()}
     unclassified: set[int] = set()
     for k in sorted(g for g in alg.window if g > 0):
         if -k not in alg.window:
             unclassified.add(k)
             continue
-        u = alg.single_generator(k)
-        v = alg.single_generator(-k)
-        poly = alg.structure(u, v).get(alg.single_generator(0),
-                                       ParamPoly.zero()).instantiate(bindings)
+        poly = alg.graded_entry(k, -k)
         if poly.is_zero():
             continue
         deg = poly.formal_degree()

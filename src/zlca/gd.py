@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 from .conformal import (ConformalAlgebra, GeneratorId, StructureTable,
                         graded_generators, graded_table)
-from .poly import DEL, LAM, D, X, Mono, ParamPoly, as_poly, param
+from .poly import D, X, ParamPoly, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
 
@@ -313,35 +313,6 @@ def make_a2(b, window: Iterable[int]) -> NovikovAlgebra:
     return NovikovAlgebra(gens.values(), graded_table(gens, lambda i, j: j + b))
 
 
-def make_a3(b, window: Iterable[int], depth: int) -> NovikovAlgebra:
-    """Truncation of the two-index family on grades x {0..depth}:
-
-        L_(i,m) o L_(j,n) = (j + b) L_(i+j, m+n) + n L_(i+j, m+n-1)
-    """
-    b = param(b) if isinstance(b, str) else as_poly(b)
-    grades = sorted(set(window))
-    basis = {(i, m): GeneratorId(i, f"L{i}_{m}")
-             for i in grades for m in range(depth + 1)}
-    table = {}
-    for (i, m), u in basis.items():
-        for (j, n), v in basis.items():
-            if i + j not in grades:
-                continue
-            combo: Combination = {}
-            ok = True
-            first = j + b
-            if first:
-                if (i + j, m + n) not in basis:
-                    ok = False
-                else:
-                    combo[basis[(i + j, m + n)]] = first
-            if ok and n:
-                combo[basis[(i + j, m + n - 1)]] = as_poly(n)
-            if ok:
-                table[(u, v)] = combo
-    return NovikovAlgebra(basis.values(), table)
-
-
 def s_bracket(basis: Iterable[GeneratorId], s) -> LieStructure:
     """The bracket [L_i, L_j] = s (i - j) L_{i+j} on a one-per-grade basis."""
     s = param(s) if isinstance(s, str) else as_poly(s)
@@ -412,39 +383,31 @@ def gd_from_quadratic(alg: ConformalAlgebra) -> GDAlgebra:
     the constant terms the (transposed) bracket, and the x-coefficients are
     checked against the symmetrized product (InconsistentStarError).
     """
-    d_mono: Mono = ((DEL, 1),)
-    x_mono: Mono = ((LAM, 1),)
-    alphas: dict[tuple[GeneratorId, GeneratorId], Combination] = {}
-    betas: dict[tuple[GeneratorId, GeneratorId], Combination] = {}
-    gammas: dict[tuple[GeneratorId, GeneratorId], Combination] = {}
+    # pair -> its (d, x, constant) parts per target; every pair is split
+    # (NotQuadraticError) before any star consistency is checked.
+    split: dict[tuple[GeneratorId, GeneratorId],
+                tuple[Combination, Combination, Combination]] = {}
     for u in alg.generators:
         for v in alg.generators:
             if u.grade + v.grade not in alg.window:
                 continue
-            alpha: Combination = {}
-            beta: Combination = {}
-            gamma: Combination = {}
+            combos: tuple[Combination, Combination, Combination] = ({}, {}, {})
             for w, poly in sorted(alg.structure(u, v).items()):
-                parts = poly.formal_coefficients()
-                if set(parts) - {(), d_mono, x_mono}:
+                parts = poly.affine_parts()
+                if parts is None:
                     raise NotQuadraticError((u, v), poly)
-                if parts.get(d_mono):
-                    alpha[w] = parts[d_mono]
-                if parts.get(x_mono):
-                    beta[w] = parts[x_mono]
-                if parts.get(()):
-                    gamma[w] = parts[()]
-            alphas[(u, v)] = alpha
-            betas[(u, v)] = beta
-            gammas[(u, v)] = gamma
+                for combo, part in zip(combos, parts):
+                    if part:
+                        combo[w] = part
+            split[(u, v)] = combos
     circ = {}
     lie = {}
-    for (u, v), alpha in alphas.items():
+    for (u, v), (alpha, beta, gamma) in split.items():
         # [u_x v] = d (v o u) + ...: the pair's d-part defines (v o u).
         circ[(v, u)] = alpha
-        lie[(v, u)] = gammas[(u, v)]
-        expected = _add(alpha, alphas[(v, u)])
-        if _add(betas[(u, v)], expected, -1):
+        lie[(v, u)] = gamma
+        expected = _add(alpha, split[(v, u)][0])
+        if _add(beta, expected, -1):
             raise InconsistentStarError((u, v))
     return GDAlgebra(NovikovAlgebra(alg.generators, circ),
                      LieStructure(alg.generators, lie))

@@ -281,9 +281,4 @@ def parse(text: str) -> ParamPoly:
     return _Parser(_tokenize(text)).parse()
 
 
-def format_poly(poly: ParamPoly) -> str:
-    """Canonical string form (same grammar that parse() accepts)."""
-    return str(poly)
-
-
-__all__ = ["ParseError", "parse", "format_poly", "FORMAL_VARS"]
+__all__ = ["ParseError", "parse", "FORMAL_VARS"]

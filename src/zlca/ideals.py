@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional
 
 from .conformal import ConformalAlgebra, Element, GeneratorId, bracket
 from .poly import DEL, LAM, MU, D, X, ParamPoly, as_poly
@@ -112,7 +112,9 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> IdealReport:
     Every window generator is bracketed against every nonzero submodule
     component; the value must land in the target component (exact divisibility
     by its monic generator, or vanishing for a zero component).  Pairs whose
-    target grade escapes the window are skipped and counted.
+    target grade escapes the window are skipped and counted.  The bracket
+    value is p_{i,j} from ``graded_entry``; free parameters ride along as
+    coefficients, so bind first (``instantiate``) to check at values.
     """
     if not alg.one_generator_per_grade():
         raise ValueError("ideal check requires exactly one generator per grade")
@@ -129,11 +131,9 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> IdealReport:
                 skipped += 1
                 continue
             checked += 1
-            v = alg.single_generator(v_grade)
             q_v = sub.generator(v_grade)
-            value = alg.structure(u, v).get(
-                alg.single_generator(target_grade), ParamPoly.zero())
-            value = value * q_v.substitute(DEL, D + X)
+            value = (alg.graded_entry(u_grade, v_grade)
+                     * q_v.substitute(DEL, D + X))
             if value.is_zero():
                 continue
             q_w = sub.generator(target_grade)
@@ -294,16 +294,15 @@ class ProbeReport:
         return tuple(f.seed_grade for f in self.findings if f.proper)
 
 
-def simplicity_probe(alg: ConformalAlgebra, core: Iterable[int],
-                     bindings: Mapping[str, Union[int, Fraction]] = ()
+def simplicity_probe(alg: ConformalAlgebra, core: Iterable[int]
                      ) -> ProbeReport:
     """Closure of each single-generator seed over a core of grades.
 
     A seed whose closure is not full at every core grade is evidence of a
     proper graded ideal.  The core should sit well inside the window so that
-    boundary truncation does not starve the closure.
+    boundary truncation does not starve the closure.  Bind first: the
+    closure requires a parameter-free algebra (``instantiate``).
     """
-    alg = alg.instantiate(dict(bindings)) if bindings else alg
     core_grades = tuple(sorted(set(core)))
     for grade in core_grades:
         if grade not in alg.window:

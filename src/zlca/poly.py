@@ -54,6 +54,9 @@ Scalar = Union[int, Fraction]
 Coefficient = Union[int, Fraction, "ParamPoly"]
 
 ONE_MONO: Mono = ()
+_D_MONO: Mono = ((DEL, 1),)
+_X_MONO: Mono = ((LAM, 1),)
+_AFFINE_MONOS = frozenset((ONE_MONO, _D_MONO, _X_MONO))
 
 #: Parameter names are ASCII: a lowercase letter, then lowercase letters,
 #: digits and underscores.
@@ -399,6 +402,17 @@ class ParamPoly:
             rest = tuple((v, e) for v, e in mono if v not in _FORMAL_RANK)
             buckets.setdefault(formal, {})[rest] = coef
         return {f: self._adopt(terms) for f, terms in buckets.items()}
+
+    def affine_parts(self) -> "tuple[ParamPoly, ParamPoly, ParamPoly] | None":
+        """Split as a*d + b*x + c with a, b, c free of d, x and y.
+
+        Returns (a, b, c), or None when some term is not of that form.
+        """
+        parts = self.formal_coefficients()
+        if set(parts) - _AFFINE_MONOS:
+            return None
+        return (parts.get(_D_MONO, _ZERO), parts.get(_X_MONO, _ZERO),
+                parts.get(ONE_MONO, _ZERO))
 
     # -- substitution ------------------------------------------------------
 

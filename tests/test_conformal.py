@@ -315,6 +315,52 @@ def test_jacobi_cache_is_per_algebra():
     assert not families.make_cl2("b", "s", range(-2, 3))._jacobi_forms
 
 
+# -- the rank-one table p_{i,j} ----------------------------------------------------
+
+def test_graded_entry():
+    one = GeneratorId(1, "A")
+    alg = ConformalAlgebra([L, one], {(L, L): {L: D + 2 * X}})
+    assert alg.graded_entry(0, 0) == D + 2 * X
+    assert alg.graded_entry(0, 1) == ParamPoly.zero()   # no row, in window
+    assert alg.graded_entry(1, 0) == ParamPoly.zero()
+    with pytest.raises(OutOfWindowError):
+        alg.graded_entry(1, 1)                           # grade 2 is missing
+    with pytest.raises(ValueError):
+        alg.graded_entry(3, -3)                          # no generator at 3
+    cl2 = families.make_cl2("b", "s", range(-2, 3))
+    with pytest.raises(OutOfWindowError):
+        cl2.graded_entry(2, 1)
+    cur = families.make_current(
+        ["e", "f", "h"],
+        {("h", "e"): {"e": 2}, ("e", "h"): {"e": -2},
+         ("h", "f"): {"f": -2}, ("f", "h"): {"f": 2},
+         ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}})
+    with pytest.raises(ValueError, match="3 generators"):
+        cur.graded_entry(0, 0)
+
+
+@pytest.mark.parametrize("alg", [
+    families.make_cl2("b", "s", range(-4, 5)),
+    families.make_cl2(Fraction(1, 2), 0, range(-3, 4)),
+    families.make_scl2(Fraction(1), "s", range(-5, 6)),
+    families.make_scl2(Fraction(-3, 2), Fraction(2, 3), range(-7, 8)),
+])
+def test_graded_entry_is_the_structure_entry(alg):
+    decided = 0
+    for i in sorted(alg.window):
+        for j in sorted(alg.window):
+            u, v = alg.single_generator(i), alg.single_generator(j)
+            if i + j not in alg.window:
+                with pytest.raises(OutOfWindowError):
+                    alg.graded_entry(i, j)
+                continue
+            target = alg.single_generator(i + j)
+            assert alg.graded_entry(i, j) == \
+                alg.structure(u, v).get(target, ParamPoly.zero())
+            decided += 1
+    assert decided > len(alg.window)
+
+
 # -- spectral data ----------------------------------------------------------------
 
 def test_vir_spectral():
@@ -326,7 +372,7 @@ def test_vir_spectral():
 
 def test_cl1_spectral_at_s1():
     alg = families.make_cl1("s", 4)
-    data = spectral_data(alg, {"s": 1})
+    data = spectral_data(alg.instantiate({"s": 1}))
     for j in range(-1, 5):
         line = data.lines[j]
         assert line.scale == const(1)
@@ -337,7 +383,7 @@ def test_cl1_spectral_at_s1():
 
 def test_cl2_spectral_at_b1_s0():
     alg = families.make_cl2("b", "s", range(-3, 4))
-    data = spectral_data(alg, {"b": 1, "s": 0})
+    data = spectral_data(alg.instantiate({"b": 1, "s": 0}))
     for j in range(-3, 4):
         assert data.lines[j].weight == j + 2
         assert data.lines[j].shift == 0
@@ -373,17 +419,18 @@ def test_spectral_not_affine():
 # -- degree relations ---------------------------------------------------------------
 
 def test_cl1_degree_relations():
-    alg = families.make_cl1("s", 4)
-    data = spectral_data(alg, {"s": 1})
+    alg = families.make_cl1("s", 4).instantiate({"s": 1})
+    data = spectral_data(alg)
     assert degree_relation_check(alg, data) == []
 
 
 def test_scl2_degree_relations_and_pair_values():
     alg = families.make_scl2(Fraction(1), "s", range(-6, 7))
-    data = spectral_data(alg, {"s": 1})
+    bound = alg.instantiate({"s": 1})
+    data = spectral_data(bound)
     assert data.lines[-2].weight == 1
     assert data.lines[-2].shift == 2
-    assert degree_relation_check(alg, data) == []
+    assert degree_relation_check(bound, data) == []
     # constant pairing at the special target grade
     one = alg.single_generator(1)
     minus3 = alg.single_generator(-3)
@@ -407,6 +454,18 @@ def test_degree_relation_violation_hand_built():
                v.relation == "weight" for v in violations)
 
 
+def test_degree_relations_refuse_free_parameters():
+    # The degrees of a symbolic table need not be those at a binding, so
+    # bound spectral data cannot be checked against the symbolic algebra.
+    alg = families.make_cl1("s", 4)
+    data = spectral_data(alg.instantiate({"s": 1}))
+    with pytest.raises(ValueError, match=r"free parameters: \['s'\]"):
+        degree_relation_check(alg, data)
+    declared = ConformalAlgebra([L], {(L, L): {L: D + 2 * X}}, params=["t"])
+    with pytest.raises(ValueError, match="instantiated"):
+        degree_relation_check(declared, spectral_data(declared))
+
+
 # -- support classification ------------------------------------------------------------
 
 def test_v1_support_all_degree1():
@@ -418,7 +477,7 @@ def test_v1_support_all_degree1():
 
 def test_scl2_support_has_one_degree2():
     alg = families.make_scl2(Fraction(1), "s", range(-6, 7))
-    support = classify_support(alg, {"s": 1})
+    support = classify_support(alg.instantiate({"s": 1}))
     assert support.degree2 == frozenset({2})
     assert support.degree1 == frozenset({1, 3, 4, 5, 6})
     assert support.degree0 == frozenset()
@@ -432,6 +491,6 @@ def test_vir_support_empty():
 
 def test_cl1_support_unclassified_pairs():
     alg = families.make_cl1("s", 6)
-    support = classify_support(alg, {"s": 1})
+    support = classify_support(alg.instantiate({"s": 1}))
     assert support.degree1 == frozenset({1})
     assert support.unclassified == frozenset({2, 3, 4, 5, 6})

@@ -8,7 +8,7 @@ from zlca import families, specfile
 from zlca.conformal import (ConformalAlgebra, GeneratorId, check_jacobi,
                             check_skew, classify_support, spectral_data)
 from zlca.families import NotALieAlgebraError
-from zlca.poly import D, X, ParamPoly, as_poly, const, param
+from zlca.poly import D, X, as_poly, const, param
 
 S = param("s")
 B = param("b")
@@ -18,13 +18,6 @@ SL2 = {
     ("h", "f"): {"f": -2}, ("f", "h"): {"f": 2},
     ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1},
 }
-
-
-def entry(alg, i, j):
-    u = alg.single_generator(i)
-    v = alg.single_generator(j)
-    return alg.structure(u, v).get(alg.single_generator(i + j),
-                                   ParamPoly.zero())
 
 
 # -- Vir and Cur -----------------------------------------------------------------
@@ -64,7 +57,7 @@ def test_v_at_s0_is_uniform():
     for i in range(-3, 4):
         for j in range(-3, 4):
             if i + j in alg.window:
-                assert entry(alg, i, j) == D + 2 * X
+                assert alg.graded_entry(i, j) == D + 2 * X
 
 
 def test_v_symbolic_axioms():
@@ -75,7 +68,7 @@ def test_v_symbolic_axioms():
 
 def test_v_spectral():
     alg = families.make_v("s", range(-3, 4))
-    data = spectral_data(alg, {"s": 1})
+    data = spectral_data(alg.instantiate({"s": 1}))
     for j in range(-3, 4):
         assert data.lines[j].weight == 2
         assert data.lines[j].shift == -j
@@ -86,7 +79,7 @@ def test_v_spectral():
 
 def test_cl1_formula_and_truncation():
     alg = families.make_cl1("s", 5)
-    assert entry(alg, 2, 1) == 3 * D + 5 * X - S
+    assert alg.graded_entry(2, 1) == 3 * D + 5 * X - S
     bottom = alg.single_generator(-1)
     import zlca.conformal as conformal
     with pytest.raises(conformal.OutOfWindowError):
@@ -97,14 +90,14 @@ def test_cl1_formula_and_truncation():
 
 def test_cl2_formula():
     alg = families.make_cl2(Fraction(1, 2), 0, range(-2, 3))
-    assert entry(alg, 0, 0) == Fraction(1, 2) * (D + 2 * X)
+    assert alg.graded_entry(0, 0) == Fraction(1, 2) * (D + 2 * X)
     sym = families.make_cl2("b", "s", range(-2, 3))
-    assert entry(sym, 1, -1) == (1 + B) * D + 2 * B * X + 2 * S
+    assert sym.graded_entry(1, -1) == (1 + B) * D + 2 * B * X + 2 * S
 
 
 def test_cl2_spectral():
     alg = families.make_cl2("b", "s", range(-3, 4))
-    data = spectral_data(alg, {"b": 1, "s": 1})
+    data = spectral_data(alg.instantiate({"b": 1, "s": 1}))
     for j in range(-3, 4):
         assert data.lines[j].scale == const(1)
         assert data.lines[j].weight == j + 2
@@ -197,14 +190,14 @@ def test_family_grade0_action_nowhere_zero(name, alg):
      {"s": Fraction(1)}),
 ])
 def test_family_uniform_scale(name, alg, bindings):
-    assert spectral_data(alg, bindings).uniform_scale
+    assert spectral_data(alg.instantiate(bindings)).uniform_scale
 
 
 def test_scl2_support_matches_pairing_bound():
     # exactly one positive grade pairs with degree 0 or 2 against its opposite
     for b in (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(-1)):
         alg = families.make_scl2(b, "s", range(-6, 7))
-        support = classify_support(alg, {"s": 1})
+        support = classify_support(alg.instantiate({"s": 1}))
         special = support.degree0 | support.degree2
         assert special == {abs(int(2 * b))}
 
@@ -212,7 +205,7 @@ def test_scl2_support_matches_pairing_bound():
 def test_make_family_dispatch():
     spec = families.FamilySpec(kind="V", s=Fraction(0), window=(-2, 2))
     alg = families.make_family(spec)
-    assert entry(alg, 0, 0) == D + 2 * X
+    assert alg.graded_entry(0, 0) == D + 2 * X
     with pytest.raises(ValueError):
         families.make_family(families.FamilySpec(kind="SCL2", b="b",
                                                  window=(-6, 6)))

@@ -264,7 +264,8 @@ def test_probe_trivial_on_vir():
 
 def test_probe_accepts_bindings():
     alg = families.make_cl2(F(1, 2), "s", range(-6, 7))
-    report = ideals.simplicity_probe(alg, range(-1, 2), {"s": F(1)})
+    report = ideals.simplicity_probe(alg.instantiate({"s": F(1)}),
+                                     range(-1, 2))
     assert 0 in report.proper_seeds
 
 

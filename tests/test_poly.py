@@ -151,6 +151,28 @@ def test_leading_homogeneous_multiplicative(p, q):
                 == p.leading_homogeneous() * q.leading_homogeneous())
 
 
+def test_affine_parts():
+    zero = ParamPoly.zero()
+    p = (1 + B) * D + 2 * B * X + 2 * S - Fraction(1, 3)
+    assert p.affine_parts() == (1 + B, 2 * B, 2 * S - Fraction(1, 3))
+    assert (S * D).affine_parts() == (S, zero, zero)
+    assert (X + 5).affine_parts() == (zero, const(1), const(5))
+    assert zero.affine_parts() == (zero, zero, zero)
+    for bad in (D ** 2, D * X, X ** 2, Y, D + Y, S * X ** 2 + D):
+        assert bad.affine_parts() is None, bad
+
+
+@given(polys())
+def test_affine_parts_rebuild_the_polynomial(p):
+    parts = p.affine_parts()
+    if parts is None:
+        assert p.formal_degree() > 1 or "y" in p.variables()
+    else:
+        a, b, c = parts
+        assert not (a.variables() | b.variables() | c.variables()) & set(FORMAL_VARS)
+        assert a * D + b * X + c == p
+
+
 # -- division --------------------------------------------------------------------
 
 def test_exact_divide_constructed_product():

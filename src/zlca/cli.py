@@ -26,8 +26,8 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, families, feq, gd, grammar, ideals, specfile
-from .conformal import (ConformalAlgebra, NotAffineError, ZeroActionError,
-                        check_jacobi, classify_support,
+from .conformal import (ConformalAlgebra, JacobiBudgetError, NotAffineError,
+                        ZeroActionError, check_jacobi, classify_support,
                         degree_relation_check, spectral_data)
 
 PASS, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
@@ -166,7 +166,10 @@ def _law_violation(section: str, v) -> dict[str, Any]:
 
 def cmd_verify(args) -> int:
     alg = _load_algebra(args.spec, args.bind)
-    jacobi = check_jacobi(alg)
+    try:
+        jacobi = check_jacobi(alg)
+    except JacobiBudgetError as exc:
+        raise InputError(str(exc))
     skew = jacobi.skew
     violations = [_skew_violation(v) for v in skew.violations]
     violations += [_jacobi_violation(v) for v in jacobi.violations]
@@ -233,17 +236,13 @@ def cmd_family(args) -> int:
     top = _parse_count(args.top, "--top")
     if top is not None:
         _check_width(-1, top)
-    spec = families.FamilySpec(
-        kind=args.kind,
-        s=_parse_fraction(args.s) if args.s is not None else None,
-        b=_parse_fraction(args.b) if args.b is not None else None,
-        window=window,
-        top=top,
-        lie_names=lie_names,
-        lie_constants=lie_constants,
-    )
     try:
-        alg = families.make_family(spec)
+        alg = families.make_family(
+            args.kind,
+            s=_parse_fraction(args.s) if args.s is not None else None,
+            b=_parse_fraction(args.b) if args.b is not None else None,
+            window=window, top=top, lie_names=lie_names,
+            lie_constants=lie_constants)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc))
     _emit_spec(specfile.from_algebra(alg), args.output)

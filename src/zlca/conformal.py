@@ -10,7 +10,8 @@ Brackets of arbitrary elements follow by sesquilinearity:
 
 An ``Element`` has coefficients in d; ``bracket`` returns its value as
 ``{target: nonzero polynomial in d, x}``, the shape ``structure`` gives a
-generator pair.
+generator pair.  It is the general route, and the tests' reference for the
+ideal closure, which reads the rank-one table below instead.
 
 Window semantics: a pair whose target grade lies *outside* the window is
 undecidable (the infinite families are truncated, so absence of the grade
@@ -28,9 +29,9 @@ absence already means zero.
 With one generator per grade (every family here) the table is the rank-one
 table ``p_{i,j}(d, x)``, the coefficient of the grade-(i + j) generator in
 the bracket of the grade-i and grade-j ones.  ``graded_entry(i, j)`` is the
-one reader of it: the spectral, degree and support diagnostics and
-``ideals.is_graded_ideal`` take ``p_{i,j}`` from it alone.  The diagnostics
-take no parameter values: bind first, with ``instantiate``.
+one reader of it: the spectral, degree and support diagnostics and the
+ideal check and closure of ``ideals`` take ``p_{i,j}`` from it alone.  The
+diagnostics take no parameter values: bind first, with ``instantiate``.
 
 The Jacobi check, the costly one, expands each triple on the algebra's
 ``poly.Packing`` (integer exponent keys, integer numerators over one common
@@ -398,8 +399,27 @@ def _jacobi_form(alg: ConformalAlgebra, form: str, left: GeneratorId,
     return entry
 
 
+#: Term pairs one ``check_jacobi`` may multiply, so that a hostile table ends
+#: in JacobiBudgetError within seconds instead of running for minutes.  The
+#: tests and reports reach at most about 0.1 M, and the widest window
+#: ``family`` emits, CL2(b, s) on -50..50, 8.3 M (about 5 s).
+MAX_JACOBI_PAIRS = 16_000_000
+
+
+class JacobiBudgetError(ValueError):
+    """The Jacobi check would multiply more than MAX_JACOBI_PAIRS term pairs."""
+
+
+@dataclass
+class PairCount:
+    """Term pairs that one run of the Jacobi check has multiplied so far."""
+
+    pairs: int = 0
+
+
 def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
-                    w: GeneratorId) -> dict[GeneratorId, ParamPoly]:
+                    w: GeneratorId, count: PairCount | None = None
+                    ) -> dict[GeneratorId, ParamPoly]:
     """Defect of the Jacobi identity on one generator triple.
 
     Expanding [u_x [v_y w]] - [[u_x v]_{x+y} w] - [v_y [u_x w]] over the
@@ -427,9 +447,15 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     - each residual is a sum of numerators over ``den**2``, so it is zero
       exactly when every integer numerator is zero, and only nonzero
       residuals are unpacked.
+
+    Each product adds its term pairs to ``count`` (a fresh one when None)
+    before it runs, and JacobiBudgetError ends the run once the count passes
+    MAX_JACOBI_PAIRS.
     """
     acc: dict[GeneratorId, Packed] = {}
     mul_add = Packing.mul_add
+    if count is None:
+        count = PairCount()
 
     def accumulate(inner_form: str, first: GeneratorId, second: GeneratorId,
                    outer_form: str, outer_pair) -> None:
@@ -438,6 +464,11 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
             for t, left in inner.items():
                 outer = _jacobi_form(alg, outer_form, *outer_pair(t))
                 for r, right in outer.items():
+                    count.pairs += len(left) * len(right)
+                    if count.pairs > MAX_JACOBI_PAIRS:
+                        raise JacobiBudgetError(f"the Jacobi check needs "
+                                                f"more than {MAX_JACOBI_PAIRS} "
+                                                f"term pairs")
                     target = acc.get(r)
                     if target is None:
                         target = acc[r] = {}
@@ -484,7 +515,8 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
 
     When skew-symmetry holds, ordered triples u <= v <= w suffice; a broken
     skew check forfeits that reduction, so all ordered triples are scanned
-    instead (the algebra is then never certified on the cheap path).
+    instead (the algebra is then never certified on the cheap path).  All
+    triples share one PairCount, so MAX_JACOBI_PAIRS bounds the whole check.
     """
     skew = check_skew(alg)
     gens = alg.generators
@@ -498,9 +530,10 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
         triples = ((a, b, c) for a in gens for b in gens for c in gens)
     checked = skipped = 0
     violations: list[JacobiViolation] = []
+    count = PairCount()
     for (a, b, c) in triples:
         try:
-            residual = jacobi_residual(alg, a, b, c)
+            residual = jacobi_residual(alg, a, b, c, count)
         except OutOfWindowTripleError:
             skipped += 1
             continue

@@ -21,7 +21,6 @@ allows (SCL2 needs a concrete rational b because the grading depends on it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
@@ -30,6 +29,7 @@ from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
 from .poly import D, X, ParamPoly, as_poly, param
 
 Coefficientish = Union[int, Fraction, str, ParamPoly]
+LieConstants = Mapping[tuple[str, str], Mapping[str, Coefficientish]]
 SPECIAL_NAME = "M"
 
 
@@ -60,8 +60,7 @@ def make_vir() -> ConformalAlgebra:
     return ConformalAlgebra([gen], {(gen, gen): {gen: D + 2 * X}})
 
 
-def make_current(names: Iterable[str],
-                 constants: Mapping[tuple[str, str], Mapping[str, Coefficientish]]
+def make_current(names: Iterable[str], constants: LieConstants
                  ) -> ConformalAlgebra:
     """Current conformal algebra of a finite-dimensional Lie algebra.
 
@@ -207,47 +206,41 @@ def make_scl2_literal(b: Fraction, s: Coefficientish,
     return ConformalAlgebra(gens.values(), graded_table(gens, entry))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family request as it arrives from the command line."""
-
-    kind: str  # Vir | Cur | V | CL1 | CL2 | SCL2 | SCL2Literal
-    s: Optional[Coefficientish] = None
-    b: Optional[Coefficientish] = None
-    window: Optional[tuple[int, int]] = None
-    top: Optional[int] = None
-    lie_names: Optional[tuple[str, ...]] = None
-    lie_constants: Optional[Mapping[tuple[str, str], Mapping[str, Coefficientish]]] = None
-
-
-def make_family(spec: FamilySpec) -> ConformalAlgebra:
-    kind = spec.kind
+def make_family(kind: str, *, s: Optional[Coefficientish] = None,
+                b: Optional[Coefficientish] = None,
+                window: Optional[tuple[int, int]] = None,
+                top: Optional[int] = None,
+                lie_names: Optional[tuple[str, ...]] = None,
+                lie_constants: Optional[LieConstants] = None
+                ) -> ConformalAlgebra:
+    """The family ``kind`` (Vir, Cur, V, CL1, CL2, SCL2 or SCL2Literal) as
+    the command line requests it: ``s`` and ``b`` default to symbolic,
+    ``window`` is an inclusive (low, high) pair and CL1 takes ``top``."""
     if kind == "Vir":
         return make_vir()
     if kind == "Cur":
-        if spec.lie_names is None or spec.lie_constants is None:
+        if lie_names is None or lie_constants is None:
             raise ValueError("Cur requires Lie structure constants")
-        return make_current(spec.lie_names, spec.lie_constants)
+        return make_current(lie_names, lie_constants)
+    s = s if s is not None else "s"
     if kind == "CL1":
-        if spec.window is not None and spec.window[0] != -1:
+        if window is not None and window[0] != -1:
             raise ValueError("CL1 windows start at grade -1")
-        top = spec.top if spec.top is not None else (
-            spec.window[1] if spec.window else None)
+        top = top if top is not None else (window[1] if window else None)
         if top is None:
             raise ValueError("CL1 requires a top grade")
-        return make_cl1(spec.s if spec.s is not None else "s", top)
-    if spec.window is None:
+        return make_cl1(s, top)
+    if window is None:
         raise ValueError(f"{kind} requires a window")
-    window = range(spec.window[0], spec.window[1] + 1)
-    s = spec.s if spec.s is not None else "s"
+    grades = range(window[0], window[1] + 1)
     if kind == "V":
-        return make_v(s, window)
-    b = spec.b if spec.b is not None else "b"
+        return make_v(s, grades)
+    b = b if b is not None else "b"
     if kind == "CL2":
-        return make_cl2(b, s, window)
+        return make_cl2(b, s, grades)
     if kind in ("SCL2", "SCL2Literal"):
         if isinstance(b, str):
             raise ValueError("SCL2 requires a rational b")
         maker = make_scl2 if kind == "SCL2" else make_scl2_literal
-        return maker(Fraction(b), s, window)
+        return maker(Fraction(b), s, grades)
     raise ValueError(f"unknown family kind {kind!r}")

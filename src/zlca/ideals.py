@@ -7,29 +7,32 @@ with constant generator normalizes to full, so components are stored as a
 map grade -> monic generator with q = 1 meaning full and a missing grade
 meaning zero.
 
-Membership of a bracket value q_v(d+x) p(d, x) L_w in the grade-w component
-is exact divisibility by q_w as a polynomial in d (the bracket variable and
-any parameters ride along as transparent coefficients), which is what the
-canonical-order division computes when the divisor is monic in d.
+Every bracket is one landing formula on the rank-one table: a component
+q(d) L_j bracketed with L_i lands as p_{i,j}(d, x) q(d+x) L_{i+j}, with
+p_{i,j} from ``graded_entry`` and q shifted once per use, not once per pair
+(``conformal.bracket``, the general sesquilinear route, is the tests'
+reference).  The value lies in the target component exactly when that
+component's generator divides it as a polynomial in d (the bracket variable
+and any parameters ride along as transparent coefficients), which is what
+the canonical-order division computes when the divisor is monic in d.
 
 ``ideal_generated_by`` is a worklist fixpoint.  It keeps the grades whose
 component changed since they were last bracketed, brackets only those against
-the window generators, and accumulates at each landing grade the gcd in d of
-all coefficient polynomials (split by powers of the bracket variable).  A
-pair whose landing grade is already full is skipped: the gcd with 1 is 1.
-Brackets escaping the window are counted; any escape makes the result a
-lower bound of the true ideal, which the simplicity probe therefore reports
-as evidence at truncation, never proof.
+the window generators, and accumulates at each landing grade the gcd in d
+(``poly.gcd_in_d``) of all coefficient polynomials (split by powers of the
+bracket variable).  A pair whose landing grade is already full is skipped:
+the gcd with 1 is 1.  Brackets escaping the window are counted; any escape
+makes the result a lower bound of the true ideal, which the simplicity probe
+therefore reports as evidence at truncation, never proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .conformal import ConformalAlgebra, Element, GeneratorId, bracket
-from .poly import DEL, LAM, MU, D, X, ParamPoly, as_poly
+from .conformal import ConformalAlgebra, Element, GeneratorId
+from .poly import DEL, LAM, MU, D, X, ParamPoly, as_poly, gcd_in_d
 
 FULL = ParamPoly.const(1)
 
@@ -121,19 +124,19 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> IdealReport:
     for grade in sub.grades():
         if grade not in alg.window:
             raise ValueError(f"submodule grade {grade} is outside the window")
+    shifted = {grade: sub.generator(grade).substitute(DEL, D + X)
+               for grade in sub.grades()}
     checked = skipped = 0
     witnesses: list[IdealWitness] = []
     for u_grade in sorted(alg.window):
         u = alg.single_generator(u_grade)
-        for v_grade in sub.grades():
+        for v_grade, q_v in shifted.items():
             target_grade = u_grade + v_grade
             if target_grade not in alg.window:
                 skipped += 1
                 continue
             checked += 1
-            q_v = sub.generator(v_grade)
-            value = (alg.graded_entry(u_grade, v_grade)
-                     * q_v.substitute(DEL, D + X))
+            value = alg.graded_entry(u_grade, v_grade) * q_v
             if value.is_zero():
                 continue
             q_w = sub.generator(target_grade)
@@ -149,36 +152,6 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> IdealReport:
 
 
 # -- closure --------------------------------------------------------------------
-
-def _gcd_in_d(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic gcd of two rational polynomials in d alone."""
-    def coeffs(p: ParamPoly) -> list[Fraction]:
-        split = p.coefficients_in(DEL)
-        deg = max(split) if split else 0
-        return [split.get(i, ParamPoly.zero()).as_fraction()
-                for i in range(deg + 1)]
-
-    fa, fb = coeffs(a), coeffs(b)
-
-    def normalize(c: list[Fraction]) -> list[Fraction]:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    fa, fb = normalize(fa), normalize(fb)
-    while fb:
-        # remainder of fa by fb
-        while len(fa) >= len(fb) and fa:
-            factor = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, cb in enumerate(fb):
-                fa[i + shift] -= factor * cb
-            fa = normalize(fa)
-        fa, fb = fb, fa
-    lead = fa[-1]
-    return ParamPoly({((DEL, e),) if e else (): c / lead
-                      for e, c in enumerate(fa) if c})
-
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -228,7 +201,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
             if coef.params():
                 raise ValueError("closure requires an instantiated seed")
             current = state.get(grade)
-            new = coef.monic() if current is None else _gcd_in_d(current, coef)
+            new = coef.monic() if current is None else gcd_in_d(current, coef)
             if new != current:
                 state[grade] = new
                 grew = True
@@ -248,9 +221,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
             if v_grade not in pending:
                 continue
             pending.discard(v_grade)
-            q_v = state[v_grade]
-            v = alg.single_generator(v_grade)
-            member = Element({v: q_v})
+            q_v = state[v_grade].substitute(DEL, D + X)
             for u_grade in sorted(alg.window):
                 target_grade = u_grade + v_grade
                 if target_grade not in alg.window:
@@ -258,12 +229,10 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
                     continue
                 if state.get(target_grade) == FULL:
                     continue
-                u = alg.single_generator(u_grade)
-                value = bracket(alg, Element.generator(u), member)
-                for target, poly in value.items():
-                    if absorb(target.grade, poly):
-                        pending.add(target.grade)
-                        changed = True
+                if absorb(target_grade,
+                          alg.graded_entry(u_grade, v_grade) * q_v):
+                    pending.add(target_grade)
+                    changed = True
         if not changed:
             converged = True
             break

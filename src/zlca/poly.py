@@ -32,6 +32,9 @@ terms, and exact division.
 monomial is one ``int`` whose bit fields hold the exponents, each coefficient
 an ``int`` numerator over a denominator shared by a whole set of polynomials.
 It converts from and back to ``ParamPoly`` and exposes nothing else.
+
+``gcd_in_d`` is the one polynomial gcd: the monic gcd of two polynomials in
+d alone, with which the ideal closure accumulates its components.
 """
 
 from __future__ import annotations
@@ -543,6 +546,39 @@ def const(value: Scalar) -> ParamPoly:
 
 def as_poly(value: Coefficient) -> ParamPoly:
     return ParamPoly._coerce(value)
+
+
+def gcd_in_d(a: ParamPoly, b: ParamPoly) -> ParamPoly:
+    """Monic gcd of two rational polynomials in d alone (Euclid on their
+    coefficient lists).  Raises ValueError when x, y or a parameter occurs,
+    and ZeroPolynomialError when both are zero."""
+    def coeffs(p: ParamPoly) -> list[Fraction]:
+        split = p.coefficients_in(DEL)
+        deg = max(split) if split else 0
+        return [split.get(i, _ZERO).as_fraction() for i in range(deg + 1)]
+
+    fa, fb = coeffs(a), coeffs(b)
+
+    def normalize(c: list[Fraction]) -> list[Fraction]:
+        while c and not c[-1]:
+            c.pop()
+        return c
+
+    fa, fb = normalize(fa), normalize(fb)
+    if not fa and not fb:
+        raise ZeroPolynomialError("the gcd of two zero polynomials")
+    while fb:
+        # remainder of fa by fb
+        while len(fa) >= len(fb) and fa:
+            factor = fa[-1] / fb[-1]
+            shift = len(fa) - len(fb)
+            for i, cb in enumerate(fb):
+                fa[i + shift] -= factor * cb
+            fa = normalize(fa)
+        fa, fb = fb, fa
+    lead = fa[-1]
+    return ParamPoly({((DEL, e),) if e else (): c / lead
+                      for e, c in enumerate(fa) if c})
 
 
 # -- packed monomials with integer numerators -----------------------------------

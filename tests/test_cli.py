@@ -1,14 +1,23 @@
 """CLI: spec files, reports, exit codes, determinism."""
 
+import copy
 import io
+import itertools
 import json
+import os
+import tempfile
 import textwrap
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from zlca import cli, ideals, specfile
+from zlca import cli, families, gd, ideals, specfile
+from zlca.conformal import MAX_JACOBI_PAIRS
 from zlca.poly import D, X, ParamPoly
 
 
@@ -264,6 +273,39 @@ def test_spec_term_budget(tmp_path):
             with pytest.raises(specfile.SpecFileError,
                                match=f"{cap + 1} terms exceed {cap}"):
                 specfile.loads(text)
+
+
+def _monomials(names, limit, top=3):
+    """The first ``limit`` monomials in ``names``, exponents up to ``top``,
+    as spec text."""
+    terms = ("*".join(f"{v}^{e}" for v, e in zip(names, exps) if e) or "1"
+             for exps in itertools.product(range(top + 1), repeat=len(names)))
+    return " + ".join(itertools.islice(terms, limit))
+
+
+@pytest.mark.parametrize("params, extra", [
+    (["a", "b", "c", "e", "f", "s"], _monomials("abcef", 600)),
+    (["a", "s"], " + ".join([f"d^{i}*x^{j}*a^{k}" for k in range(7)
+                             for i in range(13) for j in range(13 - i)][:600])),
+], ids=["five-params", "formal"])
+def test_verify_work_budget(tmp_path, params, extra):
+    # Every V(s) -3..3 entry gains about 600 terms, within MAX_TABLE_TERMS:
+    # the spec loads at once, but its Jacobi check would run for minutes.
+    # It stops once it has spent MAX_JACOBI_PAIRS term pairs, in seconds.
+    path = tmp_path / "v.json"
+    assert run(["family", "V", "--window=-3..3", "-o", str(path)])[0] == 0
+    spec = json.loads(path.read_text())
+    spec["params"] = params
+    for row in spec["brackets"]:
+        row["terms"][0]["poly"] += " + " + extra
+    path.write_text(json.dumps(spec))
+    specfile.loads(path.read_text())
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (
+        f"the Jacobi check needs more than {MAX_JACOBI_PAIRS} term pairs")
+    assert time.perf_counter() - start < 60
 
 
 def test_spec_generator_budget(tmp_path):
@@ -727,3 +769,100 @@ def test_main_calls_share_no_state(tmp_path):
     third = cli._parser().parse_args(["probe", "a.json", "--core=0..0"])
     assert (first.bind, second.bind, third.bind) == (["s=1"], ["b=2"], None)
     assert cli._parser() is cli._parser()
+
+
+# -- fuzz: every command on a mutated spec ends in a verdict or an input error ---
+
+def _fuzz_base(spec, submodule=None):
+    out = spec.to_json_dict()
+    if submodule is not None:
+        out["submodule"] = submodule
+    return out
+
+
+#: An SCL2(1/2, s) window with a submodule pattern, and an A2 window in GD form.
+FUZZ_BASES = [
+    _fuzz_base(specfile.from_algebra(
+        families.make_scl2(Fraction(1, 2), "s", range(-3, 4))),
+        {"-1": "d + 2*s", "0": "full", "1": "full", "2": "zero"}),
+    _fuzz_base(specfile.from_gd(gd.gd_a2("b", "s", range(-2, 3)))),
+]
+POLY_TEXTS = ["d + 2*x", "0", "", "1/0", "d^16", "(d + x + 1)^12", "x^13",
+              "y", "t", "s^16*d^12", "2*d + x + s", "d*y", "((((d))))",
+              "-" * 40 + "d", "9" * 30, "d + x + b + s", "s^2*x - d"]
+GRADE_VALUES = [True, False, "0", "x", 0.5, 1e300, 10 ** 40, -10 ** 40, None,
+                [], 7, -7, 2, 0, -1]
+NAME_VALUES = ["L0", "L1", "L-1", "M", "", "L0 ", "L9", 0, None, "ü"]
+PARAM_VALUES = [[], ["s"], ["s", "s"], ["d"], ["x"], ["S"], [1], "s",
+                ["s", "t"], ["a", "b", "c", "e", "s"]]
+PATTERN_KEYS = ["-1", "0", "3", "1.5", "abc", "9" * 30, "-3", "x"]
+PATTERN_VALUES = ["full", "zero", "d + 2*s", "d", "2*d", "x", "d^16",
+                  "d + 1/0", "", 3, None]
+
+
+def _mutate_pattern(draw, pattern):
+    pattern[draw(st.sampled_from(PATTERN_KEYS))] = draw(
+        st.sampled_from(PATTERN_VALUES))
+
+
+@st.composite
+def mutated_specs_and_patterns(draw):
+    """A base spec with up to three mutations of its parts, and a pattern
+    file: the base's pattern with up to two mutations of its own."""
+    spec = copy.deepcopy(draw(st.sampled_from(FUZZ_BASES)))
+    pattern = dict(spec.get("submodule", FUZZ_BASES[0]["submodule"]))
+    for _ in range(draw(st.integers(0, 2))):
+        _mutate_pattern(draw, pattern)
+    for _ in range(draw(st.integers(0, 3))):
+        rows = spec[draw(st.sampled_from(
+            [key for key in ("brackets", "products") if key in spec]))]
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["poly", "poly", "grade", "name",
+                                     "params", "duplicate", "pattern"]))
+        if kind == "poly" and row["terms"]:
+            term = draw(st.sampled_from(row["terms"]))
+            term["poly"] = draw(st.sampled_from(POLY_TEXTS))
+        elif kind == "grade":
+            gen = draw(st.sampled_from(spec["generators"]))
+            gen["grade"] = draw(st.sampled_from(GRADE_VALUES))
+        elif kind == "name":
+            name = draw(st.sampled_from(NAME_VALUES))
+            field = draw(st.sampled_from(["generator", "left", "right",
+                                          "target"]))
+            if field == "generator":
+                draw(st.sampled_from(spec["generators"]))["name"] = name
+            elif field == "target" and row["terms"]:
+                draw(st.sampled_from(row["terms"]))["target"] = name
+            elif field != "target":
+                row[field] = name
+        elif kind == "params":
+            spec["params"] = draw(st.sampled_from(PARAM_VALUES))
+        elif kind == "duplicate":
+            rows.append(copy.deepcopy(row))
+        else:
+            _mutate_pattern(draw, spec.setdefault("submodule", {}))
+    return spec, pattern
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_specs_and_patterns())
+def test_every_command_on_a_mutated_spec_exits_0_1_or_2(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        pattern = os.path.join(tmp, "pattern.json")
+        for name, payload in zip((path, pattern), case):
+            with open(name, "w", encoding="utf-8") as handle:
+                json.dump(payload, handle)
+        for argv in (["verify", path],
+                     ["probe", path, "--core=-1..1", "--bind", "s=1"],
+                     ["ideal-check", path],
+                     ["ideal-check", path, "--pattern", pattern],
+                     ["gd", "check", path], ["gd", "to-lca", path],
+                     ["gd", "from-lca", path]):
+            code, out, err = run(argv)
+            assert code in (0, 1, 2), (argv[0], err)
+            if code == 2:
+                assert out == "" and "error" in json.loads(err), argv[0]
+            else:
+                assert err == "" and json.loads(out), argv[0]

@@ -198,11 +198,12 @@ def test_jacobi_triple_out_of_window():
 
 # -- the packed kernel against the ParamPoly expansion ----------------------------
 
-def reference_jacobi_residual(alg, u, v, w):
+def reference_jacobi_residual(alg, u, v, w, count=None):
     """The Jacobi residual expanded in ``ParamPoly`` arithmetic, uncached.
 
     The same sums as ``jacobi_residual``, with every substitution and product
-    done on ``ParamPoly`` values, and the same undecidable points.
+    done on ``ParamPoly`` values, and the same undecidable points.  It takes
+    the pair count ``check_jacobi`` passes and spends none of it.
     """
     acc = {}
 
@@ -305,6 +306,24 @@ def test_entries_at_the_spec_caps_match_reference(monkeypatch):
     assert conformal._packing(alg).width == 6
     report = assert_matches_reference(alg, monkeypatch)
     assert not report.ok
+
+
+def test_jacobi_pair_budget(monkeypatch):
+    # One check_jacobi spends one count: its term pairs are the sum over the
+    # triples it decides, and a budget one pair short of that ends it.
+    alg = families.make_cl2("b", "s", range(-2, 3))
+    count = conformal.PairCount()
+    for triple in itertools.combinations_with_replacement(alg.generators, 3):
+        try:
+            jacobi_residual(alg, *triple, count)
+        except OutOfWindowTripleError:
+            pass
+    assert count.pairs == 1108
+    monkeypatch.setattr(conformal, "MAX_JACOBI_PAIRS", count.pairs)
+    assert check_jacobi(alg).ok
+    monkeypatch.setattr(conformal, "MAX_JACOBI_PAIRS", count.pairs - 1)
+    with pytest.raises(conformal.JacobiBudgetError):
+        check_jacobi(alg)
 
 
 def test_jacobi_cache_is_per_algebra():

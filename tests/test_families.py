@@ -203,14 +203,12 @@ def test_scl2_support_matches_pairing_bound():
 
 
 def test_make_family_dispatch():
-    spec = families.FamilySpec(kind="V", s=Fraction(0), window=(-2, 2))
-    alg = families.make_family(spec)
+    alg = families.make_family("V", s=Fraction(0), window=(-2, 2))
     assert alg.graded_entry(0, 0) == D + 2 * X
     with pytest.raises(ValueError):
-        families.make_family(families.FamilySpec(kind="SCL2", b="b",
-                                                 window=(-6, 6)))
+        families.make_family("SCL2", b="b", window=(-6, 6))
     with pytest.raises(ValueError):
-        families.make_family(families.FamilySpec(kind="nope"))
+        families.make_family("nope")
 
 
 # -- the grade-formula constructors against explicit loops ---------------------------

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from zlca import families, ideals
-from zlca.conformal import Element, bracket
-from zlca.poly import LAM, D, X, ParamPoly, const, param
+from zlca.conformal import (ConformalAlgebra, Element, bracket,
+                            graded_generators, graded_table)
+from zlca.poly import DEL, LAM, D, X, ParamPoly, const, gcd_in_d, param
 
 S = param("s")
 
@@ -123,7 +124,7 @@ def reference_closure(alg, seed, max_iterations=64):
         for coef in poly.coefficients_in(LAM).values():
             current = state.get(grade)
             new = coef.monic() if current is None \
-                else ideals._gcd_in_d(current, coef)
+                else gcd_in_d(current, coef)
             if new != current:
                 state[grade] = new
                 grew = True
@@ -205,6 +206,65 @@ def test_worklist_closure_matches_full_rescan_under_the_guard():
         for cap in range(changing + 2):
             closure = _same_closure(alg, seed, max_iterations=cap)
             assert closure.converged == (cap == changing + 1)
+
+
+def test_closure_lands_like_the_general_bracket():
+    # [L_i x q(d) L_j] = p_{i,j}(d, x) q(d+x) L_{i+j}: the value both ideal
+    # routines land, against the sesquilinear bracket.
+    alg = families.make_scl2(F(1, 2), 1, range(-3, 4))
+    for q in (const(1), D + 2, (D + 1) * (D - F(1, 3))):
+        for i in alg.window:
+            for j in alg.window:
+                if i + j not in alg.window:
+                    continue
+                value = bracket(alg, Element.generator(alg.single_generator(i)),
+                                Element({alg.single_generator(j): q}))
+                landed = alg.graded_entry(i, j) * q.substitute(DEL, D + X)
+                assert value == ({alg.single_generator(i + j): landed}
+                                 if landed else {}), (i, j, q)
+
+
+def non_skew_cl2():
+    """CL2(1, -1) on -2..2 with two entries perturbed, so that p_{-2,0} = 0
+    while p_{0,-2} = d - 2: not skew-symmetric, and landing p_{j,i} in
+    place of p_{i,j} would reach grade -2 from the seed L_{-1}."""
+    gens = graded_generators(range(-2, 3))
+    perturbed = {(-1, 2): -D + X + 1, (-2, 0): D - 2}
+
+    def entry(i, j):
+        return (families.cl2_entry(const(1), const(-1), i, j)
+                + perturbed.get((i, j), 0))
+
+    return ConformalAlgebra(gens.values(), graded_table(gens, entry))
+
+
+def test_closure_and_check_land_p_i_j_not_p_j_i():
+    alg = non_skew_cl2()
+    assert alg.graded_entry(-2, 0).is_zero()
+    assert alg.graded_entry(0, -2) == D - 2
+    closure = _same_closure(alg, Element.generator(alg.single_generator(-1)))
+    assert closure.converged
+    assert closure.submodule == ideals.GradedSubmodule.full_on(range(-1, 3))
+    # grade 0 (full) brackets with L_{-2} to p_{-2,0} = 0, not to d - 2
+    assert ideals.is_graded_ideal(alg, closure.submodule).closed
+
+
+@pytest.mark.parametrize("b, window", [(1, range(-5, 6)),
+                                       (F(1, 2), range(-4, 5))])
+def test_closure_and_check_agree_on_the_scl2_pattern(b, window):
+    # In CL2(b, 1) the SCL2 pattern (d + 2 at grade -2b, full elsewhere) is
+    # closed: seeded with it, the closure adds nothing.  With its shift moved
+    # to d + 3 it is not closed, and the closure grows to everything.
+    alg = families.make_cl2(b, 1, window)
+    for shift, closed in ((2, True), (3, False)):
+        pattern = scl2_pattern(window, int(-2 * b), shift)
+        seed = Element({alg.single_generator(g): pattern.generator(g)
+                        for g in window})
+        closure = _same_closure(alg, seed)
+        assert closure.converged
+        assert closure.submodule == (pattern if closed else
+                                     ideals.GradedSubmodule.full_on(window))
+        assert ideals.is_graded_ideal(alg, pattern).closed == closed
 
 
 def test_closure_is_sound():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from zlca.poly import (D, X, Y, FORMAL_VARS, MINUS_INFINITY, NotDivisibleError,
                        Packing, ParamPoly, SubstituteParamError,
-                       ZeroPolynomialError, const, mono_mul, param)
+                       ZeroPolynomialError, const, gcd_in_d, mono_mul, param)
 
 S = param("s")
 B = param("b")
@@ -200,6 +200,55 @@ def test_divide_by_zero_rejected():
 def test_divide_inverts_multiplication(p, q):
     if not q.is_zero():
         assert (p * q).exact_divide(q) == p
+
+
+# -- gcd in d ----------------------------------------------------------------------
+
+def d_polys(max_degree=3):
+    """Polynomials in d alone, the zero polynomial included."""
+    return st.lists(rationals(), max_size=max_degree + 1).map(
+        lambda coeffs: sum((c * D ** e for e, c in enumerate(coeffs)),
+                           ParamPoly.zero()))
+
+
+def test_gcd_in_d_examples():
+    assert gcd_in_d((D + 1) * (D - 2), 3 * (D - 2) * (D + 5)) == D - 2
+    assert gcd_in_d(2 * D + 4, ParamPoly.zero()) == D + 2
+    assert gcd_in_d(ParamPoly.zero(), const(Fraction(-1, 3))) == const(1)
+    assert gcd_in_d(D ** 2 + 1, D + 1) == const(1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(d_polys(), d_polys(), d_polys(2))
+def test_gcd_in_d_is_monic_and_matches_sympy(a, b, common):
+    sympy = pytest.importorskip("sympy")
+    a, b = a * common, b * common
+    if a.is_zero() and b.is_zero():
+        return
+    got = gcd_in_d(a, b)
+    assert got.leading_coefficient() == 1
+    assert got.divides(a) and got.divides(b)
+    d = sympy.Symbol("d")
+
+    def to_sympy(p):
+        return sympy.sympify(str(p).replace("^", "**"))
+
+    want = sympy.Poly(sympy.gcd(to_sympy(a), to_sympy(b)), d,
+                      domain="QQ").monic()
+    assert sympy.expand(to_sympy(got) - want.as_expr()) == 0
+
+
+def test_gcd_in_d_refuses_other_variables():
+    for other in (X, Y, S, D * S + 1):
+        with pytest.raises(ValueError, match="not a rational constant"):
+            gcd_in_d(D + 1, D + other)
+        with pytest.raises(ValueError, match="not a rational constant"):
+            gcd_in_d(other, D)
+
+
+def test_gcd_in_d_of_two_zeros_is_refused():
+    with pytest.raises(ZeroPolynomialError):
+        gcd_in_d(ParamPoly.zero(), ParamPoly.zero())
 
 
 # -- instantiation ----------------------------------------------------------------

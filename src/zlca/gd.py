@@ -14,13 +14,20 @@ formula in the grades, handed to ``conformal.graded_table``; A1 is not
 written separately, since A1 = A2(1) on the grades >= -1, and ``make_a1``
 builds it so.
 
-The law checks work over basis positions.  Each check numbers the sorted
-basis once and reads a table as ``rows[i][j]``: a tuple of (position,
-coefficient) pairs, or None where undecidable.  A law is a signed sum of
-composites such as (x o y) o z, each memoised by its position triple for the
-length of one check call, so a composite shared by several laws is computed
-once.  A law is skipped at its first undecidable part, before any arithmetic,
-and positions become basis elements again only in a reported violation.
+The law checks work over basis positions and packed coefficients.  Each
+check numbers the sorted basis once, builds one ``poly.Packing`` from every
+coefficient it reads (``check_gd`` one for both tables, so the product and
+the bracket share one key layout and one denominator ``den``), and packs each
+coefficient once: ``rows[i][j]`` is a tuple of (position, packed) pairs, or
+None where undecidable.  A law is a signed sum of composites such as
+(x o y) o z, each memoised by its position triple for the length of one check
+call, so a composite shared by several laws is computed once.  A composite is
+a product of two entries, so its integer numerators are over ``den**2`` and
+the packing's width holds its exponents; antisymmetry, which sums single
+entries, weights them by ``den`` to match.  A law is skipped at its first
+undecidable part, before any arithmetic, and fails exactly when some
+numerator of its sum is nonzero.  Only a reported violation is unpacked, its
+positions to basis elements and its residual to ``ParamPoly``.
 
 The correspondence with quadratic Lie conformal algebras:
 
@@ -41,7 +48,7 @@ from typing import Iterable, Optional, Sequence
 
 from .conformal import (ConformalAlgebra, GeneratorId, StructureTable,
                         graded_generators, graded_table)
-from .poly import D, X, ParamPoly, as_poly, param
+from .poly import D, X, Packed, Packing, ParamPoly, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
 
@@ -115,17 +122,25 @@ def _add(a: Combination, b: Combination, sign: int = 1) -> Combination:
     return {g: c for g, c in out.items() if c}
 
 
-#: A table entry over basis positions: (position, coefficient) pairs, or None
-#: when the entry is undecidable.
-Entry = Optional[tuple[tuple[int, ParamPoly], ...]]
+#: A table entry over basis positions: (position, packed coefficient) pairs,
+#: or None when the entry is undecidable.
+Entry = Optional[tuple[tuple[int, Packed], ...]]
 
 
-def _positions(table: StructureTable) -> list[list[Entry]]:
-    """The table as rows[i][j], i and j positions in the sorted basis."""
+def _packing(*tables: StructureTable) -> Packing:
+    """One packed format for every coefficient of the tables."""
+    return Packing(c for table in tables for row in table._table.values()
+                   for c in row.values())
+
+
+def _positions(table: StructureTable, packing: Packing) -> list[list[Entry]]:
+    """The table as rows[i][j], i and j positions in the sorted basis, each
+    coefficient packed once (numerators over ``packing.den``)."""
     index = {g: k for k, g in enumerate(table.basis)}
+    pack = packing.pack
     rows: list[list[Entry]] = [[None] * len(index) for _ in index]
     for (u, v), combo in table._table.items():
-        rows[index[u]][index[v]] = tuple((index[w], c)
+        rows[index[u]][index[v]] = tuple((index[w], pack(c))
                                          for w, c in combo.items())
     return rows
 
@@ -134,18 +149,23 @@ def _extend(combo: Entry, line: Sequence[Entry]) -> Entry:
     """Sum of coef * line[t] over a combination; None when a needed entry is.
 
     ``line`` is a row of a table (a fixed left factor) or a column (a fixed
-    right factor), so one helper extends a product on either side.
+    right factor), so one helper extends a product on either side.  The
+    numerators of the result are over ``den**2``; zeros may remain.
     """
     if combo is None:
         return None
-    acc: dict[int, ParamPoly] = {}
+    acc: dict[int, Packed] = {}
+    mul_add = Packing.mul_add
     for t, coef in combo:
         got = line[t]
         if got is None:
             return None
         for w, k in got:
-            acc[w] = acc[w] + coef * k if w in acc else coef * k
-    return tuple((w, c) for w, c in acc.items() if c)
+            target = acc.get(w)
+            if target is None:
+                target = acc[w] = {}
+            mul_add(target, coef, k)
+    return tuple(acc.items())
 
 
 def _composites(inner: list[list[Entry]], outer: list[list[Entry]]):
@@ -186,26 +206,33 @@ class LawReport:
         return not self.violations
 
 
-def _signed_sum(parts) -> Optional[dict[int, ParamPoly]]:
-    """The sum of sign * part(*positions) over the parts of one law.
+def _signed_sum(parts) -> Optional[dict[int, Packed]]:
+    """The sum of weight * part(*positions) over the parts of one law.
 
-    None at the first undecidable part, before any arithmetic is done.
+    None at the first undecidable part, before any arithmetic is done.  The
+    weights are signed integers that bring every part to numerators over
+    ``den**2``; the residuals that are not all zero are returned packed.
     """
     values = []
-    for sign, part, positions in parts:
+    for weight, part, positions in parts:
         value = part(*positions)
         if value is None:
             return None
-        values.append((sign, value))
-    acc: dict[int, ParamPoly] = {}
-    for sign, value in values:
-        for w, coef in value:
-            coef = coef if sign > 0 else -coef
-            acc[w] = acc[w] + coef if w in acc else coef
-    return {w: c for w, c in acc.items() if c}
+        values.append((weight, value))
+    acc: dict[int, Packed] = {}
+    for weight, value in values:
+        for w, packed in value:
+            target = acc.get(w)
+            if target is None:
+                target = acc[w] = {}
+            get = target.get
+            for k, n in packed.items():
+                target[k] = get(k, 0) + weight * n
+    return {w: p for w, p in acc.items() if any(p.values())}
 
 
-def _scan(basis: tuple[GeneratorId, ...], laws) -> LawReport:
+def _scan(basis: tuple[GeneratorId, ...], packing: Packing,
+          laws) -> LawReport:
     """Tally ``(positions, law, parts)`` laws; see ``_signed_sum``."""
     checked = skipped = 0
     violations: list[LawViolation] = []
@@ -218,7 +245,8 @@ def _scan(basis: tuple[GeneratorId, ...], laws) -> LawReport:
         if residual:
             violations.append(LawViolation(
                 law, tuple(basis[p] for p in positions),
-                tuple((basis[w], c) for w, c in sorted(residual.items()))))
+                tuple((basis[w], packing.unpack(p))
+                      for w, p in sorted(residual.items()))))
     return LawReport(checked, skipped, tuple(violations))
 
 
@@ -231,7 +259,8 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
     Each law is a signed sum of the memoised composites (x o y) o z and
     x o (y o z), so every triple's two composites are computed once.
     """
-    rows = _positions(nov)
+    packing = _packing(nov)
+    rows = _positions(nov, packing)
     right, left = _composites(rows, rows)
 
     def laws():
@@ -242,31 +271,35 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
             yield abc, "right-commutativity", ((1, right, abc),
                                                (-1, right, (a, c, b)))
 
-    return _scan(nov.basis, laws())
+    return _scan(nov.basis, packing, laws())
 
 
 def check_lie(lie: LieStructure) -> LawReport:
     """Antisymmetry on pairs and the Jacobi identity on triples.
 
     The three cyclic terms [[a, b], c] of a Jacobi law are one memoised
-    composite read at three rotations of the triple.
+    composite read at three rotations of the triple.  Antisymmetry sums
+    single entries, whose numerators are over ``den``; its weight ``den``
+    brings them over ``den**2`` like the composites.
     """
-    rows = _positions(lie)
+    packing = _packing(lie)
+    rows = _positions(lie, packing)
     right, _ = _composites(rows, rows)
+    den = packing.den
 
     def entry(x: int, y: int) -> Entry:
         return rows[x][y]
 
     def laws():
         for a, b in itertools.product(range(len(rows)), repeat=2):
-            yield (a, b), "antisymmetry", ((1, entry, (a, b)),
-                                           (1, entry, (b, a)))
+            yield (a, b), "antisymmetry", ((den, entry, (a, b)),
+                                           (den, entry, (b, a)))
         for a, b, c in itertools.product(range(len(rows)), repeat=3):
             yield (a, b, c), "jacobi", ((1, right, (a, b, c)),
                                         (1, right, (b, c, a)),
                                         (1, right, (c, a, b)))
 
-    return _scan(lie.basis, laws())
+    return _scan(lie.basis, packing, laws())
 
 
 def check_gd(g: GDAlgebra) -> LawReport:
@@ -275,9 +308,11 @@ def check_gd(g: GDAlgebra) -> LawReport:
         [a o b, c] - [a o c, b] + [a, b] o c - [a, c] o b - a o [b, c] = 0
 
     The terms come from three memoised composites: [x o y, z], [x, y] o z
-    and x o [y, z].
+    and x o [y, z].  Both tables share one packing, so the composites of
+    either order have one key layout and one ``den``.
     """
-    nov, lie = _positions(g.nov), _positions(g.lie)
+    packing = _packing(g.nov, g.lie)
+    nov, lie = _positions(g.nov, packing), _positions(g.lie, packing)
     bracket_of_product, _ = _composites(nov, lie)
     product_of_bracket, product_by_bracket = _composites(lie, nov)
 
@@ -289,7 +324,7 @@ def check_gd(g: GDAlgebra) -> LawReport:
                 (1, product_of_bracket, abc), (-1, product_of_bracket, acb),
                 (-1, product_by_bracket, abc))
 
-    return _scan(g.basis, laws())
+    return _scan(g.basis, packing, laws())
 
 
 # -- truncated families ---------------------------------------------------------

@@ -28,10 +28,11 @@ first by *formal* degree (parameters do not count), then lexicographically by
 exponents along the precedence above.  The same order drives printing, leading
 terms, and exact division.
 
-``Packing`` is a second format for one hot loop, the Jacobi residual: each
-monomial is one ``int`` whose bit fields hold the exponents, each coefficient
-an ``int`` numerator over a denominator shared by a whole set of polynomials.
-It converts from and back to ``ParamPoly`` and exposes nothing else.
+``Packing`` is a second format for two hot loops, the Jacobi residual and
+the Gel'fand-Dorfman law checks: each monomial is one ``int`` whose bit
+fields hold the exponents, each coefficient an ``int`` numerator over a
+denominator shared by a whole set of polynomials.  It converts from and back
+to ``ParamPoly`` and exposes nothing else.
 
 ``gcd_in_d`` is the one polynomial gcd: the monic gcd of two polynomials in
 d alone, with which the ideal closure accumulates its components.
@@ -285,7 +286,7 @@ class ParamPoly:
         if isinstance(value, ParamPoly):
             return value
         if isinstance(value, (int, Fraction)):
-            return ParamPoly.const(value)
+            return ParamPoly.const(value) if value else _ZERO
         raise TypeError(f"cannot treat {value!r} as a polynomial")
 
     def __add__(self, other: Coefficient) -> "ParamPoly":

@@ -400,19 +400,42 @@ def _current_gd():
          ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}}))
 
 
+def _fractional_skew_gd():
+    """A2(1/3) with s = 2/5 whose [L1, L0] is 3/7 L1, not 2/5 L1.
+
+    The bracket's entries are over 35, and antisymmetry fails on (L0, L1)
+    and (L1, L0) by the fraction 1/35.
+    """
+    g = gd.gd_a2(Fraction(1, 3), Fraction(2, 5), range(-2, 3))
+    one, zero = gen_of(g, "L1"), gen_of(g, "L0")
+    table = {p: g.lie.entry(*p) for p in g.lie.pairs()}
+    table[(one, zero)] = {one: const(Fraction(3, 7))}
+    return gd.GDAlgebra(g.nov, gd.LieStructure(g.basis, table))
+
+
+# Besides the families, the cases cover what packed coefficients can get
+# wrong: a product and a bracket over different denominators (one ``den``
+# for both tables), b only in the product and s only in the bracket at
+# another degree (one key layout and width for both), and an antisymmetry
+# violation by a fraction (single entries are over ``den``, composites over
+# ``den**2``).  Each case has ten mutants with deltas of degree at most 1
+# in the parameters and ten with deltas of degree 2.
 EQUIVALENCE_CASES = {
     "a1": lambda: gd.gd_a1("s", 3),
     "a2_symbolic": lambda: gd.gd_a2("b", "s", range(-2, 3)),
     "a2_bound": lambda: gd.gd_a2(Fraction(1, 3), Fraction(2), range(-2, 3)),
+    "a2_two_denominators": lambda: gd.gd_a2(Fraction(1, 3), Fraction(2, 5),
+                                            range(-2, 3)),
+    "a2_b_product_s_squared_bracket": lambda: gd.gd_a2("b", S * S,
+                                                       range(-2, 3)),
+    "fractional_antisymmetry": _fractional_skew_gd,
     "a3": _a3_gd,
     "current": _current_gd,
 }
 
 
-def _mutants(g, rng, count):
-    """g itself, then copies with changed, added or deleted table entries."""
-    yield g
-    deltas = [const(1), const(-2), const(Fraction(1, 2)), B, S - 1]
+def _mutants(g, rng, count, deltas):
+    """Copies of g with changed, added or deleted table entries."""
     for _ in range(count):
         tables = [{p: g.nov.entry(*p) for p in g.nov.pairs()},
                   {p: g.lie.entry(*p) for p in g.lie.pairs()}]
@@ -433,9 +456,17 @@ def _mutants(g, rng, count):
 
 @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
 def test_law_checks_match_the_reference(case):
-    rng = random.Random(f"gd-equivalence-{case}")
+    base = EQUIVALENCE_CASES[case]()
+    # the degree-2 mutants draw from an rng of their own, so adding them
+    # leaves the other mutants as they were
+    algebras = [
+        base,
+        *_mutants(base, random.Random(f"gd-equivalence-{case}"), 10,
+                  [const(1), const(-2), const(Fraction(1, 2)), B, S - 1]),
+        *_mutants(base, random.Random(f"gd-equivalence-{case}-degree-2"), 10,
+                  [B * S, B * B])]
     violations = 0
-    for g in _mutants(EQUIVALENCE_CASES[case](), rng, 10):
+    for g in algebras:
         for check, reference, arg in (
                 (gd.check_novikov, reference_check_novikov, g.nov),
                 (gd.check_lie, reference_check_lie, g.lie),

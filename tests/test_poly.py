@@ -43,6 +43,11 @@ def test_adding_scalar_zero_returns_the_polynomial():
     assert p - 0 is p
     assert p + Fraction(0) is p
     assert p - Fraction(0) is p
+    assert p * 0 == ParamPoly.zero() == 0 * p
+    assert not p * Fraction(0)
+    # a zero scalar is the shared zero polynomial, with no polynomial built
+    for zero in (0, Fraction(0)):
+        assert ParamPoly._coerce(zero) is ParamPoly.zero()
 
 
 @settings(max_examples=60, deadline=None)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, families, feq, gd, grammar, ideals, specfile
-from .conformal import (ConformalAlgebra, JacobiBudgetError, NotAffineError,
+from .conformal import (ConformalAlgebra, NotAffineError, PairBudgetError,
                         ZeroActionError, check_jacobi, classify_support,
                         degree_relation_check, spectral_data)
 
@@ -35,8 +35,8 @@ PASS, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 #: Integer arguments (window bounds, ``--top``, ``--full``) have at most this
 #: many ASCII digits, and a window holds at most MAX_WINDOW_GRADES grades, so
 #: hostile sizes end in an input error instead of a crash or a long run.  A
-#: spec file is held to the same number of generators.
-MAX_BOUND_DIGITS = 4
+#: spec file is held to the same number of generators and grade digits.
+MAX_BOUND_DIGITS = specfile.MAX_GRADE_DIGITS
 MAX_WINDOW_GRADES = specfile.MAX_GENERATORS
 
 
@@ -166,10 +166,7 @@ def _law_violation(section: str, v) -> dict[str, Any]:
 
 def cmd_verify(args) -> int:
     alg = _load_algebra(args.spec, args.bind)
-    try:
-        jacobi = check_jacobi(alg)
-    except JacobiBudgetError as exc:
-        raise InputError(str(exc))
+    jacobi = check_jacobi(alg)
     skew = jacobi.skew
     violations = [_skew_violation(v) for v in skew.violations]
     violations += [_jacobi_violation(v) for v in jacobi.violations]
@@ -485,7 +482,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, specfile.SpecFileError) as exc:
+    except (InputError, specfile.SpecFileError, PairBudgetError) as exc:
         _emit({"error": str(exc)}, sys.stderr)
         return INPUT_ERROR
     except Exception as exc:

@@ -33,17 +33,22 @@ one reader of it: the spectral, degree and support diagnostics and the
 ideal check and closure of ``ideals`` take ``p_{i,j}`` from it alone.  The
 diagnostics take no parameter values: bind first, with ``instantiate``.
 
-The Jacobi check, the costly one, expands each triple on the algebra's
-``poly.Packing`` (integer exponent keys, integer numerators over one common
-denominator) and converts back to ``ParamPoly`` only the residuals that are
-nonzero; ``jacobi_residual`` says why that is exact.
+Every law check, skew and Jacobi here and the Novikov, Lie and
+compatibility laws of ``gd``, runs on one engine: table entries read by
+basis position on one ``poly.Packing``, composites (``_extend``) that spend
+one ``PairCount`` per check, laws as ``_signed_sum`` of weighted parts, and
+only failing residuals unpacked (``_decide``); ``jacobi_residual`` says why
+that is exact.
 """
 
 from __future__ import annotations
 
+import itertools
+from operator import getitem
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Optional, Sequence)
 
 from .poly import DEL, LAM, MU, Packed, Packing, ParamPoly, Scalar, as_poly
 
@@ -182,6 +187,7 @@ class StructureTable:
             clean[(u, v)] = entry
         self.params = frozenset(used)
         self._table = clean
+        self._position = {g: k for k, g in enumerate(self.basis)}
 
     def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
                coef: ParamPoly) -> None:
@@ -226,11 +232,10 @@ class ConformalAlgebra(StructureTable):
         self.generators = self.basis
         self.window = frozenset(g.grade for g in self.basis)
         self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
-        # Packed, substituted table entries for jacobi_residual, filled on
-        # demand: (form, left, right) -> {target: packed poly}.
+        # The packing and the packed, substituted table entries of the
+        # axiom checks, made on first use by ``_lines``.
         self._packing: Packing | None = None
-        self._jacobi_forms: dict[tuple[str, GeneratorId, GeneratorId],
-                                 dict[GeneratorId, Packed]] = {}
+        self._jacobi_forms: dict[str, list[_Line]] = {}
         for g in self.basis:
             self._by_grade.setdefault(g.grade, ())
             self._by_grade[g.grade] += (g,)
@@ -310,6 +315,128 @@ def bracket(alg: ConformalAlgebra, a: Element, b: Element
     return {w: poly for w, poly in acc.items() if poly}
 
 
+# -- the law engine ---------------------------------------------------------
+
+#: A table entry by basis position: (target position, packed coefficient)
+#: pairs, or None when the entry is undecidable.
+Entry = Optional[tuple[tuple[int, Packed], ...]]
+
+#: Term pairs one law check may multiply, so that a hostile table ends in
+#: PairBudgetError within seconds instead of running for minutes.  The tests
+#: and reports reach at most about 0.1 M per check; the widest window
+#: ``family`` emits, CL2(b, s) on -50..50, needs 8.3 M for its Jacobi check.
+MAX_PAIRS = 16_000_000
+
+
+class PairBudgetError(ValueError):
+    """A law check would multiply more than MAX_PAIRS term pairs."""
+
+
+@dataclass
+class PairCount:
+    """The term pairs one law check, named ``check``, has multiplied."""
+
+    check: str
+    pairs: int = 0
+
+
+def _packing(*tables: StructureTable) -> Packing:
+    """One packed format for every coefficient of the tables."""
+    return Packing(c for table in tables for row in table._table.values()
+                   for c in row.values())
+
+
+def _extend(combo: Entry, line: Sequence[Entry] | Mapping[int, Entry],
+            count: PairCount) -> Entry:
+    """Sum of coef * line[t] over a combination; None when a needed entry is.
+
+    ``line`` is a row of a table or a column, by basis position, so one
+    helper extends a product on either side.  Each product spends its term
+    pairs from ``count`` before it runs.  The numerators of the result are
+    over ``den**2``; zeros may remain.
+    """
+    if combo is None:
+        return None
+    acc: dict[int, Packed] = {}
+    mul_add = Packing.mul_add
+    for t, coef in combo:
+        got = line[t]
+        if got is None:
+            return None
+        for w, k in got:
+            count.pairs += len(coef) * len(k)
+            if count.pairs > MAX_PAIRS:
+                raise PairBudgetError(f"{count.check} needs more than "
+                                      f"{MAX_PAIRS} term pairs")
+            target = acc.get(w)
+            if target is None:
+                target = acc[w] = {}
+            mul_add(target, coef, k)
+    return tuple(acc.items())
+
+
+def _signed_sum(parts) -> Optional[dict[int, Packed]]:
+    """The sum of weight * part(*args) over the parts of one law.
+
+    None at the first undecidable part, before any arithmetic is done.  The
+    weights are signed integers that bring every part to numerators over
+    ``den**2``; the residuals that are not all zero are returned packed.
+    """
+    values = []
+    for weight, part, args in parts:
+        value = part(*args)
+        if value is None:
+            return None
+        values.append((weight, value))
+    acc: dict[int, Packed] = {}
+    for weight, value in values:
+        for w, packed in value:
+            target = acc.get(w)
+            if target is None:
+                target = acc[w] = {}
+            get = target.get
+            for k, n in packed.items():
+                target[k] = get(k, 0) + weight * n
+    return {w: p for w, p in acc.items() if any(p.values())}
+
+
+@dataclass(frozen=True)
+class LawReport:
+    """The laws one check decided and skipped, and the violations it found:
+    ``SkewViolation`` here, ``gd.LawViolation`` in ``gd``."""
+
+    checked: int
+    skipped: int
+    violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def _decide(laws, basis: tuple[GeneratorId, ...], packing: Packing,
+            violations) -> LawReport:
+    """Decide ``(positions, name, parts)`` laws by ``_signed_sum``.
+
+    A failing law adds ``violations(name, elements, residual)`` to the
+    report; its residual is the only one unpacked, as (element, ParamPoly)
+    pairs in basis order.
+    """
+    checked = skipped = 0
+    found: list = []
+    for positions, name, parts in laws:
+        residual = _signed_sum(parts)
+        if residual is None:
+            skipped += 1
+            continue
+        checked += 1
+        if residual:
+            found += violations(name, tuple(basis[p] for p in positions),
+                                tuple((basis[w], packing.unpack(residual[w]))
+                                      for w in sorted(residual)))
+    return LawReport(checked, skipped, tuple(found))
+
+
 # -- axiom checks -------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -320,101 +447,78 @@ class SkewViolation:
     residual: ParamPoly
 
 
-@dataclass(frozen=True)
-class SkewReport:
-    checked: int
-    skipped: int
-    violations: tuple[SkewViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_skew(alg: ConformalAlgebra) -> SkewReport:
-    """Skew-symmetry in coefficients: p_{u,v}(d, x) + p_{v,u}(d, -d-x) = 0."""
-    flip = -(ParamPoly.variable(DEL) + ParamPoly.variable(LAM))
-    checked = skipped = 0
-    violations: list[SkewViolation] = []
-    gens = alg.generators
-    for i, u in enumerate(gens):
-        for v in gens[i:]:
-            if u.grade + v.grade not in alg.window:
-                skipped += 1
-                continue
-            checked += 1
-            forward = alg.structure(u, v)
-            backward = alg.structure(v, u)
-            for w in sorted(set(forward) | set(backward)):
-                residual = (forward.get(w, ParamPoly.zero())
-                            + backward.get(w, ParamPoly.zero())
-                            .substitute(LAM, flip))
-                if residual:
-                    violations.append(SkewViolation(u, v, w, residual))
-    return SkewReport(checked, skipped, tuple(violations))
-
-
-#: The substitutions the Jacobi expansion applies to table entries, as data:
-#: form -> (sign, chain).  Each step ``(var, s, variables)`` of a chain
-#: replaces ``var`` by ``s * (sum of variables)``; the steps run in order.
-#: The inner forms of the two subtracted terms carry their minus sign.
+#: The substitutions the axiom checks apply to table entries, as data:
+#: form -> chain.  Each step ``(var, s, variables)`` of a chain replaces
+#: ``var`` by ``s * (sum of variables)``; the steps run in order.  The
+#: checks read every form by rows but ``tw``, which they read by columns.
 _JACOBI_FORMS = {
-    "plain": (1, ()),
-    "inner_vw": (1, ((LAM, 1, (MU,)), (DEL, 1, (DEL, LAM)))),
-    "inner_uv": (-1, ((DEL, -1, (LAM, MU)),)),
-    "outer_tw": (1, ((LAM, 1, (LAM, MU)),)),
-    "inner_uw": (-1, ((DEL, 1, (DEL, MU)),)),
-    "outer_vt": (1, ((LAM, 1, (MU,)),)),
+    "plain": (),
+    "flip": ((LAM, -1, (DEL, LAM)),),
+    "vw": ((LAM, 1, (MU,)), (DEL, 1, (DEL, LAM))),
+    "uv": ((DEL, -1, (LAM, MU)),),
+    "tw": ((LAM, 1, (LAM, MU)),),
+    "uw": ((DEL, 1, (DEL, MU)),),
+    "vt": ((LAM, 1, (MU,)),),
 }
 
 
-def _packing(alg: ConformalAlgebra) -> Packing:
-    """The algebra's packed format, built from its table on first use."""
+class _Line(dict):
+    """Row ``k`` of the table under one form (column ``k`` for ``tw``), by
+    basis position.  An entry is packed and substituted on first read and
+    kept; it is None where its target grade is outside the window, where
+    ``structure`` raises.  A line holds the parts of the algebra it reads,
+    not the algebra, which holds its lines: no reference cycle."""
+
+    def __init__(self, parts: tuple, form: str, k: int):
+        super().__init__()
+        self.parts, self.form, self.k = parts, form, k
+
+    def __missing__(self, t: int) -> Entry:
+        gens, window, table, position, packing = self.parts
+        u, v = gens[self.k], gens[t]
+        if self.form == "tw":
+            u, v = v, u
+        entry = None
+        if u.grade + v.grade in window:
+            entry = []
+            for target, poly in table.get((u, v), {}).items():
+                packed = packing.pack(poly)
+                for var, s, variables in _JACOBI_FORMS[self.form]:
+                    packed = packing.substitute(packed, var, s, variables)
+                entry.append((position[target], packed))
+            entry = tuple(entry)
+        self[t] = entry
+        return entry
+
+
+def _lines(alg: ConformalAlgebra) -> dict[str, list[_Line]]:
+    """Form -> the lines of the table under it, with the algebra's packing
+    made from its table on first use and kept on the algebra."""
     if alg._packing is None:
-        alg._packing = Packing(p for entry in alg._table.values()
-                               for p in entry.values())
-    return alg._packing
+        alg._packing = _packing(alg)
+        parts = (alg.generators, alg.window, alg._table, alg._position,
+                 alg._packing)
+        alg._jacobi_forms = {form: [_Line(parts, form, k)
+                                    for k in range(len(alg.generators))]
+                             for form in _JACOBI_FORMS}
+    return alg._jacobi_forms
 
 
-def _jacobi_form(alg: ConformalAlgebra, form: str, left: GeneratorId,
-                 right: GeneratorId) -> dict[GeneratorId, Packed]:
-    """One packed table entry under one Jacobi form, cached on the algebra.
+def check_skew(alg: ConformalAlgebra) -> LawReport:
+    """Skew-symmetry in coefficients: p_{u,v}(d, x) + p_{v,u}(d, -d-x) = 0.
 
-    Raises OutOfWindowError exactly as ``structure`` does; only in-window
-    entries are cached.
+    Antisymmetry with the ``flip`` form on the second entry: both entries
+    are single, over ``den``, so each has the weight ``den``.
     """
-    key = (form, left, right)
-    entry = alg._jacobi_forms.get(key)
-    if entry is None:
-        packing = _packing(alg)
-        sign, chain = _JACOBI_FORMS[form]
-        entry = {}
-        for t, poly in alg.structure(left, right).items():
-            packed = packing.pack(poly)
-            for var, s, variables in chain:
-                packed = packing.substitute(packed, var, s, variables)
-            entry[t] = (packed if sign > 0
-                        else {k: -n for k, n in packed.items()})
-        alg._jacobi_forms[key] = entry
-    return entry
-
-
-#: Term pairs one ``check_jacobi`` may multiply, so that a hostile table ends
-#: in JacobiBudgetError within seconds instead of running for minutes.  The
-#: tests and reports reach at most about 0.1 M, and the widest window
-#: ``family`` emits, CL2(b, s) on -50..50, 8.3 M (about 5 s).
-MAX_JACOBI_PAIRS = 16_000_000
-
-
-class JacobiBudgetError(ValueError):
-    """The Jacobi check would multiply more than MAX_JACOBI_PAIRS term pairs."""
-
-
-@dataclass
-class PairCount:
-    """Term pairs that one run of the Jacobi check has multiplied so far."""
-
-    pairs: int = 0
+    lines = _lines(alg)
+    den = alg._packing.den
+    gens = alg.generators
+    laws = (((i, j), "skew", ((den, getitem, (lines["plain"][i], j)),
+                              (den, getitem, (lines["flip"][j], i))))
+            for i, j in itertools.combinations_with_replacement(
+                range(len(gens)), 2))
+    return _decide(laws, gens, alg._packing, lambda _, pair, terms: [
+        SkewViolation(*pair, w, residual) for w, residual in terms])
 
 
 def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
@@ -434,9 +538,8 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     an inner bracket's grade is missing, or when some inner bracket is
     nonzero and the total grade is missing.
 
-    The sums run on the algebra's ``Packing``: packed monomials with integer
-    numerators over one common denominator ``den``, each substituted entry
-    computed once per algebra by ``_jacobi_form``.  The result is exact:
+    The residual is the ``_signed_sum`` of three ``_extend`` composites of
+    the entries ``_lines`` caches.  It is exact:
 
     - the substitutions are linear and homogeneous with integer
       coefficients, so they keep the total degree of every monomial and the
@@ -448,42 +551,27 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
       exactly when every integer numerator is zero, and only nonzero
       residuals are unpacked.
 
-    Each product adds its term pairs to ``count`` (a fresh one when None)
-    before it runs, and JacobiBudgetError ends the run once the count passes
-    MAX_JACOBI_PAIRS.
+    The products spend term pairs from ``count`` (a fresh one when None).
     """
-    acc: dict[GeneratorId, Packed] = {}
-    mul_add = Packing.mul_add
+    a, b, c = (alg._position[g] for g in (u, v, w))
+    lines = _lines(alg)
     if count is None:
-        count = PairCount()
+        count = PairCount("the Jacobi check")
 
-    def accumulate(inner_form: str, first: GeneratorId, second: GeneratorId,
-                   outer_form: str, outer_pair) -> None:
-        try:
-            inner = _jacobi_form(alg, inner_form, first, second)
-            for t, left in inner.items():
-                outer = _jacobi_form(alg, outer_form, *outer_pair(t))
-                for r, right in outer.items():
-                    count.pairs += len(left) * len(right)
-                    if count.pairs > MAX_JACOBI_PAIRS:
-                        raise JacobiBudgetError(f"the Jacobi check needs "
-                                                f"more than {MAX_JACOBI_PAIRS} "
-                                                f"term pairs")
-                    target = acc.get(r)
-                    if target is None:
-                        target = acc[r] = {}
-                    mul_add(target, left, right)
-        except OutOfWindowError:
-            raise OutOfWindowTripleError((u, v, w)) from None
+    def composite(inner: str, x: int, y: int, line: _Line) -> Entry:
+        return _extend(lines[inner][x][y], line, count)
 
-    # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
-    accumulate("inner_vw", v, w, "plain", lambda t: (u, t))
-    # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
-    accumulate("inner_uv", u, v, "outer_tw", lambda t: (t, w))
-    # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
-    accumulate("inner_uw", u, w, "outer_vt", lambda t: (v, t))
-    return {r: alg._packing.unpack(packed) for r, packed in acc.items()
-            if any(packed.values())}
+    residual = _signed_sum((
+        # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
+        (1, composite, ("vw", b, c, lines["plain"][a])),
+        # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
+        (-1, composite, ("uv", a, b, lines["tw"][c])),
+        # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
+        (-1, composite, ("uw", a, c, lines["vt"][b]))))
+    if residual is None:
+        raise OutOfWindowTripleError((u, v, w))
+    return {alg.generators[r]: alg._packing.unpack(packed)
+            for r, packed in residual.items()}
 
 
 @dataclass(frozen=True)
@@ -498,7 +586,7 @@ class JacobiReport:
     checked: int
     skipped: int
     violations: tuple[JacobiViolation, ...]
-    skew: SkewReport
+    skew: LawReport
 
     @property
     def ok(self) -> bool:
@@ -516,31 +604,24 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     When skew-symmetry holds, ordered triples u <= v <= w suffice; a broken
     skew check forfeits that reduction, so all ordered triples are scanned
     instead (the algebra is then never certified on the cheap path).  All
-    triples share one PairCount, so MAX_JACOBI_PAIRS bounds the whole check.
+    triples share one PairCount, so MAX_PAIRS bounds the whole check.
     """
     skew = check_skew(alg)
     gens = alg.generators
-    if skew.ok:
-        triples: Iterable[tuple[GeneratorId, GeneratorId, GeneratorId]] = (
-            (gens[i], gens[j], gens[k])
-            for i in range(len(gens))
-            for j in range(i, len(gens))
-            for k in range(j, len(gens)))
-    else:
-        triples = ((a, b, c) for a in gens for b in gens for c in gens)
+    triples = (itertools.combinations_with_replacement(gens, 3) if skew.ok
+               else itertools.product(gens, repeat=3))
     checked = skipped = 0
     violations: list[JacobiViolation] = []
-    count = PairCount()
-    for (a, b, c) in triples:
+    count = PairCount("the Jacobi check")
+    for triple in triples:
         try:
-            residual = jacobi_residual(alg, a, b, c, count)
+            residual = jacobi_residual(alg, *triple, count)
         except OutOfWindowTripleError:
             skipped += 1
             continue
         checked += 1
-        for target in sorted(residual):
-            violations.append(JacobiViolation((a, b, c), target,
-                                              residual[target]))
+        violations += (JacobiViolation(triple, target, residual[target])
+                       for target in sorted(residual))
     return JacobiReport(checked, skipped, tuple(violations), skew)
 
 

@@ -14,20 +14,11 @@ formula in the grades, handed to ``conformal.graded_table``; A1 is not
 written separately, since A1 = A2(1) on the grades >= -1, and ``make_a1``
 builds it so.
 
-The law checks work over basis positions and packed coefficients.  Each
-check numbers the sorted basis once, builds one ``poly.Packing`` from every
-coefficient it reads (``check_gd`` one for both tables, so the product and
-the bracket share one key layout and one denominator ``den``), and packs each
-coefficient once: ``rows[i][j]`` is a tuple of (position, packed) pairs, or
-None where undecidable.  A law is a signed sum of composites such as
-(x o y) o z, each memoised by its position triple for the length of one check
-call, so a composite shared by several laws is computed once.  A composite is
-a product of two entries, so its integer numerators are over ``den**2`` and
-the packing's width holds its exponents; antisymmetry, which sums single
-entries, weights them by ``den`` to match.  A law is skipped at its first
-undecidable part, before any arithmetic, and fails exactly when some
-numerator of its sum is nonzero.  Only a reported violation is unpacked, its
-positions to basis elements and its residual to ``ParamPoly``.
+The law checks run on the law engine of ``conformal``, each with one
+``poly.Packing`` (``check_gd`` one for both tables) and one ``PairCount``.
+A law is a signed sum of composites such as (x o y) o z, each memoised by
+its position triple for one check call, so a composite shared by several
+laws is computed once.
 
 The correspondence with quadratic Lie conformal algebras:
 
@@ -44,11 +35,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Optional, Sequence
+from operator import getitem
+from typing import Iterable
 
-from .conformal import (ConformalAlgebra, GeneratorId, StructureTable,
-                        graded_generators, graded_table)
-from .poly import D, X, Packed, Packing, ParamPoly, as_poly, param
+from .conformal import (ConformalAlgebra, Entry, GeneratorId, LawReport,
+                        PairCount, StructureTable, _decide, _extend,
+                        _packing, graded_generators, graded_table)
+from .poly import D, X, Packing, ParamPoly, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
 
@@ -122,21 +115,10 @@ def _add(a: Combination, b: Combination, sign: int = 1) -> Combination:
     return {g: c for g, c in out.items() if c}
 
 
-#: A table entry over basis positions: (position, packed coefficient) pairs,
-#: or None when the entry is undecidable.
-Entry = Optional[tuple[tuple[int, Packed], ...]]
-
-
-def _packing(*tables: StructureTable) -> Packing:
-    """One packed format for every coefficient of the tables."""
-    return Packing(c for table in tables for row in table._table.values()
-                   for c in row.values())
-
-
 def _positions(table: StructureTable, packing: Packing) -> list[list[Entry]]:
     """The table as rows[i][j], i and j positions in the sorted basis, each
     coefficient packed once (numerators over ``packing.den``)."""
-    index = {g: k for k, g in enumerate(table.basis)}
+    index = table._position
     pack = packing.pack
     rows: list[list[Entry]] = [[None] * len(index) for _ in index]
     for (u, v), combo in table._table.items():
@@ -145,43 +127,22 @@ def _positions(table: StructureTable, packing: Packing) -> list[list[Entry]]:
     return rows
 
 
-def _extend(combo: Entry, line: Sequence[Entry]) -> Entry:
-    """Sum of coef * line[t] over a combination; None when a needed entry is.
-
-    ``line`` is a row of a table (a fixed left factor) or a column (a fixed
-    right factor), so one helper extends a product on either side.  The
-    numerators of the result are over ``den**2``; zeros may remain.
-    """
-    if combo is None:
-        return None
-    acc: dict[int, Packed] = {}
-    mul_add = Packing.mul_add
-    for t, coef in combo:
-        got = line[t]
-        if got is None:
-            return None
-        for w, k in got:
-            target = acc.get(w)
-            if target is None:
-                target = acc[w] = {}
-            mul_add(target, coef, k)
-    return tuple(acc.items())
-
-
-def _composites(inner: list[list[Entry]], outer: list[list[Entry]]):
+def _composites(inner: list[list[Entry]], outer: list[list[Entry]],
+                count: PairCount):
     """outer(inner(x, y), z) and outer(x, inner(y, z)), memoised by positions.
 
-    The memo lives as long as the two functions, that is one check call.
+    The memo lives as long as the two functions, that is one check call, and
+    their products spend term pairs from ``count``.
     """
     columns = list(zip(*outer))
 
     @cache
     def right(x: int, y: int, z: int) -> Entry:
-        return _extend(inner[x][y], columns[z])
+        return _extend(inner[x][y], columns[z], count)
 
     @cache
     def left(x: int, y: int, z: int) -> Entry:
-        return _extend(inner[y][z], outer[x])
+        return _extend(inner[y][z], outer[x], count)
 
     return right, left
 
@@ -195,61 +156,6 @@ class LawViolation:
     residual: tuple[tuple[GeneratorId, ParamPoly], ...]
 
 
-@dataclass(frozen=True)
-class LawReport:
-    checked: int
-    skipped: int
-    violations: tuple[LawViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def _signed_sum(parts) -> Optional[dict[int, Packed]]:
-    """The sum of weight * part(*positions) over the parts of one law.
-
-    None at the first undecidable part, before any arithmetic is done.  The
-    weights are signed integers that bring every part to numerators over
-    ``den**2``; the residuals that are not all zero are returned packed.
-    """
-    values = []
-    for weight, part, positions in parts:
-        value = part(*positions)
-        if value is None:
-            return None
-        values.append((weight, value))
-    acc: dict[int, Packed] = {}
-    for weight, value in values:
-        for w, packed in value:
-            target = acc.get(w)
-            if target is None:
-                target = acc[w] = {}
-            get = target.get
-            for k, n in packed.items():
-                target[k] = get(k, 0) + weight * n
-    return {w: p for w, p in acc.items() if any(p.values())}
-
-
-def _scan(basis: tuple[GeneratorId, ...], packing: Packing,
-          laws) -> LawReport:
-    """Tally ``(positions, law, parts)`` laws; see ``_signed_sum``."""
-    checked = skipped = 0
-    violations: list[LawViolation] = []
-    for positions, law, parts in laws:
-        residual = _signed_sum(parts)
-        if residual is None:
-            skipped += 1
-            continue
-        checked += 1
-        if residual:
-            violations.append(LawViolation(
-                law, tuple(basis[p] for p in positions),
-                tuple((basis[w], packing.unpack(p))
-                      for w, p in sorted(residual.items()))))
-    return LawReport(checked, skipped, tuple(violations))
-
-
 def check_novikov(nov: NovikovAlgebra) -> LawReport:
     """Left-symmetry and right-commutativity over all decidable triples.
 
@@ -261,7 +167,7 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
     """
     packing = _packing(nov)
     rows = _positions(nov, packing)
-    right, left = _composites(rows, rows)
+    right, left = _composites(rows, rows, PairCount("the Novikov check"))
 
     def laws():
         for a, b, c in itertools.product(range(len(rows)), repeat=3):
@@ -271,7 +177,7 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
             yield abc, "right-commutativity", ((1, right, abc),
                                                (-1, right, (a, c, b)))
 
-    return _scan(nov.basis, packing, laws())
+    return _decide(laws(), nov.basis, packing, lambda *v: [LawViolation(*v)])
 
 
 def check_lie(lie: LieStructure) -> LawReport:
@@ -284,22 +190,19 @@ def check_lie(lie: LieStructure) -> LawReport:
     """
     packing = _packing(lie)
     rows = _positions(lie, packing)
-    right, _ = _composites(rows, rows)
+    right, _ = _composites(rows, rows, PairCount("the Lie check"))
     den = packing.den
-
-    def entry(x: int, y: int) -> Entry:
-        return rows[x][y]
 
     def laws():
         for a, b in itertools.product(range(len(rows)), repeat=2):
-            yield (a, b), "antisymmetry", ((den, entry, (a, b)),
-                                           (den, entry, (b, a)))
+            yield (a, b), "antisymmetry", ((den, getitem, (rows[a], b)),
+                                           (den, getitem, (rows[b], a)))
         for a, b, c in itertools.product(range(len(rows)), repeat=3):
             yield (a, b, c), "jacobi", ((1, right, (a, b, c)),
                                         (1, right, (b, c, a)),
                                         (1, right, (c, a, b)))
 
-    return _scan(lie.basis, packing, laws())
+    return _decide(laws(), lie.basis, packing, lambda *v: [LawViolation(*v)])
 
 
 def check_gd(g: GDAlgebra) -> LawReport:
@@ -313,8 +216,9 @@ def check_gd(g: GDAlgebra) -> LawReport:
     """
     packing = _packing(g.nov, g.lie)
     nov, lie = _positions(g.nov, packing), _positions(g.lie, packing)
-    bracket_of_product, _ = _composites(nov, lie)
-    product_of_bracket, product_by_bracket = _composites(lie, nov)
+    count = PairCount("the compatibility check")
+    bracket_of_product, _ = _composites(nov, lie, count)
+    product_of_bracket, product_by_bracket = _composites(lie, nov, count)
 
     def laws():
         for a, b, c in itertools.product(range(len(nov)), repeat=3):
@@ -324,7 +228,7 @@ def check_gd(g: GDAlgebra) -> LawReport:
                 (1, product_of_bracket, abc), (-1, product_of_bracket, acb),
                 (-1, product_by_bracket, abc))
 
-    return _scan(g.basis, packing, laws())
+    return _decide(laws(), g.basis, packing, lambda *v: [LawViolation(*v)])
 
 
 # -- truncated families ---------------------------------------------------------

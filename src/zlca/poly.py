@@ -28,11 +28,11 @@ first by *formal* degree (parameters do not count), then lexicographically by
 exponents along the precedence above.  The same order drives printing, leading
 terms, and exact division.
 
-``Packing`` is a second format for two hot loops, the Jacobi residual and
-the Gel'fand-Dorfman law checks: each monomial is one ``int`` whose bit
-fields hold the exponents, each coefficient an ``int`` numerator over a
-denominator shared by a whole set of polynomials.  It converts from and back
-to ``ParamPoly`` and exposes nothing else.
+``Packing`` is a second format for one hot loop, the law engine of
+``conformal`` on which skew, Jacobi and the Gel'fand-Dorfman laws are
+checked: each monomial is one ``int`` whose bit fields hold the exponents,
+each coefficient an ``int`` numerator over a denominator shared by a whole
+set of polynomials.  It converts from and back to ``ParamPoly`` only.
 
 ``gcd_in_d`` is the one polynomial gcd: the monic gcd of two polynomials in
 d alone, with which the ideal closure accumulates its components.
@@ -647,7 +647,7 @@ class Packing:
         for v in variables:
             key = 1 << self._shift[v]
             linear[key] = linear.get(key, 0) + sign
-        powers: list[Packed] = [{0: 1}]
+        powers: list[Packed] = [{0: 1}, linear]
         out: Packed = {}
         get = out.get
         for key, num in packed.items():

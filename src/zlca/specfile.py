@@ -28,6 +28,7 @@ keys emitted in sorted order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -103,7 +104,7 @@ class SpecFile:
     def submodule_pattern(self) -> GradedSubmodule:
         if self.submodule is None:
             raise SpecFileError("spec file has no submodule pattern")
-        return parse_pattern(dict(self.submodule))
+        return parse_pattern(self.submodule)
 
     # -- serialization -------------------------------------------------------
 
@@ -134,16 +135,40 @@ class SpecFile:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def parse_pattern(pattern: Mapping[Any, str]) -> GradedSubmodule:
-    """A {grade: "full" | "zero" | polynomial} map as a graded submodule."""
-    components: dict[int, ParamPoly] = {}
-    for key, value in pattern.items():
-        try:
-            grade = int(key)
-        except (TypeError, ValueError):
-            raise SpecFileError(f"submodule grade {key!r} is not an integer")
+#: A submodule grade key has at most this many ASCII digits, as a window
+#: bound on the command line has.
+MAX_GRADE_DIGITS = 4
+
+_GRADE_KEY = re.compile(f"-?[0-9]{{1,{MAX_GRADE_DIGITS}}}")
+
+
+def _pattern_entries(raw: Mapping[Any, Any]) -> tuple[tuple[int, str], ...]:
+    """The (grade, component) pairs of a {grade: component} object, by grade.
+
+    A key is an ASCII integer of at most MAX_GRADE_DIGITS digits, with an
+    optional minus sign; two keys that name one grade, such as "1" and "01",
+    are an error, and so is a component that is not a string.
+    """
+    entries: dict[int, str] = {}
+    for key, value in raw.items():
+        if not (isinstance(key, str) and _GRADE_KEY.fullmatch(key)):
+            raise SpecFileError(f"submodule grade {key!r} is not an integer "
+                                f"of at most {MAX_GRADE_DIGITS} digits")
+        grade = int(key)
+        if grade in entries:
+            raise SpecFileError(f"submodule grade {key!r} repeats grade "
+                                f"{grade}")
         if not isinstance(value, str):
             raise SpecFileError(f"submodule component at {grade} must be a string")
+        entries[grade] = value
+    return tuple(sorted(entries.items()))
+
+
+def parse_pattern(entries: tuple[tuple[int, str], ...]) -> GradedSubmodule:
+    """``_pattern_entries``, each "full", "zero" or a polynomial, as a graded
+    submodule."""
+    components: dict[int, ParamPoly] = {}
+    for grade, value in entries:
         if value == "zero":
             continue
         if value == "full":
@@ -315,16 +340,7 @@ def loads(text: str) -> SpecFile:
     if "submodule" in raw:
         sub_raw = raw["submodule"]
         _require(isinstance(sub_raw, dict), "submodule must be an object")
-        entries = []
-        for key, value in sub_raw.items():
-            try:
-                grade = int(key)
-            except (TypeError, ValueError):
-                raise SpecFileError(f"submodule grade {key!r} is not an integer")
-            _require(isinstance(value, str),
-                     f"submodule component at {grade} must be a string")
-            entries.append((grade, value))
-        submodule = tuple(sorted(entries))
+        submodule = _pattern_entries(sub_raw)
 
     return SpecFile(tuple(sorted(params)), tuple(sorted(generators.values())),
                     brackets, products, submodule)
@@ -340,7 +356,7 @@ def load_pattern(path: str) -> GradedSubmodule:
     if isinstance(raw, dict) and isinstance(raw.get("submodule"), dict):
         raw = raw["submodule"]
     _require(isinstance(raw, dict), "pattern file must be a JSON object")
-    return parse_pattern(raw)
+    return parse_pattern(_pattern_entries(raw))
 
 
 # -- writers --------------------------------------------------------------------

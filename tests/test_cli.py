@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from zlca import cli, families, gd, ideals, specfile
-from zlca.conformal import MAX_JACOBI_PAIRS
+from zlca.conformal import MAX_PAIRS
 from zlca.poly import D, X, ParamPoly
 
 
@@ -291,7 +291,7 @@ def _monomials(names, limit, top=3):
 def test_verify_work_budget(tmp_path, params, extra):
     # Every V(s) -3..3 entry gains about 600 terms, within MAX_TABLE_TERMS:
     # the spec loads at once, but its Jacobi check would run for minutes.
-    # It stops once it has spent MAX_JACOBI_PAIRS term pairs, in seconds.
+    # It stops once it has spent MAX_PAIRS term pairs, in seconds.
     path = tmp_path / "v.json"
     assert run(["family", "V", "--window=-3..3", "-o", str(path)])[0] == 0
     spec = json.loads(path.read_text())
@@ -304,8 +304,32 @@ def test_verify_work_budget(tmp_path, params, extra):
     code, out, err = run(["verify", str(path)])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == (
-        f"the Jacobi check needs more than {MAX_JACOBI_PAIRS} term pairs")
+        f"the Jacobi check needs more than {MAX_PAIRS} term pairs")
     assert time.perf_counter() - start < 60
+
+
+def test_gd_work_budget(tmp_path):
+    # Six generators whose product and bracket rows each carry one 200-term
+    # coefficient in a, b, c: each composite multiplies 40,000 term pairs,
+    # and the Novikov laws alone would need 17.3 M of them.  The Novikov
+    # check stops once it has spent MAX_PAIRS, in seconds.
+    names = [f"L{i}" for i in range(6)]
+    rows = [{"left": u, "right": v,
+             "terms": [{"target": "L0", "poly": _monomials("abc", 200, 7)}]}
+            for u in names for v in names]
+    path = tmp_path / "gd.json"
+    path.write_text(json.dumps({
+        "params": ["a", "b", "c"],
+        "generators": [{"name": u, "grade": 0} for u in names],
+        "products": rows, "brackets": rows}))
+    for command, prefix in (("check", ""), ("to-lca", f"{path}: ")):
+        start = time.perf_counter()
+        code, out, err = run(["gd", command, str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == (
+            f"{prefix}the Novikov check needs more than {MAX_PAIRS} term "
+            f"pairs")
+        assert time.perf_counter() - start < 60
 
 
 def test_spec_generator_budget(tmp_path):

@@ -198,6 +198,30 @@ def test_jacobi_triple_out_of_window():
 
 # -- the packed kernel against the ParamPoly expansion ----------------------------
 
+def reference_check_skew(alg):
+    """Skew-symmetry checked in ``ParamPoly`` arithmetic, unpacked."""
+    flip = -(ParamPoly.variable(DEL) + ParamPoly.variable(LAM))
+    checked = skipped = 0
+    violations = []
+    gens = alg.generators
+    for i, u in enumerate(gens):
+        for v in gens[i:]:
+            if u.grade + v.grade not in alg.window:
+                skipped += 1
+                continue
+            checked += 1
+            forward = alg.structure(u, v)
+            backward = alg.structure(v, u)
+            for w in sorted(set(forward) | set(backward)):
+                residual = (forward.get(w, ParamPoly.zero())
+                            + backward.get(w, ParamPoly.zero())
+                            .substitute(LAM, flip))
+                if residual:
+                    violations.append(conformal.SkewViolation(u, v, w,
+                                                              residual))
+    return conformal.LawReport(checked, skipped, tuple(violations))
+
+
 def reference_jacobi_residual(alg, u, v, w, count=None):
     """The Jacobi residual expanded in ``ParamPoly`` arithmetic, uncached.
 
@@ -233,13 +257,16 @@ def _outcome(residual, alg, triple):
 
 
 def assert_matches_reference(alg, monkeypatch):
-    """Every ordered triple and the whole report agree with the reference."""
+    """Every ordered triple, the skew report and the whole report agree with
+    the references."""
     for triple in itertools.product(alg.generators, repeat=3):
         assert (_outcome(jacobi_residual, alg, triple)
                 == _outcome(reference_jacobi_residual, alg, triple)), triple
     report = check_jacobi(alg)
+    assert report.skew == reference_check_skew(alg)
     with monkeypatch.context() as patch:
         patch.setattr(conformal, "jacobi_residual", reference_jacobi_residual)
+        patch.setattr(conformal, "check_skew", reference_check_skew)
         assert report == check_jacobi(alg)
     return report
 
@@ -295,6 +322,19 @@ def test_random_mutants_match_reference(monkeypatch):
     assert failing >= 6
 
 
+def test_fractional_skew_violation_matches_reference(monkeypatch):
+    # V(1/3) has entries over 3 and the change is over 7, so den = 21 and
+    # the skew residual, a sum of two single entries, is a fraction.
+    alg = families.make_v(THIRD, range(-2, 3))
+    zero, one = alg.single_generator(0), alg.single_generator(1)
+    alg = _with_entry(alg, (one, zero), one, const(Fraction(3, 7)) * X)
+    assert conformal._packing(alg).den == 21
+    report = assert_matches_reference(alg, monkeypatch)
+    assert [(v.left, v.right, v.target, v.residual)
+            for v in report.skew.violations] == [
+        (zero, one, one, const(Fraction(-3, 7)) * (D + X))]
+
+
 def test_entries_at_the_spec_caps_match_reference(monkeypatch):
     # Formal degree 12 and a parameter exponent of 16: total degree 28, so
     # the fields are 6 bits wide and products reach s^32.
@@ -312,17 +352,17 @@ def test_jacobi_pair_budget(monkeypatch):
     # One check_jacobi spends one count: its term pairs are the sum over the
     # triples it decides, and a budget one pair short of that ends it.
     alg = families.make_cl2("b", "s", range(-2, 3))
-    count = conformal.PairCount()
+    count = conformal.PairCount("the Jacobi check")
     for triple in itertools.combinations_with_replacement(alg.generators, 3):
         try:
             jacobi_residual(alg, *triple, count)
         except OutOfWindowTripleError:
             pass
     assert count.pairs == 1108
-    monkeypatch.setattr(conformal, "MAX_JACOBI_PAIRS", count.pairs)
+    monkeypatch.setattr(conformal, "MAX_PAIRS", count.pairs)
     assert check_jacobi(alg).ok
-    monkeypatch.setattr(conformal, "MAX_JACOBI_PAIRS", count.pairs - 1)
-    with pytest.raises(conformal.JacobiBudgetError):
+    monkeypatch.setattr(conformal, "MAX_PAIRS", count.pairs - 1)
+    with pytest.raises(conformal.PairBudgetError):
         check_jacobi(alg)
 
 

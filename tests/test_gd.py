@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zlca import families, gd, specfile
+from zlca import conformal, families, gd, specfile
 from zlca.conformal import GeneratorId, check_jacobi, check_skew
 from zlca.poly import D, X, ParamPoly, as_poly, const, param
 
@@ -476,6 +476,37 @@ def test_law_checks_match_the_reference(case):
             assert got.violations == want.violations
             violations += len(want.violations)
     assert violations > 0
+
+
+def test_gd_pair_budget(monkeypatch):
+    # Each law check spends one PairCount, which check_gd's two composite
+    # memos share; a budget one pair short of what a check spends ends it.
+    counts = []
+
+    class Recorded(conformal.PairCount):
+        def __init__(self, check):
+            super().__init__(check)
+            counts.append(self)
+
+    monkeypatch.setattr(gd, "PairCount", Recorded)
+    g = gd.gd_a2("b", "s", range(-2, 3))
+    for check, arg, name, pairs in (
+            (gd.check_novikov, g.nov, "the Novikov check", 418),
+            (gd.check_lie, g.lie, "the Lie check", 52),
+            (gd.check_gd, g, "the compatibility check", 280)):
+        counts.clear()
+        report = check(arg)
+        assert report.ok and report.checked > 0
+        assert [(count.check, count.pairs) for count in counts] == [
+            (name, pairs)]
+        with monkeypatch.context() as patch:
+            patch.setattr(conformal, "MAX_PAIRS", pairs)
+            assert check(arg) == report
+            patch.setattr(conformal, "MAX_PAIRS", pairs - 1)
+            with pytest.raises(conformal.PairBudgetError,
+                               match=f"^{name} needs more than {pairs - 1} "
+                                     f"term pairs$"):
+                check(arg)
 
 
 # -- the grade-formula constructors against explicit loops ---------------------------

@@ -106,3 +106,36 @@ def test_unmutated_specs_load():
     for text in SPECS:
         assert specfile.loads(text).dumps() == json.dumps(
             json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+#: Submodule keys that name no grade, or a grade another key names: the
+#: spec loader and the pattern-file loader refuse each the same way.
+BAD_GRADE_KEYS = {
+    "plus-sign": ({"0": "zero", "+0": "full"}, "'\\+0' is not an integer"),
+    "fullwidth-digit": ({"１": "full"}, "is not an integer"),
+    "underscore": ({"1_0": "full"}, "'1_0' is not an integer"),
+    "spaces": ({" 2 ": "full"}, "' 2 ' is not an integer"),
+    "five-digits": ({"10000": "full"}, "of at most 4 digits"),
+    "one-grade-twice": ({"1": "full", "01": "zero"},
+                        "'01' repeats grade 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_GRADE_KEYS))
+def test_submodule_grade_keys_are_strict(case, tmp_path):
+    pattern, message = BAD_GRADE_KEYS[case]
+    spec = json.loads(SPECS[3])
+    spec["submodule"] = pattern
+    with pytest.raises(specfile.SpecFileError, match=message):
+        specfile.loads(json.dumps(spec))
+    path = tmp_path / "pattern.json"
+    path.write_text(json.dumps(pattern), encoding="utf-8")
+    with pytest.raises(specfile.SpecFileError, match=message):
+        specfile.load_pattern(str(path))
+
+
+def test_submodule_grade_keys_within_the_rule_load():
+    spec = json.loads(SPECS[3])
+    spec["submodule"] = {"-0": "full", "0012": "zero", "-9999": "d + s"}
+    loaded = specfile.loads(json.dumps(spec))
+    assert loaded.submodule == ((-9999, "d + s"), (0, "full"), (12, "zero"))

@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, families, feq, gd, grammar, ideals, specfile
-from .conformal import (ConformalAlgebra, NotAffineError, PairBudgetError,
-                        ZeroActionError, check_jacobi, classify_support,
-                        degree_relation_check, spectral_data)
+from .conformal import (ConformalAlgebra, LawReport, NotAffineError,
+                        PairBudgetError, ZeroActionError, check_jacobi,
+                        classify_support, degree_relation_check, spectral_data)
 
 PASS, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -146,14 +146,27 @@ def _load_algebra(path: str, bind: Optional[Sequence[str]]) -> ConformalAlgebra:
     return alg.instantiate(bindings) if bindings else alg
 
 
-def _skew_violation(v) -> dict[str, Any]:
-    return {"kind": "skew", "left": v.left.name, "right": v.right.name,
-            "target": v.target.name, "residual": str(v.residual)}
+def _law_report(command: str, laws: dict[str, LawReport],
+                violations: list[dict[str, Any]], **sections: Any
+                ) -> dict[str, Any]:
+    """``_report`` of law checks: counts summed, one section per check."""
+    for name, law in laws.items():
+        sections[name] = {"checked": law.checked, "skipped": law.skipped}
+    return _report(command, sum(law.checked for law in laws.values()),
+                   sum(law.skipped for law in laws.values()), violations,
+                   sections=sections)
 
 
-def _jacobi_violation(v) -> dict[str, Any]:
-    return {"kind": "jacobi", "triple": [g.name for g in v.triple],
-            "target": v.target.name, "residual": str(v.residual)}
+def _axiom_violations(report: LawReport) -> list[dict[str, Any]]:
+    """One entry per target of each skew or Jacobi violation."""
+    entries = []
+    for v in report.violations:
+        names = [g.name for g in v.elements]
+        where = ({"left": names[0], "right": names[1]} if v.law == "skew"
+                 else {"triple": names})
+        entries += ({"kind": v.law, **where, "target": w.name,
+                     "residual": str(p)} for w, p in v.residual)
+    return entries
 
 
 def _law_violation(section: str, v) -> dict[str, Any]:
@@ -167,13 +180,8 @@ def _law_violation(section: str, v) -> dict[str, Any]:
 def cmd_verify(args) -> int:
     alg = _load_algebra(args.spec, args.bind)
     jacobi = check_jacobi(alg)
-    skew = jacobi.skew
-    violations = [_skew_violation(v) for v in skew.violations]
-    violations += [_jacobi_violation(v) for v in jacobi.violations]
-    sections: dict[str, Any] = {
-        "skew": {"checked": skew.checked, "skipped": skew.skipped},
-        "jacobi": {"checked": jacobi.checked, "skipped": jacobi.skipped},
-    }
+    violations = _axiom_violations(jacobi.skew) + _axiom_violations(jacobi)
+    sections: dict[str, Any] = {}
     if not alg.one_generator_per_grade() or 0 not in alg.window:
         sections["spectral"] = {
             "skipped": "requires exactly one generator per grade and a "
@@ -206,9 +214,8 @@ def cmd_verify(args) -> int:
             }
         except (NotAffineError, ZeroActionError) as exc:
             sections["spectral"] = {"error": str(exc)}
-    report = _report("verify", skew.checked + jacobi.checked,
-                     skew.skipped + jacobi.skipped, violations,
-                     sections=sections)
+    report = _law_report("verify", {"skew": jacobi.skew, "jacobi": jacobi},
+                         violations, **sections)
     _emit(report)
     return _exit_code(report)
 
@@ -339,23 +346,13 @@ def cmd_gd(args) -> int:
         _emit_spec(specfile.from_algebra(alg), args.output)
         return PASS
 
-    novikov = gd.check_novikov(structure.nov)
-    lie = gd.check_lie(structure.lie)
-    compat = gd.check_gd(structure)
-    violations = ([_law_violation("novikov", v) for v in novikov.violations]
-                  + [_law_violation("lie", v) for v in lie.violations]
-                  + [_law_violation("gd", v) for v in compat.violations])
-    report = _report(
-        "gd check",
-        novikov.checked + lie.checked + compat.checked,
-        novikov.skipped + lie.skipped + compat.skipped,
-        violations,
-        sections={
-            "novikov": {"checked": novikov.checked, "skipped": novikov.skipped},
-            "lie": {"checked": lie.checked, "skipped": lie.skipped},
-            "compatibility": {"checked": compat.checked,
-                              "skipped": compat.skipped},
-        })
+    laws = {"novikov": gd.check_novikov(structure.nov),
+            "lie": gd.check_lie(structure.lie),
+            "compatibility": gd.check_gd(structure)}
+    violations = [_law_violation(kind, v)
+                  for kind, law in zip(("novikov", "lie", "gd"), laws.values())
+                  for v in law.violations]
+    report = _law_report("gd check", laws, violations)
     _emit(report)
     return _exit_code(report)
 
@@ -370,12 +367,13 @@ def cmd_ideal_check(args) -> int:
         result = ideals.is_graded_ideal(alg, sub)
     except ValueError as exc:
         raise InputError(str(exc))
-    violations = [{"kind": "ideal", "ambient": w.ambient.name,
-                   "submodule_grade": w.submodule_grade,
-                   "target_grade": w.target_grade,
-                   "residual": str(w.residual)} for w in result.witnesses]
+    violations = [{"kind": v.law, "ambient": v.elements[0].name,
+                   "submodule_grade": v.elements[1].grade,
+                   "target_grade": target.grade, "residual": str(residual)}
+                  for v in result.violations
+                  for target, residual in v.residual]
     report = _report("ideal-check", result.checked, result.skipped, violations,
-                     closed=result.closed)
+                     closed=result.ok)
     _emit(report)
     return _exit_code(report)
 

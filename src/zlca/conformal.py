@@ -38,7 +38,8 @@ compatibility laws of ``gd``, runs on one engine: table entries read by
 basis position on one ``poly.Packing``, composites (``_extend``) that spend
 one ``PairCount`` per check, laws as ``_signed_sum`` of weighted parts, and
 only failing residuals unpacked (``_decide``); ``jacobi_residual`` says why
-that is exact.
+that is exact.  These checks and the ideal check of ``ideals`` return one
+``LawReport``: counts, and a ``LawViolation`` per failing case.
 """
 
 from __future__ import annotations
@@ -401,29 +402,35 @@ def _signed_sum(parts) -> Optional[dict[int, Packed]]:
 
 
 @dataclass(frozen=True)
+class LawViolation:
+    """A law failing on ``elements``: its nonzero (target, poly) residuals."""
+
+    law: str
+    elements: tuple[GeneratorId, ...]
+    residual: tuple[tuple[GeneratorId, ParamPoly], ...]
+
+
+@dataclass(frozen=True)
 class LawReport:
-    """The laws one check decided and skipped, and the violations it found:
-    ``SkewViolation`` here, ``gd.LawViolation`` in ``gd``."""
+    """The laws one check decided and skipped, and the ones that failed."""
 
     checked: int
     skipped: int
-    violations: tuple
+    violations: tuple[LawViolation, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _decide(laws, basis: tuple[GeneratorId, ...], packing: Packing,
-            violations) -> LawReport:
+def _decide(laws, basis: tuple[GeneratorId, ...], packing: Packing
+            ) -> LawReport:
     """Decide ``(positions, name, parts)`` laws by ``_signed_sum``.
 
-    A failing law adds ``violations(name, elements, residual)`` to the
-    report; its residual is the only one unpacked, as (element, ParamPoly)
-    pairs in basis order.
+    Only the residual of a failing law is unpacked, into its LawViolation.
     """
     checked = skipped = 0
-    found: list = []
+    found: list[LawViolation] = []
     for positions, name, parts in laws:
         residual = _signed_sum(parts)
         if residual is None:
@@ -431,21 +438,14 @@ def _decide(laws, basis: tuple[GeneratorId, ...], packing: Packing,
             continue
         checked += 1
         if residual:
-            found += violations(name, tuple(basis[p] for p in positions),
-                                tuple((basis[w], packing.unpack(residual[w]))
-                                      for w in sorted(residual)))
+            found.append(LawViolation(
+                name, tuple(basis[p] for p in positions),
+                tuple((basis[w], packing.unpack(residual[w]))
+                      for w in sorted(residual))))
     return LawReport(checked, skipped, tuple(found))
 
 
 # -- axiom checks -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SkewViolation:
-    left: GeneratorId
-    right: GeneratorId
-    target: GeneratorId
-    residual: ParamPoly
-
 
 #: The substitutions the axiom checks apply to table entries, as data:
 #: form -> chain.  Each step ``(var, s, variables)`` of a chain replaces
@@ -517,8 +517,7 @@ def check_skew(alg: ConformalAlgebra) -> LawReport:
                               (den, getitem, (lines["flip"][j], i))))
             for i, j in itertools.combinations_with_replacement(
                 range(len(gens)), 2))
-    return _decide(laws, gens, alg._packing, lambda _, pair, terms: [
-        SkewViolation(*pair, w, residual) for w, residual in terms])
+    return _decide(laws, gens, alg._packing)
 
 
 def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
@@ -575,27 +574,10 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
 
 
 @dataclass(frozen=True)
-class JacobiViolation:
-    triple: tuple[GeneratorId, GeneratorId, GeneratorId]
-    target: GeneratorId
-    residual: ParamPoly
+class JacobiReport(LawReport):
+    """The Jacobi laws, and the skew report that chose the triples."""
 
-
-@dataclass(frozen=True)
-class JacobiReport:
-    checked: int
-    skipped: int
-    violations: tuple[JacobiViolation, ...]
     skew: LawReport
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def skew_ok(self) -> bool:
-        """Whether skew held, so that ordered triples u <= v <= w sufficed."""
-        return self.skew.ok
 
 
 def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
@@ -611,7 +593,7 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     triples = (itertools.combinations_with_replacement(gens, 3) if skew.ok
                else itertools.product(gens, repeat=3))
     checked = skipped = 0
-    violations: list[JacobiViolation] = []
+    violations: list[LawViolation] = []
     count = PairCount("the Jacobi check")
     for triple in triples:
         try:
@@ -620,8 +602,9 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
             skipped += 1
             continue
         checked += 1
-        violations += (JacobiViolation(triple, target, residual[target])
-                       for target in sorted(residual))
+        if residual:
+            violations.append(LawViolation("jacobi", triple,
+                                           tuple(sorted(residual.items()))))
     return JacobiReport(checked, skipped, tuple(violations), skew)
 
 

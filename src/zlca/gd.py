@@ -15,7 +15,9 @@ written separately, since A1 = A2(1) on the grades >= -1, and ``make_a1``
 builds it so.
 
 The law checks run on the law engine of ``conformal``, each with one
-``poly.Packing`` (``check_gd`` one for both tables) and one ``PairCount``.
+``poly.Packing`` (``check_gd`` one for both tables) and one ``PairCount``,
+and return its ``LawReport`` of ``LawViolation``s (``LawViolation`` is
+importable from here too).
 A law is a signed sum of composites such as (x o y) o z, each memoised by
 its position triple for one check call, so a composite shared by several
 laws is computed once.
@@ -39,8 +41,8 @@ from operator import getitem
 from typing import Iterable
 
 from .conformal import (ConformalAlgebra, Entry, GeneratorId, LawReport,
-                        PairCount, StructureTable, _decide, _extend,
-                        _packing, graded_generators, graded_table)
+                        LawViolation, PairCount, StructureTable, _decide,
+                        _extend, _packing, graded_generators, graded_table)
 from .poly import D, X, Packing, ParamPoly, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
@@ -149,13 +151,6 @@ def _composites(inner: list[list[Entry]], outer: list[list[Entry]],
 
 # -- law checks ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LawViolation:
-    law: str
-    elements: tuple[GeneratorId, ...]
-    residual: tuple[tuple[GeneratorId, ParamPoly], ...]
-
-
 def check_novikov(nov: NovikovAlgebra) -> LawReport:
     """Left-symmetry and right-commutativity over all decidable triples.
 
@@ -177,7 +172,7 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
             yield abc, "right-commutativity", ((1, right, abc),
                                                (-1, right, (a, c, b)))
 
-    return _decide(laws(), nov.basis, packing, lambda *v: [LawViolation(*v)])
+    return _decide(laws(), nov.basis, packing)
 
 
 def check_lie(lie: LieStructure) -> LawReport:
@@ -202,7 +197,7 @@ def check_lie(lie: LieStructure) -> LawReport:
                                         (1, right, (b, c, a)),
                                         (1, right, (c, a, b)))
 
-    return _decide(laws(), lie.basis, packing, lambda *v: [LawViolation(*v)])
+    return _decide(laws(), lie.basis, packing)
 
 
 def check_gd(g: GDAlgebra) -> LawReport:
@@ -228,7 +223,7 @@ def check_gd(g: GDAlgebra) -> LawReport:
                 (1, product_of_bracket, abc), (-1, product_of_bracket, acb),
                 (-1, product_by_bracket, abc))
 
-    return _decide(laws(), g.basis, packing, lambda *v: [LawViolation(*v)])
+    return _decide(laws(), g.basis, packing)
 
 
 # -- truncated families ---------------------------------------------------------

@@ -15,6 +15,8 @@ reference).  The value lies in the target component exactly when that
 component's generator divides it as a polynomial in d (the bracket variable
 and any parameters ride along as transparent coefficients), which is what
 the canonical-order division computes when the divisor is monic in d.
+``is_graded_ideal`` reports as the law checks of ``conformal`` do, in one
+``LawReport`` with a ``LawViolation`` per bracket that leaves the submodule.
 
 ``ideal_generated_by`` is a worklist fixpoint.  It keeps the grades whose
 component changed since they were last bracketed, brackets only those against
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
-from .conformal import ConformalAlgebra, Element, GeneratorId
+from .conformal import ConformalAlgebra, Element, LawReport, LawViolation
 from .poly import DEL, LAM, MU, D, X, ParamPoly, as_poly, gcd_in_d
 
 FULL = ParamPoly.const(1)
@@ -93,31 +95,17 @@ class GradedSubmodule:
         return f"GradedSubmodule({{{body}}})"
 
 
-@dataclass(frozen=True)
-class IdealWitness:
-    ambient: GeneratorId
-    submodule_grade: int
-    target_grade: int
-    residual: ParamPoly
-
-
-@dataclass(frozen=True)
-class IdealReport:
-    closed: bool
-    witnesses: tuple[IdealWitness, ...]
-    checked: int
-    skipped: int
-
-
-def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> IdealReport:
+def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
     """Check closure of a graded submodule under bracketing with the algebra.
 
     Every window generator is bracketed against every nonzero submodule
     component; the value must land in the target component (exact divisibility
     by its monic generator, or vanishing for a zero component).  Pairs whose
-    target grade escapes the window are skipped and counted.  The bracket
-    value is p_{i,j} from ``graded_entry``; free parameters ride along as
-    coefficients, so bind first (``instantiate``) to check at values.
+    target grade escapes the window are skipped and counted.  A failing pair
+    is ``LawViolation("ideal", (ambient, generator at the submodule grade),
+    ((target, value or remainder),))``.  The bracket value is p_{i,j} from
+    ``graded_entry``; free parameters ride along as coefficients, so bind
+    first (``instantiate``) to check at values.
     """
     if not alg.one_generator_per_grade():
         raise ValueError("ideal check requires exactly one generator per grade")
@@ -127,28 +115,30 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> IdealReport:
     shifted = {grade: sub.generator(grade).substitute(DEL, D + X)
                for grade in sub.grades()}
     checked = skipped = 0
-    witnesses: list[IdealWitness] = []
-    for u_grade in sorted(alg.window):
-        u = alg.single_generator(u_grade)
+    violations: list[LawViolation] = []
+    for u in alg.generators:
         for v_grade, q_v in shifted.items():
-            target_grade = u_grade + v_grade
+            target_grade = u.grade + v_grade
             if target_grade not in alg.window:
                 skipped += 1
                 continue
             checked += 1
-            value = alg.graded_entry(u_grade, v_grade) * q_v
+            value = alg.graded_entry(u.grade, v_grade) * q_v
             if value.is_zero():
                 continue
             q_w = sub.generator(target_grade)
-            if q_w is None:
-                witnesses.append(IdealWitness(u, v_grade, target_grade, value))
-            elif q_w != FULL:
+            if q_w == FULL:
+                continue
+            if q_w is not None:
                 try:
                     value.exact_divide(q_w)
+                    continue
                 except ArithmeticError as exc:
-                    witnesses.append(IdealWitness(u, v_grade, target_grade,
-                                                  exc.remainder))
-    return IdealReport(not witnesses, tuple(witnesses), checked, skipped)
+                    value = exc.remainder
+            violations.append(LawViolation(
+                "ideal", (u, alg.single_generator(v_grade)),
+                ((alg.single_generator(target_grade), value),)))
+    return LawReport(checked, skipped, tuple(violations))
 
 
 # -- closure --------------------------------------------------------------------

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
@@ -276,9 +277,18 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
     return tuple(rows)
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object; a repeated key is an error, not its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = Counter(key for key, _ in pairs).most_common(1)[0][0]
+        raise SpecFileError(f"repeated key {key!r} in one object")
+    return obj
+
+
 def _decode(text: str) -> Any:
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         # A decode error, an integer literal over the interpreter's digit
         # limit, or arrays and objects nested deeper than the recursion limit.

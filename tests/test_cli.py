@@ -709,6 +709,36 @@ def test_ideal_check_pattern_the_decoder_cannot_hold(tmp_path, text):
     assert json.loads(err)["error"].startswith("invalid JSON: ")
 
 
+#: Texts with a key repeated in one JSON object, and that key: the decoder
+#: alone keeps the last value, so each would load as if written once.
+REPEATED_KEYS = {
+    "submodule-grade": ('{"submodule": {"0": "zero", "0": "full"}}', "0"),
+    "generators": ('{"generators": [{"name": "L", "grade": 0}], '
+                   '"generators": [{"name": "M", "grade": 1}]}', "generators"),
+    "term-poly": (VIR_SPEC.replace('"poly": "d + 2*x"',
+                                   '"poly": "d + 2*x", "poly": "d + 3*x"'),
+                  "poly"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEYS))
+def test_repeated_keys_are_input_errors(tmp_path, case):
+    text, key = REPEATED_KEYS[case]
+    message = f"invalid JSON: repeated key '{key}' in one object"
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    for load in (specfile.loads, specfile.load_pattern):
+        with pytest.raises(specfile.SpecFileError, match=message):
+            load(text if load is specfile.loads else str(path))
+    cl2 = write_cl2(tmp_path, "1", None)
+    for argv in (["verify", str(path)],
+                 ["ideal-check", str(cl2), "--pattern", str(path)],
+                 ["family", "Cur", "--lie", str(path)]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == message
+
+
 def test_ideal_check_embedded_pattern_not_closed(tmp_path):
     spec = json.loads((VIR_SPEC))
     spec["generators"] = [{"name": "L", "grade": 0}]

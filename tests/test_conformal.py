@@ -129,7 +129,7 @@ def test_skew_violation_residual():
     bad = ConformalAlgebra([L], {(L, L): {L: D + 3 * X}})
     report = check_skew(bad)
     assert len(report.violations) == 1
-    assert report.violations[0].residual == -D
+    assert report.violations[0].residual == ((L, -D),)
 
 
 # -- Jacobi ----------------------------------------------------------------------
@@ -151,7 +151,7 @@ def test_v_family_jacobi_symbolic():
 def test_cl2_jacobi_symbolic_window():
     alg = families.make_cl2("b", "s", range(-4, 5))
     report = check_jacobi(alg)
-    assert report.ok and report.skew_ok
+    assert report.ok and report.skew.ok
 
 
 def perturbed_v0():
@@ -174,7 +174,7 @@ def test_perturbed_v0_jacobi_residual_nonzero():
 
 def test_perturbed_v0_check_jacobi_reports():
     report = check_jacobi(perturbed_v0())
-    assert not report.skew_ok  # the perturbation also breaks skew
+    assert not report.skew.ok  # the perturbation also breaks skew
     assert len(report.violations) >= 1
 
 
@@ -212,13 +212,16 @@ def reference_check_skew(alg):
             checked += 1
             forward = alg.structure(u, v)
             backward = alg.structure(v, u)
+            residual = []
             for w in sorted(set(forward) | set(backward)):
-                residual = (forward.get(w, ParamPoly.zero())
-                            + backward.get(w, ParamPoly.zero())
-                            .substitute(LAM, flip))
-                if residual:
-                    violations.append(conformal.SkewViolation(u, v, w,
-                                                              residual))
+                poly = (forward.get(w, ParamPoly.zero())
+                        + backward.get(w, ParamPoly.zero())
+                        .substitute(LAM, flip))
+                if poly:
+                    residual.append((w, poly))
+            if residual:
+                violations.append(conformal.LawViolation("skew", (u, v),
+                                                         tuple(residual)))
     return conformal.LawReport(checked, skipped, tuple(violations))
 
 
@@ -330,9 +333,9 @@ def test_fractional_skew_violation_matches_reference(monkeypatch):
     alg = _with_entry(alg, (one, zero), one, const(Fraction(3, 7)) * X)
     assert conformal._packing(alg).den == 21
     report = assert_matches_reference(alg, monkeypatch)
-    assert [(v.left, v.right, v.target, v.residual)
+    assert [(v.law, v.elements, v.residual)
             for v in report.skew.violations] == [
-        (zero, one, one, const(Fraction(-3, 7)) * (D + X))]
+        ("skew", (zero, one), ((one, const(Fraction(-3, 7)) * (D + X)),))]
 
 
 def test_entries_at_the_spec_caps_match_reference(monkeypatch):
@@ -372,6 +375,79 @@ def test_jacobi_cache_is_per_algebra():
     check_jacobi(alg)
     assert alg._packing.den == 1 and alg._jacobi_forms
     assert not families.make_cl2("b", "s", range(-2, 3))._jacobi_forms
+
+
+# -- the Jacobi identity expanded by sympy ------------------------------------------
+
+def sympy_jacobi_residual(alg, u, v, w):
+    """[u_x [v_y w]] - [[u_x v]_{x+y} w] - [v_y [u_x w]] expanded by sympy.
+
+    Every bracket is the sesquilinear one, [f(d) a_z g(d) b] = f(-z) g(d+z)
+    [a_z b], on the table read back from its printed polynomials, so no zlca
+    arithmetic takes part.  All four grades the triple reaches must lie in
+    the window.
+    """
+    sympy = pytest.importorskip("sympy")
+    d, x, y = sympy.symbols("d x y")
+    names = {name: sympy.Symbol(name) for name in alg.params}
+    names.update(d=d, x=x, y=y)
+
+    def to_sympy(poly):
+        return sympy.sympify(str(poly).replace("^", "**"), locals=names)
+
+    table = {(a, b, t): to_sympy(p) for a, b, t, p in alg.table_items()}
+
+    def lam(f, g, z):
+        out = {}
+        for a, fa in f.items():
+            for b, gb in g.items():
+                scale = fa.subs(d, -z) * gb.subs(d, d + z)
+                for t in alg.generators_of_grade(a.grade + b.grade):
+                    p = table.get((a, b, t), sympy.Integer(0))
+                    out[t] = out.get(t, 0) + scale * p.subs(x, z)
+        return out
+
+    one = sympy.Integer(1)
+    terms = [(1, lam({u: one}, lam({v: one}, {w: one}, y), x)),
+             (-1, lam(lam({u: one}, {v: one}, x), {w: one}, x + y)),
+             (-1, lam({v: one}, lam({u: one}, {w: one}, x), y))]
+    residual = {}
+    for sign, term in terms:
+        for r, value in term.items():
+            residual[r] = residual.get(r, 0) + sign * value
+    return ({r: sympy.expand(value) for r, value in residual.items()},
+            to_sympy)
+
+
+def _one_monomial_mutant(alg, i, j, monomial):
+    """The algebra with ``monomial`` added to p_{i,j}."""
+    return _with_entry(alg, (alg.single_generator(i), alg.single_generator(j)),
+                       alg.single_generator(i + j), monomial)
+
+
+@pytest.mark.parametrize("build, broken", [
+    (lambda: families.make_cl2("b", "s", range(-2, 3)), False),
+    (lambda: families.make_scl2(MINUS_HALF, "s", range(-2, 3)), False),
+    (lambda: _one_monomial_mutant(families.make_cl2("b", "s", range(-2, 3)),
+                                  1, 0, param("s") * D * X), True),
+    (lambda: _one_monomial_mutant(
+        families.make_scl2(MINUS_HALF, "s", range(-2, 3)),
+        0, 0, const(THIRD) * X ** 2), True),
+], ids=["CL2", "SCL2", "CL2-mutant", "SCL2-mutant"])
+def test_jacobi_residual_matches_sympy(build, broken):
+    alg = build()
+    inside = [t for t in itertools.product(alg.generators, repeat=3)
+              if all(sum(g.grade for g in part) in alg.window
+                     for part in (t[:2], t[1:], t[::2], t))]
+    nonzero = 0
+    for triple in random.Random(15).sample(inside, 12):
+        expected, to_sympy = sympy_jacobi_residual(alg, *triple)
+        got = jacobi_residual(alg, *triple)
+        nonzero += bool(got)
+        for r in set(expected) | set(got):
+            assert (expected.get(r, 0)
+                    - to_sympy(got.get(r, ParamPoly.zero()))).expand() == 0
+    assert (nonzero > 0) == broken
 
 
 # -- the rank-one table p_{i,j} ----------------------------------------------------

@@ -46,7 +46,7 @@ def test_scl2_pattern_is_closed_symbolically():
     pattern = ideals.GradedSubmodule(
         {g: (D + 2 * S if g == -2 else ideals.FULL) for g in range(-5, 6)})
     report = ideals.is_graded_ideal(alg, pattern)
-    assert report.closed
+    assert report.ok
     assert report.skipped > 0
 
 
@@ -54,15 +54,15 @@ def test_whole_algebra_is_an_ideal():
     alg = families.make_v("s", range(-3, 4))
     report = ideals.is_graded_ideal(
         alg, ideals.GradedSubmodule.full_on(range(-3, 4)))
-    assert report.closed
+    assert report.ok
 
 
 def test_single_grade_not_closed():
     alg = families.make_v(0, range(-4, 5))
     report = ideals.is_graded_ideal(alg, ideals.GradedSubmodule({0: const(1)}))
-    assert not report.closed
-    hits = [(w.ambient.grade, w.target_grade, str(w.residual))
-            for w in report.witnesses]
+    assert not report.ok
+    hits = [(v.elements[0].grade, target.grade, str(residual))
+            for v in report.violations for target, residual in v.residual]
     assert (1, 1, "d + 2*x") in hits
 
 
@@ -72,7 +72,7 @@ def test_non_ideal_principal_component():
     pattern = ideals.GradedSubmodule(
         {g: (D + 1 if g == 0 else ideals.FULL) for g in range(-2, 3)})
     report = ideals.is_graded_ideal(alg, pattern)
-    assert not report.closed
+    assert not report.ok
 
 
 # -- closure -----------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_closure_and_check_land_p_i_j_not_p_j_i():
     assert closure.converged
     assert closure.submodule == ideals.GradedSubmodule.full_on(range(-1, 3))
     # grade 0 (full) brackets with L_{-2} to p_{-2,0} = 0, not to d - 2
-    assert ideals.is_graded_ideal(alg, closure.submodule).closed
+    assert ideals.is_graded_ideal(alg, closure.submodule).ok
 
 
 @pytest.mark.parametrize("b, window", [(1, range(-5, 6)),
@@ -264,7 +264,7 @@ def test_closure_and_check_agree_on_the_scl2_pattern(b, window):
         assert closure.converged
         assert closure.submodule == (pattern if closed else
                                      ideals.GradedSubmodule.full_on(window))
-        assert ideals.is_graded_ideal(alg, pattern).closed == closed
+        assert ideals.is_graded_ideal(alg, pattern).ok == closed
 
 
 def test_closure_is_sound():
@@ -280,7 +280,7 @@ def test_closure_is_sound():
             else Element.generator(gen)
         closure = ideals.ideal_generated_by(alg, seed)
         assert closure.converged
-        assert ideals.is_graded_ideal(alg, closure.submodule).closed
+        assert ideals.is_graded_ideal(alg, closure.submodule).ok
 
 
 def test_closure_monotone_under_containing_ideal():

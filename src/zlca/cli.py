@@ -93,6 +93,8 @@ def _parse_bindings(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
         name, eq, value = pair.partition("=")
         if not eq or not name:
             raise InputError(f"bindings look like name=p/q, got {pair!r}")
+        if name in bindings:
+            raise InputError(f"parameter {name!r} is bound twice")
         bindings[name] = _parse_fraction(value)
     return bindings
 
@@ -135,8 +137,9 @@ def _check_bindings(bindings: dict[str, Fraction], params) -> None:
         raise InputError(f"binding for unknown parameter {sorted(unknown)[0]!r}")
 
 
-def _load_algebra(path: str, bind: Optional[Sequence[str]]) -> ConformalAlgebra:
-    spec = specfile.load_path(path)
+def _load_algebra(path: str, bind: Optional[Sequence[str]],
+                  spec: Optional[specfile.SpecFile] = None) -> ConformalAlgebra:
+    spec = spec or specfile.load_path(path)
     try:
         alg = spec.algebra()
     except ValueError as exc:
@@ -234,8 +237,8 @@ def cmd_family(args) -> int:
     if args.lie:
         lie_spec = specfile.load_path(args.lie)
         lie_names = tuple(g.name for g in lie_spec.generators)
-        lie_constants = {(left, right): dict(terms)
-                         for left, right, terms in lie_spec.brackets}
+        lie_constants = {(u.name, v.name): {w.name: p for w, p in row.items()}
+                         for (u, v), row in lie_spec.brackets.items()}
     window = _parse_window(args.window) if args.window else None
     top = _parse_count(args.top, "--top")
     if top is not None:
@@ -358,11 +361,10 @@ def cmd_gd(args) -> int:
 
 
 def cmd_ideal_check(args) -> int:
-    alg = _load_algebra(args.spec, args.bind)
-    if args.pattern:
-        sub = specfile.load_pattern(args.pattern)
-    else:
-        sub = specfile.load_path(args.spec).submodule_pattern()
+    spec = specfile.load_path(args.spec)
+    alg = _load_algebra(args.spec, args.bind, spec)
+    sub = (specfile.load_pattern(args.pattern) if args.pattern
+           else spec.submodule_pattern())
     try:
         result = ideals.is_graded_ideal(alg, sub)
     except ValueError as exc:

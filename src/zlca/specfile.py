@@ -11,8 +11,9 @@ The on-disk format is a single JSON object:
       "submodule": {"-2": "d + 2*s", "0": "full", "1": "zero"}   # optional
     }
 
-Polynomial payloads are strings in the canonical grammar.  Both modes load
-into ``conformal.StructureTable``, which keeps every row it is given and
+Polynomial payloads are strings in the canonical grammar.  The rows are held
+as ``conformal.Table``s keyed by generator, one term per target.  Both modes
+load into ``conformal.StructureTable``, which keeps every row it is given and
 whose ``params`` are the declared ones together with those the entries use.
 In conformal mode ``ConformalAlgebra`` drops the empty rows, and a missing
 bracket row is the zero bracket when its target grade is in the window and
@@ -21,8 +22,8 @@ explicit-presence, so a row with an empty term list is a decidable zero and a
 missing row is undecidable.  A spec declares at most MAX_GENERATORS
 generators, and a bracket or product polynomial has formal degree at most
 MAX_FORMAL_DEGREE.  Serialization is canonical: generators sorted by (grade,
-name), rows sorted by (left, right), polynomials printed in canonical form,
-keys emitted in sorted order.
+name), rows sorted by their (left, right) generators and terms by target,
+polynomials printed in canonical form, keys emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
 from . import grammar
-from .conformal import ConformalAlgebra, GeneratorId, StructureTable
+from .conformal import ConformalAlgebra, GeneratorId, StructureTable, Table
 from .gd import GDAlgebra, LieStructure, NovikovAlgebra
 from .ideals import GradedSubmodule
 from .poly import FORMAL_VARS, ParamPoly
@@ -67,39 +68,25 @@ MAX_TABLE_TERMS = 612
 #: emits (``cli.MAX_WINDOW_GRADES``), one generator per grade.
 MAX_GENERATORS = 101
 
-TableRows = tuple[tuple[str, str, tuple[tuple[str, ParamPoly], ...]], ...]
-
 
 @dataclass(frozen=True)
 class SpecFile:
     params: tuple[str, ...]
     generators: tuple[GeneratorId, ...]
-    brackets: TableRows
-    products: Optional[TableRows] = None
+    brackets: Table
+    products: Optional[Table] = None
     submodule: Optional[tuple[tuple[int, str], ...]] = None
 
     # -- model construction -------------------------------------------------
 
-    def _by_name(self) -> dict[str, GeneratorId]:
-        return {g.name: g for g in self.generators}
-
-    def _as_table(self, rows: TableRows):
-        names = self._by_name()
-        return {(names[left], names[right]):
-                {names[target]: poly for target, poly in terms}
-                for left, right, terms in rows}
-
     def algebra(self) -> ConformalAlgebra:
-        return ConformalAlgebra(self.generators, self._as_table(self.brackets),
-                                self.params)
+        return ConformalAlgebra(self.generators, self.brackets, self.params)
 
     def gd_algebra(self) -> GDAlgebra:
         if self.products is None:
             raise SpecFileError("spec file has no products table (not GD mode)")
-        nov = NovikovAlgebra(self.generators, self._as_table(self.products),
-                             self.params)
-        lie = LieStructure(self.generators, self._as_table(self.brackets),
-                           self.params)
+        nov = NovikovAlgebra(self.generators, self.products, self.params)
+        lie = LieStructure(self.generators, self.brackets, self.params)
         return GDAlgebra(nov, lie)
 
     def submodule_pattern(self) -> GradedSubmodule:
@@ -110,14 +97,11 @@ class SpecFile:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, Any]:
-        def rows_out(rows: TableRows) -> list[dict[str, Any]]:
-            names = self._by_name()
-            ordered = sorted(rows, key=lambda r: (names[r[0]], names[r[1]]))
-            return [{"left": left, "right": right,
-                     "terms": [{"target": target, "poly": str(poly)}
-                               for target, poly in sorted(
-                                   terms, key=lambda t: names[t[0]])]}
-                    for left, right, terms in ordered]
+        def rows_out(table: Table) -> list[dict[str, Any]]:
+            return [{"left": u.name, "right": v.name,
+                     "terms": [{"target": w.name, "poly": str(poly)}
+                               for w, poly in sorted(table[u, v].items())]}
+                    for u, v in sorted(table)]
 
         out: dict[str, Any] = {
             "params": sorted(self.params),
@@ -212,13 +196,12 @@ def _degree_and_stray(poly: ParamPoly, params: set[str]) -> tuple[int, bool]:
 
 
 def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
-               params: set[str], graded: bool) -> TableRows:
+               params: set[str], graded: bool) -> Table:
     # Every message is formatted only on the way to its raise: a CL2 window
     # has thousands of terms, and loading is a large part of a short job.
     if not isinstance(raw, list):
         raise SpecFileError(f"{where} must be a list")
-    rows = []
-    seen: set[tuple[str, str]] = set()
+    rows: dict[tuple[GeneratorId, GeneratorId], dict[GeneratorId, ParamPoly]] = {}
     for idx, row in enumerate(raw):
         if not isinstance(row, dict):
             raise SpecFileError(f"{where}[{idx}] must be an object")
@@ -230,15 +213,15 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
             if name not in generators:
                 raise UndeclaredNameError(f"{where}[{idx}]: undeclared "
                                           f"generator {name!r}")
-        if (left, right) in seen:
+        pair = (generators[left], generators[right])
+        if pair in rows:
             raise SpecFileError(f"{where}[{idx}]: duplicate row for "
                                 f"({left}, {right})")
-        seen.add((left, right))
         terms_raw = row.get("terms", [])
         if not isinstance(terms_raw, list):
             raise SpecFileError(f"{where}[{idx}].terms must be a list")
-        want = generators[left].grade + generators[right].grade
-        terms = []
+        want = pair[0].grade + pair[1].grade
+        terms: dict[GeneratorId, ParamPoly] = {}
         for tdx, term in enumerate(terms_raw):
             if not isinstance(term, dict):
                 raise SpecFileError(f"{where}[{idx}].terms[{tdx}] must be an "
@@ -248,9 +231,13 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
             if not (isinstance(target, str) and isinstance(poly_text, str)):
                 raise SpecFileError(f"{where}[{idx}].terms[{tdx}] needs string "
                                     f"'target' and 'poly'")
-            if target not in generators:
+            gen = generators.get(target)
+            if gen is None:
                 raise UndeclaredNameError(f"{where}[{idx}].terms[{tdx}]: "
                                           f"undeclared generator {target!r}")
+            if gen in terms:
+                raise SpecFileError(f"{where}[{idx}].terms[{tdx}]: repeated "
+                                    f"target {target!r}")
             try:
                 poly = grammar.parse(poly_text)
             except grammar.ParseError as exc:
@@ -268,13 +255,13 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
                 raise UndeclaredNameError(
                     f"{where}[{idx}].terms[{tdx}].poly: undeclared parameter "
                     f"{sorted(poly.params() - params)[0]!r}")
-            if graded and generators[target].grade != want:
+            if graded and gen.grade != want:
                 raise GradeMismatchError(
                     f"{where}[{idx}].terms[{tdx}]: target {target!r} has grade "
-                    f"{generators[target].grade}, expected {want}")
-            terms.append((target, poly))
-        rows.append((left, right, tuple(terms)))
-    return tuple(rows)
+                    f"{gen.grade}, expected {want}")
+            terms[gen] = poly
+        rows[pair] = terms
+    return rows
 
 
 def _object(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
@@ -371,10 +358,8 @@ def load_pattern(path: str) -> GradedSubmodule:
 
 # -- writers --------------------------------------------------------------------
 
-def _rows(table: StructureTable) -> TableRows:
-    return tuple((u.name, v.name, tuple((w.name, poly) for w, poly
-                                        in sorted(table.entry(u, v).items())))
-                 for u, v in table.pairs())
+def _rows(table: StructureTable) -> Table:
+    return {pair: table.entry(*pair) for pair in table.pairs()}
 
 
 def from_algebra(alg: ConformalAlgebra) -> SpecFile:

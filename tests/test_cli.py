@@ -11,6 +11,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -737,6 +738,67 @@ def test_repeated_keys_are_input_errors(tmp_path, case):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
         assert json.loads(err)["error"] == message
+
+
+def _repeat_target(spec: dict, section: str, poly: Optional[str] = None
+                   ) -> tuple[str, str]:
+    """The spec's text with one more term, at the first term's target (and
+    with its polynomial unless ``poly`` is given), in the first nonempty row
+    of ``section``; and the error that names it."""
+    idx, row = next((k, r) for k, r in enumerate(spec[section]) if r["terms"])
+    first = row["terms"][0]
+    target = first["target"]
+    row["terms"].append({"target": target, "poly": poly or first["poly"]})
+    return (json.dumps(spec),
+            f"{section}[{idx}].terms[{len(row['terms']) - 1}]: repeated "
+            f"target {target!r}")
+
+
+#: Specs that list one target twice in one row, and the command that loads
+#: each.  Keeping the last term would pass off another table as the file's:
+#: Vir with [L_x L] = 5x fails skew, A1 with one product term listed twice
+#: passes (the writer may have meant their sum), and sl2 with [h, e] = 2e
+#: listed after [h, e] = e passes.
+REPEATED_TARGETS = {
+    "brackets": (lambda: _repeat_target(json.loads(VIR_SPEC), "brackets",
+                                        "5*x"), ["verify"]),
+    "products": (lambda: _repeat_target(json.loads(a1_spec_text()),
+                                        "products"), ["gd", "check"]),
+    "lie": (lambda: _repeat_target(
+        {"generators": [{"name": n, "grade": 0} for n in "efh"],
+         "brackets": [
+             {"left": "h", "right": "e",
+              "terms": [{"target": "e", "poly": "1"}]},
+             {"left": "e", "right": "h",
+              "terms": [{"target": "e", "poly": "-2"}]}]},
+        "brackets", "2"), ["family", "Cur", "--lie"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_TARGETS))
+def test_repeated_target_in_one_row_is_an_input_error(tmp_path, case):
+    make, command = REPEATED_TARGETS[case]
+    text, message = make()
+    with pytest.raises(specfile.SpecFileError) as info:
+        specfile.loads(text)
+    assert str(info.value) == message
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    code, out, err = run([*command, str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == message
+
+
+def test_parameter_bound_twice_is_an_input_error(tmp_path):
+    cl2 = str(write_cl2(tmp_path, "1", None))
+    a1 = tmp_path / "a1.json"
+    a1.write_text(a1_spec_text())
+    for argv in (["verify", cl2], ["probe", cl2, "--core=-1..1"],
+                 ["gd", "check", str(a1)]):
+        assert run([*argv, "--bind", "s=1"])[0] in (0, 1), argv
+        code, out, err = run([*argv, "--bind", "s=1", "--bind", "s=2"])
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"] == "parameter 's' is bound twice"
 
 
 def test_ideal_check_embedded_pattern_not_closed(tmp_path):

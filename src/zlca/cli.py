@@ -26,9 +26,9 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import __version__, families, feq, gd, grammar, ideals, specfile
-from .conformal import (ConformalAlgebra, LawReport, NotAffineError,
-                        PairBudgetError, ZeroActionError, check_jacobi,
-                        classify_support, degree_relation_check, spectral_data)
+from .conformal import (LawReport, NotAffineError, PairBudgetError,
+                        ZeroActionError, check_jacobi, classify_support,
+                        degree_relation_check, spectral_data)
 
 PASS, VIOLATIONS, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -131,22 +131,21 @@ def _parse_window(text: str) -> tuple[int, int]:
     return low, high
 
 
-def _check_bindings(bindings: dict[str, Fraction], params) -> None:
-    unknown = set(bindings) - set(params)
-    if unknown:
-        raise InputError(f"binding for unknown parameter {sorted(unknown)[0]!r}")
-
-
 def _load_algebra(path: str, bind: Optional[Sequence[str]],
-                  spec: Optional[specfile.SpecFile] = None) -> ConformalAlgebra:
+                  spec: Optional[specfile.SpecFile] = None, *,
+                  gd_mode: bool = False):
+    """The spec's ConformalAlgebra, or its GDAlgebra when ``gd_mode``, with
+    ``--bind`` applied.  Errors come in the order spec, model, bindings."""
     spec = spec or specfile.load_path(path)
     try:
-        alg = spec.algebra()
+        model = spec.gd_algebra() if gd_mode else spec.algebra()
     except ValueError as exc:
         raise InputError(f"{path}: {exc}")
     bindings = _parse_bindings(bind)
-    _check_bindings(bindings, alg.params)
-    return alg.instantiate(bindings) if bindings else alg
+    unknown = set(bindings) - model.params
+    if unknown:
+        raise InputError(f"binding for unknown parameter {sorted(unknown)[0]!r}")
+    return model.instantiate(bindings) if bindings else model
 
 
 def _law_report(command: str, laws: dict[str, LawReport],
@@ -264,17 +263,16 @@ def cmd_solve_feq(args) -> int:
         raise InputError(f"choose one mode: --full D, --top K or --tables "
                          f"(got {' '.join(modes) or 'none'})")
     if args.tables:
-        report_obj = feq.reproduce_tables()
         cases = [{
-            "label": c.label,
-            "weights": [str(c.weight_left), str(c.weight_right),
-                        str(c.weight_out)],
-            "degree": c.degree,
-            "expected": c.expected,
-            "dimension": c.dimension,
-            "basis": list(c.basis),
-            "passed": c.passed,
-        } for c in report_obj.cases]
+            "label": r.case.label,
+            "weights": [str(r.case.weight_left), str(r.case.weight_right),
+                        str(r.case.weight_out)],
+            "degree": r.case.degree,
+            "expected": r.case.expected,
+            "dimension": r.dimension,
+            "basis": list(r.basis),
+            "passed": r.passed,
+        } for r in feq.reproduce_tables()]
         failures = [{"kind": "table-case", "label": c["label"]}
                     for c in cases if not c["passed"]]
         report = _report("solve-feq", len(cases) - len(failures),
@@ -323,17 +321,7 @@ def cmd_gd(args) -> int:
         _emit_spec(specfile.from_gd(structure), args.output)
         return PASS
 
-    spec = specfile.load_path(args.spec)
-    bindings = _parse_bindings(args.bind)
-    try:
-        structure = spec.gd_algebra()
-    except ValueError as exc:
-        raise InputError(f"{args.spec}: {exc}")
-    _check_bindings(bindings, structure.nov.params | structure.lie.params)
-    if bindings:
-        structure = gd.GDAlgebra(structure.nov.instantiate(bindings),
-                                 structure.lie.instantiate(bindings))
-
+    structure = _load_algebra(args.spec, args.bind, gd_mode=True)
     if args.subcommand == "to-lca":
         try:
             alg = gd.quadratic_from_gd(structure)

@@ -9,22 +9,24 @@ Brackets of arbitrary elements follow by sesquilinearity:
     [f(d)u_x g(d)v] = f(-x) g(d+x) [u_x v]
 
 An ``Element`` has coefficients in d; ``bracket`` returns its value as
-``{target: nonzero polynomial in d, x}``, the shape ``structure`` gives a
-generator pair.  It is the general route, and the tests' reference for the
-ideal closure, which reads the rank-one table below instead.
+``{target: nonzero polynomial in d, x}``, the shape ``entry`` gives a
+decidable generator pair.  It is the general route, and the tests' reference
+for the ideal closure, which reads the rank-one table below instead.
 
-Window semantics: a pair whose target grade lies *outside* the window is
-undecidable (the infinite families are truncated, so absence of the grade
-carries no information), while an absent table entry whose target grade is
-*inside* the window is the zero bracket.  Axiom checks skip and count
-undecidable pairs and triples rather than failing them.
+Window semantics: the infinite families are truncated to a window.  A pair
+whose target grade lies outside it is undecidable (absence of the grade
+carries no information); a pair whose target grade lies inside it is
+decidable, and the zero bracket when the input gives it no row.  Axiom
+checks skip and count undecidable pairs and triples rather than failing them.
 
 ``StructureTable`` is the one validated table type; ``ConformalAlgebra``
 and the Gel'fand-Dorfman structures of ``gd`` each add only a coefficient
 rule (here a target at the sum grade and no ``y``; in ``gd`` no formal
-variable).  Its presence rule: a stored row is decidable and a missing row
-is not.  ``ConformalAlgebra`` drops empty rows, since inside its window
-absence already means zero.
+variable).  One rule decides every pair of every table: a stored row is
+decidable (an empty row is zero) and a missing row is not, and ``entry`` is
+the one pair reader.  ``ConformalAlgebra`` applies the window semantics once,
+when it is built: it stores a row, empty where the input has none, for
+exactly the pairs whose target grade is in its window.
 
 With one generator per grade (every family here) the table is the rank-one
 table ``p_{i,j}(d, x)``, the coefficient of the grade-(i + j) generator in
@@ -160,8 +162,8 @@ class StructureTable:
     pair and target is declared, coefficients are coerced and zeros dropped,
     and ``params`` is the declared parameters together with those the
     coefficients use.  A stored row is decidable (an empty row is zero), a
-    missing row undecidable.  A subclass states its coefficient rule in
-    ``_check``.
+    missing row undecidable; ``entry`` reads a pair by that rule.  A subclass
+    states its coefficient rule in ``_check``.
     """
 
     def __init__(self, basis: Iterable[GeneratorId], table: Table,
@@ -221,17 +223,20 @@ class ConformalAlgebra(StructureTable):
     """Immutable structure-table model of a Z-graded Lie conformal algebra.
 
     The generators are the basis and the window is the set of their grades.
+    The stored rows are the decidable pairs: every pair whose target grade
+    is in the window, with an empty row where the input has none, and no
+    pair outside it, so ``entry`` is None exactly where the window cannot
+    decide the bracket.
     """
 
     def __init__(self, generators: Iterable[GeneratorId], table: Table,
                  params: Iterable[str] = ()):
         super().__init__(generators, table, params)
-        # Inside the window an absent row already means zero.  Deleting the
-        # few empty rows spares rehashing every pair of a rebuilt dict.
-        for pair in [pair for pair, row in self._table.items() if not row]:
-            del self._table[pair]
         self.generators = self.basis
         self.window = frozenset(g.grade for g in self.basis)
+        self._table = {(u, v): self._table.get((u, v), {})
+                       for u in self.basis for v in self.basis
+                       if u.grade + v.grade in self.window}
         self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
         # The packing and the packed, substituted table entries of the
         # axiom checks, made on first use by ``_lines``.
@@ -265,24 +270,17 @@ class ConformalAlgebra(StructureTable):
                              f"expected exactly one")
         return gens[0]
 
-    def structure(self, left: GeneratorId, right: GeneratorId
-                  ) -> dict[GeneratorId, ParamPoly]:
-        """Table entry for a generator pair; {} means the zero bracket."""
-        if left.grade + right.grade not in self.window:
-            raise OutOfWindowError(left, right)
-        return dict(self._table.get((left, right), {}))
-
     def graded_entry(self, i: int, j: int) -> ParamPoly:
         """p_{i,j}: the coefficient of L_{i+j} in [L_i x L_j], zero if absent.
 
-        Raises OutOfWindowError as ``structure`` does, and ValueError when a
-        grade it reads has other than one generator.
+        Raises OutOfWindowError where ``entry`` is None, and ValueError when
+        a grade it reads has other than one generator.
         """
         left = self.single_generator(i)
         right = self.single_generator(j)
-        if i + j not in self.window:
+        row = self._table.get((left, right))
+        if row is None:
             raise OutOfWindowError(left, right)
-        row = self._table.get((left, right), {})
         return row.get(self.single_generator(i + j), ParamPoly.zero())
 
     def table_items(self) -> Iterator[tuple[GeneratorId, GeneratorId,
@@ -301,7 +299,8 @@ def bracket(alg: ConformalAlgebra, a: Element, b: Element
     """Bilinear extension of the structure table by sesquilinearity.
 
     The value maps each target to its nonzero coefficient in d and x, as
-    ``structure`` does for a generator pair.
+    ``entry`` does for a generator pair; OutOfWindowError where ``entry`` is
+    None.
     """
     acc: dict[GeneratorId, ParamPoly] = {}
     minus_x = -ParamPoly.variable(LAM)
@@ -311,7 +310,10 @@ def bracket(alg: ConformalAlgebra, a: Element, b: Element
         for v, g in b.coeffs.items():
             g_right = g.substitute(DEL, shift)
             scale = f_left * g_right
-            for w, poly in alg.structure(u, v).items():
+            row = alg.entry(u, v)
+            if row is None:
+                raise OutOfWindowError(u, v)
+            for w, poly in row.items():
                 acc[w] = acc.get(w, ParamPoly.zero()) + scale * poly
     return {w: poly for w, poly in acc.items() if poly}
 
@@ -465,23 +467,24 @@ _JACOBI_FORMS = {
 class _Line(dict):
     """Row ``k`` of the table under one form (column ``k`` for ``tw``), by
     basis position.  An entry is packed and substituted on first read and
-    kept; it is None where its target grade is outside the window, where
-    ``structure`` raises.  A line holds the parts of the algebra it reads,
-    not the algebra, which holds its lines: no reference cycle."""
+    kept; it is None where the table stores no row, as ``entry`` is.  A line
+    holds the parts of the algebra it reads, not the algebra, which holds its
+    lines: no reference cycle."""
 
     def __init__(self, parts: tuple, form: str, k: int):
         super().__init__()
         self.parts, self.form, self.k = parts, form, k
 
     def __missing__(self, t: int) -> Entry:
-        gens, window, table, position, packing = self.parts
+        gens, table, position, packing = self.parts
         u, v = gens[self.k], gens[t]
         if self.form == "tw":
             u, v = v, u
+        row = table.get((u, v))
         entry = None
-        if u.grade + v.grade in window:
+        if row is not None:
             entry = []
-            for target, poly in table.get((u, v), {}).items():
+            for target, poly in row.items():
                 packed = packing.pack(poly)
                 for var, s, variables in _JACOBI_FORMS[self.form]:
                     packed = packing.substitute(packed, var, s, variables)
@@ -496,8 +499,7 @@ def _lines(alg: ConformalAlgebra) -> dict[str, list[_Line]]:
     made from its table on first use and kept on the algebra."""
     if alg._packing is None:
         alg._packing = _packing(alg)
-        parts = (alg.generators, alg.window, alg._table, alg._position,
-                 alg._packing)
+        parts = (alg.generators, alg._table, alg._position, alg._packing)
         alg._jacobi_forms = {form: [_Line(parts, form, k)
                                     for k in range(len(alg.generators))]
                              for form in _JACOBI_FORMS}
@@ -680,24 +682,20 @@ def degree_relation_check(alg: ConformalAlgebra, spectral: SpectralData
     if not alg.one_generator_per_grade():
         raise ValueError("degree relations require exactly one generator per grade")
     violations: list[DegreeRelationViolation] = []
-    grades = sorted(alg.window)
-    for i in grades:
-        for j in grades:
-            if i + j not in alg.window:
-                continue
-            poly = alg.graded_entry(i, j)
-            if poly.is_zero():
-                continue
-            deg = poly.formal_degree()
-            li, lj, lt = spectral.lines[i], spectral.lines[j], spectral.lines[i + j]
-            if li.weight + lj.weight != lt.weight + deg + 1:
-                violations.append(DegreeRelationViolation(
-                    i, j, "weight",
-                    f"{li.weight} + {lj.weight} != {lt.weight} + {deg} + 1"))
-            if li.shift + lj.shift != lt.shift:
-                violations.append(DegreeRelationViolation(
-                    i, j, "shift",
-                    f"{li.shift} + {lj.shift} != {lt.shift}"))
+    for u, v in alg.pairs():
+        i, j = u.grade, v.grade
+        poly = alg.graded_entry(i, j)
+        if poly.is_zero():
+            continue
+        deg = poly.formal_degree()
+        li, lj, lt = spectral.lines[i], spectral.lines[j], spectral.lines[i + j]
+        if li.weight + lj.weight != lt.weight + deg + 1:
+            violations.append(DegreeRelationViolation(
+                i, j, "weight",
+                f"{li.weight} + {lj.weight} != {lt.weight} + {deg} + 1"))
+        if li.shift + lj.shift != lt.shift:
+            violations.append(DegreeRelationViolation(
+                i, j, "shift", f"{li.shift} + {lj.shift} != {lt.shift}"))
     return violations
 
 

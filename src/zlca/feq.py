@@ -283,88 +283,63 @@ class TableCase:
                 - self.degree - 1)
 
 
-def nonzero_out_cases() -> tuple[TableCase, ...]:
-    """The eight cases with weight_out != 0, plus off-table probes."""
-    f = Fraction
-    return (
-        TableCase("generic/deg0", f(3), f(0), 0, "1"),
-        TableCase("generic/deg1", f(2), f(2), 1, "d + 2*x"),
-        TableCase("generic/deg2", f(3), f(1), 2, "d^2 + 3/2*d*x + 1/2*x^2"),
-        TableCase("generic/deg3", f(5, 3), f(5, 3), 3,
-                  "d^3 + 3/2*d^2*x - 3/2*d*x^2 - x^3"),
-        TableCase("weight1/deg0", f(1), f(3), 0, "1"),
-        TableCase("weight1/deg1", f(1), f(2), 1, "x"),
-        TableCase("weight1/deg2", f(1), f(5), 2, "d*x - 3*x^2"),
-        TableCase("weight1/deg3", f(1), f(1), 3, "d^2*x + 3*d*x^2 + 2*x^3"),
-        TableCase("off-table/deg2", f(3), f(2), 2, None),
-        TableCase("off-table/deg3", f(2), f(3), 3, None),
-        TableCase("off-table/weight1-deg3", f(1), f(2), 3, None),
-        TableCase("off-table/deg4", f(3), f(3), 4, None),
-    )
-
-
-def zero_out_cases() -> tuple[TableCase, ...]:
-    """The six cases with weight_out = 0, plus off-table probes."""
-    f = Fraction
-    return (
-        TableCase("zero-out/deg0", f(3), f(-2), 0, "1"),
-        TableCase("zero-out/deg1", f(3), f(-1), 1, "d"),
-        TableCase("zero-out/deg2", f(3), f(0), 2, "d^2 + 1/2*d*x"),
-        TableCase("zero-out/weight1-deg2", f(1), f(2), 2, "d*x"),
-        TableCase("zero-out/weight1-deg3", f(1), f(3), 3, "d^2*x - d*x^2"),
-        TableCase("zero-out/weight3-deg3", f(3), f(1), 3,
-                  "d^3 + 3/2*d^2*x + 1/2*d*x^2"),
-        TableCase("zero-out/off-table-deg3", f(2), f(2), 3, None),
-        TableCase("zero-out/off-table-deg4", f(5, 2), f(5, 2), 4, None),
-    )
+#: The two printed tables: the eight cases with weight_out != 0, then the
+#: six with weight_out = 0, each table followed by its off-table probes.
+TABLE_CASES = (
+    TableCase("generic/deg0", Fraction(3), Fraction(0), 0, "1"),
+    TableCase("generic/deg1", Fraction(2), Fraction(2), 1, "d + 2*x"),
+    TableCase("generic/deg2", Fraction(3), Fraction(1), 2,
+              "d^2 + 3/2*d*x + 1/2*x^2"),
+    TableCase("generic/deg3", Fraction(5, 3), Fraction(5, 3), 3,
+              "d^3 + 3/2*d^2*x - 3/2*d*x^2 - x^3"),
+    TableCase("weight1/deg0", Fraction(1), Fraction(3), 0, "1"),
+    TableCase("weight1/deg1", Fraction(1), Fraction(2), 1, "x"),
+    TableCase("weight1/deg2", Fraction(1), Fraction(5), 2, "d*x - 3*x^2"),
+    TableCase("weight1/deg3", Fraction(1), Fraction(1), 3,
+              "d^2*x + 3*d*x^2 + 2*x^3"),
+    TableCase("off-table/deg2", Fraction(3), Fraction(2), 2, None),
+    TableCase("off-table/deg3", Fraction(2), Fraction(3), 3, None),
+    TableCase("off-table/weight1-deg3", Fraction(1), Fraction(2), 3, None),
+    TableCase("off-table/deg4", Fraction(3), Fraction(3), 4, None),
+    TableCase("zero-out/deg0", Fraction(3), Fraction(-2), 0, "1"),
+    TableCase("zero-out/deg1", Fraction(3), Fraction(-1), 1, "d"),
+    TableCase("zero-out/deg2", Fraction(3), Fraction(0), 2, "d^2 + 1/2*d*x"),
+    TableCase("zero-out/weight1-deg2", Fraction(1), Fraction(2), 2, "d*x"),
+    TableCase("zero-out/weight1-deg3", Fraction(1), Fraction(3), 3,
+              "d^2*x - d*x^2"),
+    TableCase("zero-out/weight3-deg3", Fraction(3), Fraction(1), 3,
+              "d^3 + 3/2*d^2*x + 1/2*d*x^2"),
+    TableCase("zero-out/off-table-deg3", Fraction(2), Fraction(2), 3, None),
+    TableCase("zero-out/off-table-deg4", Fraction(5, 2), Fraction(5, 2), 4,
+              None),
+)
 
 
 @dataclass(frozen=True)
 class TableCaseResult:
-    label: str
-    weight_left: Fraction
-    weight_right: Fraction
-    weight_out: Fraction
-    degree: int
-    expected: Optional[str]
+    """A case and the homogeneous solutions ``solve_feq_top`` finds for it."""
+
+    case: TableCase
     dimension: int
     basis: tuple[str, ...]
     passed: bool
 
 
-@dataclass(frozen=True)
-class TableReport:
-    cases: tuple[TableCaseResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(case.passed for case in self.cases)
-
-
-def _run_case(case: TableCase) -> TableCaseResult:
+def reproduce_tables() -> tuple[TableCaseResult, ...]:
+    """Solve every case of TABLE_CASES: a table case passes when its solution
+    space is the line of ``expected``, an off-table probe when it is empty."""
     from .grammar import parse
 
-    solutions = solve_feq_top(case.weight_left, case.weight_right,
-                              case.weight_out, case.degree)
-    basis = tuple(str(p) for p in solutions.basis)
-    if case.expected is None:
-        passed = solutions.dimension == 0
-    else:
-        passed = (solutions.dimension == 1
-                  and solutions.basis[0] == parse(case.expected).monic())
-    return TableCaseResult(case.label, case.weight_left, case.weight_right,
-                           case.weight_out, case.degree, case.expected,
-                           solutions.dimension, basis, passed)
-
-
-def reproduce_table_nonzero_out() -> TableReport:
-    return TableReport(tuple(_run_case(c) for c in nonzero_out_cases()))
-
-
-def reproduce_table_zero_out() -> TableReport:
-    return TableReport(tuple(_run_case(c) for c in zero_out_cases()))
-
-
-def reproduce_tables() -> TableReport:
-    return TableReport(reproduce_table_nonzero_out().cases
-                       + reproduce_table_zero_out().cases)
+    results = []
+    for case in TABLE_CASES:
+        solutions = solve_feq_top(case.weight_left, case.weight_right,
+                                  case.weight_out, case.degree)
+        if case.expected is None:
+            passed = solutions.dimension == 0
+        else:
+            passed = (solutions.dimension == 1
+                      and solutions.basis[0] == parse(case.expected).monic())
+        results.append(TableCaseResult(
+            case, solutions.dimension,
+            tuple(str(p) for p in solutions.basis), passed))
+    return tuple(results)

@@ -38,12 +38,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from operator import getitem
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .conformal import (ConformalAlgebra, Entry, GeneratorId, LawReport,
                         LawViolation, PairCount, StructureTable, _decide,
                         _extend, _packing, graded_generators, graded_table)
-from .poly import D, X, Packing, ParamPoly, as_poly, param
+from .poly import D, X, Packing, ParamPoly, Scalar, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
 
@@ -106,6 +106,15 @@ class GDAlgebra:
     @property
     def basis(self) -> tuple[GeneratorId, ...]:
         return self.nov.basis
+
+    @property
+    def params(self) -> frozenset[str]:
+        return self.nov.params | self.lie.params
+
+    def instantiate(self, values: Mapping[str, Scalar]) -> "GDAlgebra":
+        """Both tables with parameters bound to rationals."""
+        return GDAlgebra(self.nov.instantiate(values),
+                         self.lie.instantiate(values))
 
 
 # -- combination arithmetic ---------------------------------------------------
@@ -317,23 +326,20 @@ def gd_from_quadratic(alg: ConformalAlgebra) -> GDAlgebra:
     the constant terms the (transposed) bracket, and the x-coefficients are
     checked against the symmetrized product (InconsistentStarError).
     """
-    # pair -> its (d, x, constant) parts per target; every pair is split
-    # (NotQuadraticError) before any star consistency is checked.
+    # decidable pair -> its (d, x, constant) parts per target; every pair is
+    # split (NotQuadraticError) before any star consistency is checked.
     split: dict[tuple[GeneratorId, GeneratorId],
                 tuple[Combination, Combination, Combination]] = {}
-    for u in alg.generators:
-        for v in alg.generators:
-            if u.grade + v.grade not in alg.window:
-                continue
-            combos: tuple[Combination, Combination, Combination] = ({}, {}, {})
-            for w, poly in sorted(alg.structure(u, v).items()):
-                parts = poly.affine_parts()
-                if parts is None:
-                    raise NotQuadraticError((u, v), poly)
-                for combo, part in zip(combos, parts):
-                    if part:
-                        combo[w] = part
-            split[(u, v)] = combos
+    for u, v in alg.pairs():
+        combos: tuple[Combination, Combination, Combination] = ({}, {}, {})
+        for w, poly in sorted(alg.entry(u, v).items()):
+            parts = poly.affine_parts()
+            if parts is None:
+                raise NotQuadraticError((u, v), poly)
+            for combo, part in zip(combos, parts):
+                if part:
+                    combo[w] = part
+        split[(u, v)] = combos
     circ = {}
     lie = {}
     for (u, v), (alpha, beta, gamma) in split.items():

@@ -13,17 +13,19 @@ The on-disk format is a single JSON object:
 
 Polynomial payloads are strings in the canonical grammar.  The rows are held
 as ``conformal.Table``s keyed by generator, one term per target.  Both modes
-load into ``conformal.StructureTable``, which keeps every row it is given and
-whose ``params`` are the declared ones together with those the entries use.
-In conformal mode ``ConformalAlgebra`` drops the empty rows, and a missing
-bracket row is the zero bracket when its target grade is in the window and
-undecidable otherwise; in GD mode (``products`` present) rows are
-explicit-presence, so a row with an empty term list is a decidable zero and a
-missing row is undecidable.  A spec declares at most MAX_GENERATORS
-generators, and a bracket or product polynomial has formal degree at most
-MAX_FORMAL_DEGREE.  Serialization is canonical: generators sorted by (grade,
-name), rows sorted by their (left, right) generators and terms by target,
-polynomials printed in canonical form, keys emitted in sorted order.
+load into ``conformal.StructureTable``, whose ``params`` are the declared ones
+together with those the entries use.  In conformal mode a missing bracket row
+is the zero bracket when its target grade is in the window and undecidable
+otherwise (``ConformalAlgebra`` stores exactly the in-window rows, and
+``from_algebra`` writes only the nonzero ones); in GD mode (``products``
+present) rows are explicit-presence, so a row with an empty term list is a
+decidable zero and a missing row is undecidable.  A GD-mode spec is read only
+as a GD structure: ``algebra`` refuses it.  A spec declares at most
+MAX_GENERATORS generators, and a bracket or product polynomial has formal
+degree at most MAX_FORMAL_DEGREE.  Serialization is canonical: generators
+sorted by (grade, name), rows sorted by their (left, right) generators and
+terms by target, polynomials printed in canonical form, keys emitted in sorted
+order.
 """
 
 from __future__ import annotations
@@ -80,6 +82,9 @@ class SpecFile:
     # -- model construction -------------------------------------------------
 
     def algebra(self) -> ConformalAlgebra:
+        if self.products is not None:
+            raise SpecFileError("spec file has a products table (GD mode): "
+                                "only gd check and gd to-lca read it")
         return ConformalAlgebra(self.generators, self.brackets, self.params)
 
     def gd_algebra(self) -> GDAlgebra:
@@ -363,9 +368,11 @@ def _rows(table: StructureTable) -> Table:
 
 
 def from_algebra(alg: ConformalAlgebra) -> SpecFile:
-    return SpecFile(tuple(sorted(alg.params)), alg.generators, _rows(alg))
+    """The nonzero rows: inside the window a missing row is the zero bracket."""
+    rows = {pair: row for pair, row in _rows(alg).items() if row}
+    return SpecFile(tuple(sorted(alg.params)), alg.generators, rows)
 
 
 def from_gd(g: GDAlgebra) -> SpecFile:
-    params = sorted(g.nov.params | g.lie.params)
-    return SpecFile(tuple(params), g.basis, _rows(g.lie), _rows(g.nov))
+    return SpecFile(tuple(sorted(g.params)), g.basis, _rows(g.lie),
+                    _rows(g.nov))

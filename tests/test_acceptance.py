@@ -48,11 +48,11 @@ def test_criterion_1_family_axioms():
 
 
 def test_criterion_2_solution_tables():
-    report = feq.reproduce_tables()
-    positives = [c for c in report.cases if c.expected is not None]
-    ok = (report.all_passed
+    results = feq.reproduce_tables()
+    positives = [r for r in results if r.case.expected is not None]
+    ok = (all(r.passed for r in results)
           and len(positives) == 14
-          and all(c.dimension == 1 for c in positives))
+          and all(r.dimension == 1 for r in positives))
     criterion(2, "homogeneous solution tables reproduced", ok)
 
 

@@ -677,6 +677,55 @@ def test_table_rules_reach_the_cli_as_input_errors(tmp_path):
                                         f"free of d, x, y")
 
 
+def write_a2_gd(tmp_path):
+    """The GD structure of CL2(1/2, 1) on -4..4, with its SCL2 pattern."""
+    path = tmp_path / "a2.json"
+    path.write_text(specfile.from_gd(
+        gd.gd_a2(Fraction(1, 2), -1, range(-4, 5))).dumps())
+    pattern = write_json(tmp_path / "scl2.json", {
+        str(g): ("d + 2" if g == -1 else "full") for g in range(-4, 5)})
+    return str(path), pattern
+
+
+@pytest.mark.parametrize("command, options", [
+    (["verify"], []), (["probe"], ["--core=-2..2"]),
+    (["ideal-check"], ["--pattern"]), (["gd", "from-lca"], [])],
+    ids=["verify", "probe", "ideal-check", "gd from-lca"])
+def test_conformal_commands_refuse_a_gd_spec(tmp_path, command, options):
+    # A spec with a products table is a GD structure: reading its brackets
+    # as a conformal algebra, without its products, would answer another
+    # question than the file asks.
+    path, pattern = write_a2_gd(tmp_path)
+    argv = [*command, path, *options]
+    if "--pattern" in options:
+        argv.append(pattern)
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{path}: spec file has a products "
+                                        f"table (GD mode): only gd check and "
+                                        f"gd to-lca read it"}
+    assert run(["gd", "check", path])[0] == 0
+
+
+def test_gd_errors_come_in_the_order_spec_model_bindings(tmp_path):
+    # gd check and gd to-lca load as verify does: the spec, then the model,
+    # then the bindings, so a spec that is no GD structure is reported before
+    # a malformed --bind.
+    lca = str(write_cl2(tmp_path, "1", None))
+    gd_spec, _ = write_a2_gd(tmp_path)
+    missing = str(tmp_path / "missing.json")
+    for subcommand in ("check", "to-lca"):
+        for path, error in (
+                (missing, f"cannot read {missing}"),
+                (lca, f"{lca}: spec file has no products table (not GD mode)"),
+                (gd_spec, "bindings look like name=p/q, got 's'")):
+            code, out, err = run(["gd", subcommand, path, "--bind", "s"])
+            assert (code, out) == (2, ""), (subcommand, path)
+            assert json.loads(err)["error"].startswith(error)
+    code, _, err = run(["verify", gd_spec, "--bind", "s"])
+    assert code == 2 and "(GD mode)" in json.loads(err)["error"]
+
+
 # -- ideal-check and probe -----------------------------------------------------------
 
 def write_cl2(tmp_path, b, s, window="-5..5"):

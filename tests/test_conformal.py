@@ -1,12 +1,13 @@
 """Conformal core: brackets, axiom checks, spectral diagnostics."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from zlca import conformal, families, gd, grammar
+from zlca import conformal, families, gd, grammar, specfile
 from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
                             NotAffineError, OutOfWindowError,
                             OutOfWindowTripleError, ZeroActionError, bracket,
@@ -210,8 +211,8 @@ def reference_check_skew(alg):
                 skipped += 1
                 continue
             checked += 1
-            forward = alg.structure(u, v)
-            backward = alg.structure(v, u)
+            forward = alg.entry(u, v)
+            backward = alg.entry(v, u)
             residual = []
             for w in sorted(set(forward) | set(backward)):
                 poly = (forward.get(w, ParamPoly.zero())
@@ -234,14 +235,17 @@ def reference_jacobi_residual(alg, u, v, w, count=None):
     """
     acc = {}
 
+    def row(*pair):
+        got = alg.entry(*pair)
+        if got is None:
+            raise OutOfWindowTripleError((u, v, w))
+        return got
+
     def accumulate(inner_sub, first, second, outer_sub, outer_pair):
-        try:
-            for t, left in alg.structure(first, second).items():
-                left = inner_sub(left)
-                for r, right in alg.structure(*outer_pair(t)).items():
-                    acc[r] = acc.get(r, ParamPoly.zero()) + left * outer_sub(right)
-        except OutOfWindowError:
-            raise OutOfWindowTripleError((u, v, w)) from None
+        for t, left in row(first, second).items():
+            left = inner_sub(left)
+            for r, right in row(*outer_pair(t)).items():
+                acc[r] = acc.get(r, ParamPoly.zero()) + left * outer_sub(right)
 
     accumulate(lambda p: p.substitute(LAM, Y).substitute(DEL, D + X), v, w,
                lambda p: p, lambda t: (u, t))
@@ -491,9 +495,100 @@ def test_graded_entry_is_the_structure_entry(alg):
                 continue
             target = alg.single_generator(i + j)
             assert alg.graded_entry(i, j) == \
-                alg.structure(u, v).get(target, ParamPoly.zero())
+                alg.entry(u, v).get(target, ParamPoly.zero())
             decided += 1
     assert decided > len(alg.window)
+
+
+# -- one decidability rule for every table ------------------------------------------
+
+def _cl2_spec_window():
+    """CL2(1, s) on -3..3 loaded from a spec that writes no row for its zero
+    pair (L-1, L-1) and an empty row for the out-of-window pair (L3, L3)."""
+    raw = specfile.from_algebra(families.make_cl2(1, "s", range(-3, 4))
+                                ).to_json_dict()
+    raw["brackets"].append({"left": "L3", "right": "L3", "terms": []})
+    return specfile.loads(json.dumps(raw)).algebra()
+
+
+#: name -> (algebra, the in-window pairs whose bracket is zero).
+ONE_RULE_ALGEBRAS = {
+    "V": (families.make_v("s", range(-3, 4)), set()),
+    "CL1": (families.make_cl1("s", 4), set()),
+    "CL2": (families.make_cl2(1, "s", range(-3, 4)), {("L-1", "L-1")}),
+    "SCL2": (families.make_scl2(Fraction(1), "s", range(-4, 5)),
+             {("L-1", "L-1")}),
+    "Vir": (families.make_vir(), set()),
+    "Cur": (families.make_current(["a", "b"], {}),
+            {("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")}),
+    "CL2 spec": (_cl2_spec_window(), {("L-1", "L-1")}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_RULE_ALGEBRAS))
+def test_entry_is_none_exactly_where_the_window_cannot_decide(name):
+    alg, zeros = ONE_RULE_ALGEBRAS[name]
+    spec = specfile.from_algebra(alg)
+    found = set()
+    for u, v in itertools.product(alg.generators, repeat=2):
+        row = alg.entry(u, v)
+        if u.grade + v.grade not in alg.window:
+            assert row is None, (u, v)
+            with pytest.raises(OutOfWindowError):
+                bracket(alg, Element.generator(u), Element.generator(v))
+            if alg.one_generator_per_grade():
+                with pytest.raises(OutOfWindowError):
+                    alg.graded_entry(u.grade, v.grade)
+            continue
+        assert row == dict(spec.brackets.get((u, v), {})), (u, v)
+        if row == {}:
+            found.add((u.name, v.name))
+        assert bracket(alg, Element.generator(u), Element.generator(v)) == row
+        if alg.one_generator_per_grade():
+            target = alg.single_generator(u.grade + v.grade)
+            assert alg.graded_entry(u.grade, v.grade) == \
+                row.get(target, ParamPoly.zero())
+    assert found == zeros
+    assert alg.pairs() == sorted(
+        (u, v) for u, v in itertools.product(alg.generators, repeat=2)
+        if u.grade + v.grade in alg.window)
+    text = spec.dumps()
+    assert specfile.from_algebra(specfile.loads(text).algebra()).dumps() == text
+
+
+def test_the_spec_window_dumps_as_its_family():
+    family = families.make_cl2(1, "s", range(-3, 4))
+    assert _cl2_spec_window() == family
+    assert specfile.from_algebra(_cl2_spec_window()).dumps() == \
+        specfile.from_algebra(family).dumps()
+
+
+@pytest.mark.parametrize("g, zeros", [
+    (gd.gd_a1("s", 3),
+     ({("L0", "L-1"), ("L1", "L-1"), ("L2", "L-1"), ("L3", "L-1")},
+      {("L0", "L0"), ("L1", "L1")})),
+    (gd.gd_a2(1, "s", range(-3, 4)),
+     ({(f"L{i}", "L-1") for i in range(-2, 4)},
+      {("L-1", "L-1"), ("L0", "L0"), ("L1", "L1")})),
+], ids=["A1", "A2"])
+def test_gd_entry_is_none_exactly_where_the_row_is_missing(g, zeros):
+    spec = specfile.from_gd(g)
+    window = {b.grade for b in g.basis}
+    for table, rows, zero in ((g.nov, spec.products, zeros[0]),
+                              (g.lie, spec.brackets, zeros[1])):
+        found = set()
+        for u, v in itertools.product(g.basis, repeat=2):
+            row = table.entry(u, v)
+            assert (row is None) == ((u, v) not in rows), (u, v)
+            assert (row is None) == (u.grade + v.grade not in window), (u, v)
+            if row is not None:
+                assert row == dict(rows[u, v])
+                if row == {}:
+                    found.add((u.name, v.name))
+        assert found == zero
+    text = spec.dumps()
+    assert specfile.loads(text).gd_algebra() == g
+    assert specfile.from_gd(specfile.loads(text).gd_algebra()).dumps() == text
 
 
 # -- spectral data ----------------------------------------------------------------
@@ -569,7 +664,7 @@ def test_scl2_degree_relations_and_pair_values():
     # constant pairing at the special target grade
     one = alg.single_generator(1)
     minus3 = alg.single_generator(-3)
-    entry = alg.structure(one, minus3)
+    entry = alg.entry(one, minus3)
     assert entry[alg.single_generator(-2)] == const(2)
 
 

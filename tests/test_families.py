@@ -81,9 +81,10 @@ def test_cl1_formula_and_truncation():
     alg = families.make_cl1("s", 5)
     assert alg.graded_entry(2, 1) == 3 * D + 5 * X - S
     bottom = alg.single_generator(-1)
+    assert alg.entry(bottom, bottom) is None
     import zlca.conformal as conformal
     with pytest.raises(conformal.OutOfWindowError):
-        alg.structure(bottom, bottom)
+        alg.graded_entry(-1, -1)
     assert check_skew(alg).ok
     assert check_jacobi(alg).ok
 
@@ -112,20 +113,20 @@ def test_scl2_bracket_examples_b1():
     assert m.name == "M"
     zero = alg.single_generator(0)
     one = alg.single_generator(1)
-    assert alg.structure(zero, m)[m] == D + X + 2 * S
-    assert (alg.structure(one, m)[alg.single_generator(-1)]
+    assert alg.entry(zero, m)[m] == D + X + 2 * S
+    assert (alg.entry(one, m)[alg.single_generator(-1)]
             == (D + X + 2 * S) * (2 * D + X + 3 * S))
     minus3 = alg.single_generator(-3)
-    assert alg.structure(one, minus3)[m] == const(2)
+    assert alg.entry(one, minus3)[m] == const(2)
 
 
 def test_scl2_literal_entries():
     alg = families.make_scl2_literal(Fraction(1), "s", range(-6, 7))
     m = alg.single_generator(-2)
     zero = alg.single_generator(0)
-    assert alg.structure(zero, m)[m] == D + X + 2 * S
+    assert alg.entry(zero, m)[m] == D + X + 2 * S
     low = alg.single_generator(-4)
-    assert (alg.structure(m, m)[low]
+    assert (alg.entry(m, m)[low]
             == -(-X + 2 * S) * (D + X + 2 * S) * (D + 2 * X))
 
 
@@ -134,7 +135,7 @@ def test_scl2_literal_half():
     m = alg.single_generator(-1)
     one = alg.single_generator(1)
     minus2 = alg.single_generator(-2)
-    assert alg.structure(one, minus2)[m] == const(Fraction(3, 2))
+    assert alg.entry(one, minus2)[m] == const(Fraction(3, 2))
 
 
 @pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(1), Fraction(3, 2),
@@ -177,7 +178,7 @@ def test_family_grade0_action_nowhere_zero(name, alg):
     zero = alg.single_generator(0)
     for grade in sorted(alg.window):
         gen = alg.single_generator(grade)
-        assert alg.structure(zero, gen).get(gen), (name, grade)
+        assert alg.entry(zero, gen).get(gen), (name, grade)
 
 
 @pytest.mark.parametrize("name,alg,bindings", [
@@ -305,7 +306,7 @@ def test_zero_entry_family_equals_its_spec_round_trip():
     # algebra (inside the window an absent row is the zero bracket).
     alg = families.make_cl2(1, "s", range(-3, 4))
     low = alg.single_generator(-1)
-    assert alg.structure(low, low) == {}
+    assert alg.entry(low, low) == {}
     spec = specfile.from_algebra(alg)
     assert ("L-1", "L-1") not in {(u.name, v.name) for u, v in spec.brackets}
     assert specfile.loads(spec.dumps()).algebra() == alg

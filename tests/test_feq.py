@@ -208,17 +208,21 @@ def test_top_zero_out_degree3():
 # -- the printed solution tables --------------------------------------------------
 
 def test_tables_reproduce():
-    report = feq.reproduce_tables()
-    failed = [c.label for c in report.cases if not c.passed]
+    results = feq.reproduce_tables()
+    failed = [r.case.label for r in results if not r.passed]
     assert not failed, failed
-    positives = [c for c in report.cases if c.expected is not None]
+    positives = [r for r in results if r.case.expected is not None]
     assert len(positives) == 14
-    assert all(c.dimension == 1 for c in positives)
+    assert all(r.dimension == 1 for r in positives)
 
 
 def test_tables_split():
-    assert feq.reproduce_table_nonzero_out().all_passed
-    assert feq.reproduce_table_zero_out().all_passed
+    results = feq.reproduce_tables()
+    nonzero = [r for r in results if r.case.weight_out != 0]
+    zero = [r for r in results if r.case.weight_out == 0]
+    assert (len(nonzero), len(zero)) == (12, 8)
+    assert all(r.passed for r in nonzero)
+    assert all(r.passed for r in zero)
 
 
 # -- factorization at weight_out = 0 ------------------------------------------------
@@ -309,7 +313,7 @@ def test_family_entries_solve_their_equation(name, alg, bindings):
                 continue
             u = inst.single_generator(i)
             v = inst.single_generator(j)
-            poly = inst.structure(u, v).get(inst.single_generator(i + j))
+            poly = inst.entry(u, v).get(inst.single_generator(i + j))
             if poly is None:
                 continue
             li, lj, lo = data.lines[i], data.lines[j], data.lines[i + j]

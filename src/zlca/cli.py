@@ -232,12 +232,12 @@ def _emit_spec(spec: specfile.SpecFile, out: Optional[str]) -> None:
 
 
 def cmd_family(args) -> int:
-    lie_names = lie_constants = None
+    lie = None
     if args.lie:
         lie_spec = specfile.load_path(args.lie)
-        lie_names = tuple(g.name for g in lie_spec.generators)
-        lie_constants = {(u.name, v.name): {w.name: p for w, p in row.items()}
-                         for (u, v), row in lie_spec.brackets.items()}
+        lie = (tuple(g.name for g in lie_spec.generators),
+               {(u.name, v.name): {w.name: p for w, p in row.items()}
+                for (u, v), row in lie_spec.brackets.items()})
     window = _parse_window(args.window) if args.window else None
     top = _parse_count(args.top, "--top")
     if top is not None:
@@ -247,8 +247,7 @@ def cmd_family(args) -> int:
             args.kind,
             s=_parse_fraction(args.s) if args.s is not None else None,
             b=_parse_fraction(args.b) if args.b is not None else None,
-            window=window, top=top, lie_names=lie_names,
-            lie_constants=lie_constants)
+            window=window, top=top, lie=lie)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc))
     _emit_spec(specfile.from_algebra(alg), args.output)
@@ -321,6 +320,8 @@ def cmd_gd(args) -> int:
         _emit_spec(specfile.from_gd(structure), args.output)
         return PASS
 
+    if args.subcommand == "check" and args.output:
+        raise InputError("gd check does not read -o")
     structure = _load_algebra(args.spec, args.bind, gd_mode=True)
     if args.subcommand == "to-lca":
         try:
@@ -410,8 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("family", help="emit a family spec file")
-    p.add_argument("kind", choices=["Vir", "Cur", "V", "CL1", "CL2", "SCL2",
-                                    "SCL2Literal"])
+    p.add_argument("kind", choices=families.FAMILY_ARGS)
     p.add_argument("--s", help="rational value for s (default: symbolic)")
     p.add_argument("--b", help="rational value for b (default: symbolic)")
     p.add_argument("--window", help="grade window a..b")

@@ -163,7 +163,8 @@ class StructureTable:
     and ``params`` is the declared parameters together with those the
     coefficients use.  A stored row is decidable (an empty row is zero), a
     missing row undecidable; ``entry`` reads a pair by that rule.  A subclass
-    states its coefficient rule in ``_check``.
+    states its coefficient rule in ``_check``, which sees every listed target
+    (a zero coefficient too).
     """
 
     def __init__(self, basis: Iterable[GeneratorId], table: Table,
@@ -183,8 +184,8 @@ class StructureTable:
                 if w not in known:
                     raise ValueError(f"target {w.name} is undeclared")
                 coef = as_poly(coef)
+                self._check(u, v, w, coef)
                 if coef:
-                    self._check(u, v, w, coef)
                     used |= coef.params()
                     entry[w] = coef
             clean[(u, v)] = entry

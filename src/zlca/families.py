@@ -206,41 +206,48 @@ def make_scl2_literal(b: Fraction, s: Coefficientish,
     return ConformalAlgebra(gens.values(), graded_table(gens, entry))
 
 
+#: The arguments each family kind reads; ``make_family`` refuses the others,
+#: and the ``family`` command offers exactly these kinds.
+FAMILY_ARGS = {"Vir": (), "Cur": ("lie",), "V": ("s", "window"),
+               "CL1": ("s", "top"), "CL2": ("s", "b", "window"),
+               "SCL2": ("s", "b", "window"),
+               "SCL2Literal": ("s", "b", "window")}
+
+
 def make_family(kind: str, *, s: Optional[Coefficientish] = None,
                 b: Optional[Coefficientish] = None,
                 window: Optional[tuple[int, int]] = None,
                 top: Optional[int] = None,
-                lie_names: Optional[tuple[str, ...]] = None,
-                lie_constants: Optional[LieConstants] = None
+                lie: Optional[tuple[tuple[str, ...], LieConstants]] = None
                 ) -> ConformalAlgebra:
-    """The family ``kind`` (Vir, Cur, V, CL1, CL2, SCL2 or SCL2Literal) as
-    the command line requests it: ``s`` and ``b`` default to symbolic,
-    ``window`` is an inclusive (low, high) pair and CL1 takes ``top``."""
+    """The family ``kind`` (a key of FAMILY_ARGS) as the command line
+    requests it: ``s`` and ``b`` default to symbolic, and the kind requires
+    the rest of what it reads (``window``, an inclusive (low, high) pair;
+    CL1's ``top`` grade; Cur's ``lie``, its names and structure constants)."""
+    if kind not in FAMILY_ARGS:
+        raise ValueError(f"unknown family kind {kind!r}")
+    given = {"s": s, "b": b, "window": window, "top": top, "lie": lie}
+    refused = [f"--{name}" for name, value in given.items()
+               if value is not None and name not in FAMILY_ARGS[kind]]
+    if refused:
+        raise ValueError(f"{kind} does not read {', '.join(refused)}")
+    for name in FAMILY_ARGS[kind]:
+        if name not in ("s", "b") and given[name] is None:
+            raise ValueError(f"{kind} requires --{name}")
+    s = s if s is not None else "s"
+    b = b if b is not None else "b"
     if kind == "Vir":
         return make_vir()
     if kind == "Cur":
-        if lie_names is None or lie_constants is None:
-            raise ValueError("Cur requires Lie structure constants")
-        return make_current(lie_names, lie_constants)
-    s = s if s is not None else "s"
+        return make_current(*lie)
     if kind == "CL1":
-        if window is not None and window[0] != -1:
-            raise ValueError("CL1 windows start at grade -1")
-        top = top if top is not None else (window[1] if window else None)
-        if top is None:
-            raise ValueError("CL1 requires a top grade")
         return make_cl1(s, top)
-    if window is None:
-        raise ValueError(f"{kind} requires a window")
     grades = range(window[0], window[1] + 1)
     if kind == "V":
         return make_v(s, grades)
-    b = b if b is not None else "b"
     if kind == "CL2":
         return make_cl2(b, s, grades)
-    if kind in ("SCL2", "SCL2Literal"):
-        if isinstance(b, str):
-            raise ValueError("SCL2 requires a rational b")
-        maker = make_scl2 if kind == "SCL2" else make_scl2_literal
-        return maker(Fraction(b), s, grades)
-    raise ValueError(f"unknown family kind {kind!r}")
+    if isinstance(b, str):
+        raise ValueError("SCL2 requires a rational b")
+    maker = make_scl2 if kind == "SCL2" else make_scl2_literal
+    return maker(Fraction(b), s, grades)

@@ -11,21 +11,24 @@ The on-disk format is a single JSON object:
       "submodule": {"-2": "d + 2*s", "0": "full", "1": "zero"}   # optional
     }
 
-Polynomial payloads are strings in the canonical grammar.  The rows are held
-as ``conformal.Table``s keyed by generator, one term per target.  Both modes
-load into ``conformal.StructureTable``, whose ``params`` are the declared ones
+Polynomial payloads are strings in the canonical grammar.  The rows of both
+modes load alike, by one loader, as ``conformal.Table``s keyed by generator
+with one term per target.  The loader checks only the file: JSON shape, names,
+polynomial syntax, the caps (MAX_GENERATORS generators, and per polynomial
+MAX_FORMAL_DEGREE and MAX_TABLE_TERMS), declared parameters, and repeated rows
+or targets.  The model checks the grading when the spec is built:
+``ConformalAlgebra`` refuses a bracket target off grade i + j.  Both modes
+build a ``conformal.StructureTable``, whose ``params`` are the declared ones
 together with those the entries use.  In conformal mode a missing bracket row
 is the zero bracket when its target grade is in the window and undecidable
 otherwise (``ConformalAlgebra`` stores exactly the in-window rows, and
 ``from_algebra`` writes only the nonzero ones); in GD mode (``products``
 present) rows are explicit-presence, so a row with an empty term list is a
 decidable zero and a missing row is undecidable.  A GD-mode spec is read only
-as a GD structure: ``algebra`` refuses it.  A spec declares at most
-MAX_GENERATORS generators, and a bracket or product polynomial has formal
-degree at most MAX_FORMAL_DEGREE.  Serialization is canonical: generators
-sorted by (grade, name), rows sorted by their (left, right) generators and
-terms by target, polynomials printed in canonical form, keys emitted in sorted
-order.
+as a GD structure: ``algebra`` refuses it.  Serialization is canonical:
+generators sorted by (grade, name), rows sorted by their (left, right)
+generators and terms by target, polynomials printed in canonical form, keys
+emitted in sorted order.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from . import grammar
+from . import feq, grammar
 from .conformal import ConformalAlgebra, GeneratorId, StructureTable, Table
 from .gd import GDAlgebra, LieStructure, NovikovAlgebra
 from .ideals import GradedSubmodule
@@ -44,21 +47,17 @@ from .poly import FORMAL_VARS, ParamPoly
 
 
 class SpecFileError(ValueError):
-    """Malformed spec file (structure, names, grading or polynomial syntax)."""
+    """Malformed spec file (structure, names or polynomial syntax)."""
 
 
 class UndeclaredNameError(SpecFileError):
     """A generator or parameter is used without being declared."""
 
 
-class GradeMismatchError(SpecFileError):
-    """A bracket term targets a generator of the wrong grade."""
-
-
-#: The highest formal (d, x, y) degree of a bracket or product polynomial; the
-#: functional-equation solver looks for structure polynomials up to this degree
-#: (``feq.MAX_FULL_DEGREE``), and the paper's families stay within degree 2.
-MAX_FORMAL_DEGREE = 12
+#: The highest formal (d, x, y) degree of a bracket or product polynomial: the
+#: degree up to which the functional-equation solver looks for structure
+#: polynomials; the paper's families stay within degree 2.
+MAX_FORMAL_DEGREE = feq.MAX_FULL_DEGREE
 
 #: The most terms a bracket or product polynomial may have once expanded: 4
 #: times the largest entry in any golden, test or workload spec, the 153 terms
@@ -201,7 +200,7 @@ def _degree_and_stray(poly: ParamPoly, params: set[str]) -> tuple[int, bool]:
 
 
 def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
-               params: set[str], graded: bool) -> Table:
+               params: set[str]) -> Table:
     # Every message is formatted only on the way to its raise: a CL2 window
     # has thousands of terms, and loading is a large part of a short job.
     if not isinstance(raw, list):
@@ -225,7 +224,6 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
         terms_raw = row.get("terms", [])
         if not isinstance(terms_raw, list):
             raise SpecFileError(f"{where}[{idx}].terms must be a list")
-        want = pair[0].grade + pair[1].grade
         terms: dict[GeneratorId, ParamPoly] = {}
         for tdx, term in enumerate(terms_raw):
             if not isinstance(term, dict):
@@ -260,10 +258,6 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
                 raise UndeclaredNameError(
                     f"{where}[{idx}].terms[{tdx}].poly: undeclared parameter "
                     f"{sorted(poly.params() - params)[0]!r}")
-            if graded and gen.grade != want:
-                raise GradeMismatchError(
-                    f"{where}[{idx}].terms[{tdx}]: target {target!r} has grade "
-                    f"{gen.grade}, expected {want}")
             terms[gen] = poly
         rows[pair] = terms
     return rows
@@ -330,13 +324,8 @@ def loads(text: str) -> SpecFile:
         _require(name not in generators, f"{ctx}: duplicate generator {name!r}")
         generators[name] = GeneratorId(grade, name)
 
-    graded = "products" not in raw
-    brackets = _load_rows(raw.get("brackets", []), "brackets", generators,
-                          params, graded)
-    products = None
-    if "products" in raw:
-        products = _load_rows(raw["products"], "products", generators,
-                              params, graded=False)
+    tables = {key: _load_rows(raw[key], key, generators, params)
+              for key in ("brackets", "products") if key in raw}
 
     submodule = None
     if "submodule" in raw:
@@ -345,7 +334,8 @@ def loads(text: str) -> SpecFile:
         submodule = _pattern_entries(sub_raw)
 
     return SpecFile(tuple(sorted(params)), tuple(sorted(generators.values())),
-                    brackets, products, submodule)
+                    tables.get("brackets", {}), tables.get("products"),
+                    submodule)
 
 
 def load_path(path: str) -> SpecFile:

@@ -77,13 +77,17 @@ def test_spec_undeclared_parameter():
         specfile.loads(bad)
 
 
-def test_spec_grade_mismatch():
+def test_spec_grade_mismatch(tmp_path):
+    # The loader checks the file; the model refuses a target off grade i + j.
     bad = json.loads(VIR_SPEC)
     bad["generators"].append({"name": "A", "grade": 1})
     bad["brackets"].append({"left": "L", "right": "A",
                             "terms": [{"target": "L", "poly": "d"}]})
-    with pytest.raises(specfile.GradeMismatchError):
-        specfile.loads(json.dumps(bad))
+    spec = specfile.loads(json.dumps(bad))
+    with pytest.raises(ValueError, match=r"^bracket \(L, A\) targets L of "
+                                         r"grade 0, expected 1$"):
+        spec.algebra()
+    assert run(["verify", write_json(tmp_path / "bad.json", bad)])[0] == 2
 
 
 def test_spec_duplicate_row_rejected():
@@ -431,6 +435,27 @@ def test_family_cur_from_lie_file(tmp_path):
     assert run(["family", "Cur", "--lie", str(lie_path)])[0] == 2
 
 
+def test_commands_refuse_flags_they_do_not_read(tmp_path, vir_path):
+    gd_path = tmp_path / "a1.json"
+    gd_path.write_text(a1_spec_text())
+    out = tmp_path / "out.json"
+    for argv, message in (
+            (["family", "V", "--b=1/2", "--window=-1..1"],
+             "V does not read --b"),
+            (["family", "Vir", "--s", "3", "--window=-4..4", "--top", "7"],
+             "Vir does not read --s, --window, --top"),
+            (["family", "CL1", "--window=-1..9", "--top", "1"],
+             "CL1 does not read --window"),
+            (["family", "CL2", "--window=-1..1", "--lie", vir_path],
+             "CL2 does not read --lie"),
+            (["gd", "check", str(gd_path), "-o", str(out)],
+             "gd check does not read -o")):
+        code, stdout, err = run(argv)
+        assert (code, stdout) == (2, ""), argv
+        assert json.loads(err) == {"error": message}, argv
+    assert not out.exists()
+
+
 def test_family_input_errors():
     assert run(["family", "SCL2", "--b", "1", "--window=-3..3"])[0] == 2
     assert run(["family", "V", "--window", "3..-3"])[0] == 2
@@ -675,6 +700,36 @@ def test_table_rules_reach_the_cli_as_input_errors(tmp_path):
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == (f"{path}: structure constants must be "
                                         f"free of d, x, y")
+
+
+#: Mis-graded rows added to a Virasoro spec with A at grade 1: (left, right,
+#: poly) of a row whose one term targets L, at grade 0.
+MIS_GRADED = {"in-window": ("L", "A", "d"), "out-of-window": ("A", "A", "d"),
+              "zero-coefficient": ("L", "A", "0")}
+
+
+@pytest.mark.parametrize("command, options", [
+    (["verify"], []), (["probe"], ["--core=0..0"]), (["ideal-check"], []),
+    (["gd", "from-lca"], [])],
+    ids=["verify", "probe", "ideal-check", "gd from-lca"])
+@pytest.mark.parametrize("case", sorted(MIS_GRADED))
+def test_the_model_refuses_a_target_off_the_sum_grade(tmp_path, case,
+                                                      command, options):
+    # The loader reads every mis-graded row; building the algebra refuses it,
+    # in and out of the window and with a zero coefficient alike.
+    left, right, poly = MIS_GRADED[case]
+    spec = json.loads(VIR_SPEC)
+    spec["generators"].append({"name": "A", "grade": 1})
+    spec["brackets"].append({"left": left, "right": right,
+                             "terms": [{"target": "L", "poly": poly}]})
+    spec["submodule"] = {"0": "full", "1": "full"}
+    path = write_json(tmp_path / "graded.json", spec)
+    want = 1 + (left == "A")
+    code, out, err = run([*command, path, *options])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{path}: bracket ({left}, {right}) "
+                                        f"targets L of grade 0, expected "
+                                        f"{want}"}
 
 
 def write_a2_gd(tmp_path):

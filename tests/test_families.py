@@ -210,6 +210,8 @@ def test_make_family_dispatch():
         families.make_family("SCL2", b="b", window=(-6, 6))
     with pytest.raises(ValueError):
         families.make_family("nope")
+    with pytest.raises(ValueError, match="^CL1 does not read --window$"):
+        families.make_family("CL1", top=3, window=(-1, 3))
 
 
 # -- the grade-formula constructors against explicit loops ---------------------------

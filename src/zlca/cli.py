@@ -254,6 +254,13 @@ def cmd_family(args) -> int:
     return PASS
 
 
+#: The weight and shift flags each ``solve-feq`` mode reads (``--full`` reads
+#: all six, in the order the parser lists them); it refuses the others.
+FEQ_MODE_ARGS = {"--full": ("ai", "bi", "aj", "bj", "aij", "bij"),
+                 "--top": ("ai", "aj", "aij"),
+                 "--tables": ()}
+
+
 def cmd_solve_feq(args) -> int:
     modes = [flag for flag, given in (("--full", args.full is not None),
                                       ("--top", args.top is not None),
@@ -261,6 +268,13 @@ def cmd_solve_feq(args) -> int:
     if len(modes) != 1:
         raise InputError(f"choose one mode: --full D, --top K or --tables "
                          f"(got {' '.join(modes) or 'none'})")
+    mode = modes[0]
+    refused = [f"--{name}" for name in FEQ_MODE_ARGS["--full"]
+               if getattr(args, name) is not None
+               and name not in FEQ_MODE_ARGS[mode]]
+    if refused:
+        raise InputError(f"solve-feq {mode} does not read "
+                         f"{', '.join(refused)}")
     if args.tables:
         cases = [{
             "label": r.case.label,
@@ -287,18 +301,12 @@ def cmd_solve_feq(args) -> int:
 
     top = _parse_count(args.top, "--top")
     full = _parse_count(args.full, "--full")
-    if top is not None:
-        try:
-            basis = feq.solve_feq_top(need("ai"), need("aj"), need("aij"), top)
-        except feq.DegreeGuardError as exc:
-            raise InputError(str(exc))
-    else:
-        triple = feq.SpectralTriple(need("ai"), need("bi"), need("aj"),
-                                    need("bj"), need("aij"), need("bij"))
-        try:
-            basis = feq.solve_feq(triple, full)
-        except feq.DegreeGuardError as exc:
-            raise InputError(str(exc))
+    values = [need(name) for name in FEQ_MODE_ARGS[mode]]
+    try:
+        basis = (feq.solve_feq_top(*values, top) if top is not None
+                 else feq.solve_feq(feq.SpectralTriple(*values), full))
+    except feq.DegreeGuardError as exc:
+        raise InputError(str(exc))
     report = _report("solve-feq", 1, 0, [],
                      dimension=basis.dimension,
                      basis=[str(p) for p in basis.basis],

@@ -36,12 +36,23 @@ ideal check and closure of ``ideals`` take ``p_{i,j}`` from it alone.  The
 diagnostics take no parameter values: bind first, with ``instantiate``.
 
 Every law check, skew and Jacobi here and the Novikov, Lie and
-compatibility laws of ``gd``, runs on one engine: table entries read by
-basis position on one ``poly.Packing``, composites (``_extend``) that spend
-one ``PairCount`` per check, laws as ``_signed_sum`` of weighted parts, and
-only failing residuals unpacked (``_decide``); ``jacobi_residual`` says why
-that is exact.  These checks and the ideal check of ``ideals`` return one
-``LawReport``: counts, and a ``LawViolation`` per failing case.
+compatibility laws of ``gd``, runs on one engine, whose work grows with the
+laws it decides, not with the triples it scans:
+
+- ``_decidable`` reads off the stored rows alone, with no arithmetic, which
+  composites outer(inner(x, y), z) and outer(x, inner(y, z)) are decidable;
+  each check walks its laws in order and hands on only those whose every
+  part is, so a skipped law costs no arithmetic;
+- a table entry, read by basis position on one ``poly.Packing``, is one
+  flat packed dict keyed by ``monomial_key * n + target_position``
+  (``_flat``), and so is a composite (``_extend``), whose products spend
+  one ``PairCount`` per check;
+- a law is the ``_signed_sum`` of weighted parts, and ``_decide`` counts
+  the laws not handed on as skipped and splits by target and unpacks only
+  a failing residual; ``jacobi_residual`` says why that is exact.
+
+These checks and the ideal check of ``ideals`` return one ``LawReport``:
+counts, and a ``LawViolation`` per failing case.
 """
 
 from __future__ import annotations
@@ -51,7 +62,7 @@ from operator import getitem
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Optional, Sequence)
+                    Sequence)
 
 from .poly import DEL, LAM, MU, Packed, Packing, ParamPoly, Scalar, as_poly
 
@@ -321,10 +332,6 @@ def bracket(alg: ConformalAlgebra, a: Element, b: Element
 
 # -- the law engine ---------------------------------------------------------
 
-#: A table entry by basis position: (target position, packed coefficient)
-#: pairs, or None when the entry is undecidable.
-Entry = Optional[tuple[tuple[int, Packed], ...]]
-
 #: Term pairs one law check may multiply, so that a hostile table ends in
 #: PairBudgetError within seconds instead of running for minutes.  The tests
 #: and reports reach at most about 0.1 M per check; the widest window
@@ -350,58 +357,103 @@ def _packing(*tables: StructureTable) -> Packing:
                    for c in row.values())
 
 
-def _extend(combo: Entry, line: Sequence[Entry] | Mapping[int, Entry],
-            count: PairCount) -> Entry:
-    """Sum of coef * line[t] over a combination; None when a needed entry is.
+def _flat(parts: Iterable[tuple[int, Packed]], n: int) -> Packed:
+    """The (target position, packed coefficient) parts of one table entry as
+    one packed dict keyed by ``monomial_key * n + target_position``."""
+    return {k * n + w: num for w, packed in parts for k, num in packed.items()}
+
+
+def _by_target(packed: Packed, n: int) -> dict[int, Packed]:
+    """A flat packed dict split by target position, zeros dropped."""
+    out: dict[int, Packed] = {}
+    for k, num in packed.items():
+        if num:
+            monomial, w = divmod(k, n)
+            out.setdefault(w, {})[monomial] = num
+    return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _decidable(inner: StructureTable, outer: StructureTable
+               ) -> tuple[list[list[int]], list[list[int]]]:
+    """The decidable composites of two tables on one basis, as bit masks.
+
+    Both masks are read at the positions of an inner pair.  ``right[x][y]``
+    has bit z set when outer(inner(x, y), z) is decidable: row inner[x][y]
+    is stored, and so is outer[t][z] for each target t of that row.
+    ``left[y][z]`` has bit x set when outer(x, inner(y, z)) is: row
+    inner[y][z] is stored, and so is outer[x][t] for each of its targets.
+    Both are 0 where the inner row is missing.  They come from the stored
+    rows alone, with no arithmetic.
+    """
+    index = inner._position
+    n = len(index)
+    stored_right = [0] * n      # t -> the z with outer[t][z] stored
+    stored_left = [0] * n       # t -> the x with outer[x][t] stored
+    for u, v in outer._table:
+        stored_right[index[u]] |= 1 << index[v]
+        stored_left[index[v]] |= 1 << index[u]
+    right = [[0] * n for _ in range(n)]
+    left = [[0] * n for _ in range(n)]
+    for (u, v), row in inner._table.items():
+        r = l = (1 << n) - 1
+        for t in row:
+            r &= stored_right[index[t]]
+            l &= stored_left[index[t]]
+        right[index[u]][index[v]], left[index[u]][index[v]] = r, l
+    return right, left
+
+
+def _extend(combo: Packed, line: Sequence[Packed] | Mapping[int, Packed],
+            n: int, count: PairCount) -> Packed:
+    """Sum of coef * line[t] over a flat combination.
 
     ``line`` is a row of a table or a column, by basis position, so one
-    helper extends a product on either side.  Each product spends its term
-    pairs from ``count`` before it runs.  The numerators of the result are
-    over ``den**2``; zeros may remain.
+    helper extends a product on either side.  The caller extends only a
+    decidable composite, so every ``line[t]`` it reads is stored.  A key
+    ``m1 * n + t`` of ``combo`` times a key ``m2 * n + w`` of ``line[t]`` is
+    the key ``k1 - t + k2`` of the product monomial at target w.  Each term
+    of ``combo`` spends its term pairs from ``count`` before it is
+    multiplied.  The numerators of the result are over ``den**2``; zeros
+    may remain.
     """
-    if combo is None:
-        return None
-    acc: dict[int, Packed] = {}
-    mul_add = Packing.mul_add
-    for t, coef in combo:
-        got = line[t]
-        if got is None:
-            return None
-        for w, k in got:
-            count.pairs += len(coef) * len(k)
-            if count.pairs > MAX_PAIRS:
-                raise PairBudgetError(f"{count.check} needs more than "
-                                      f"{MAX_PAIRS} term pairs")
-            target = acc.get(w)
-            if target is None:
-                target = acc[w] = {}
-            mul_add(target, coef, k)
-    return tuple(acc.items())
+    acc: Packed = {}
+    get = acc.get
+    pairs = count.pairs
+    for k1, n1 in combo.items():
+        t = k1 % n
+        other = line[t]
+        pairs += len(other)
+        if pairs > MAX_PAIRS:
+            raise PairBudgetError(f"{count.check} needs more than "
+                                  f"{MAX_PAIRS} term pairs")
+        base = k1 - t
+        for k2, n2 in other.items():
+            k = base + k2
+            acc[k] = get(k, 0) + n1 * n2
+    count.pairs = pairs
+    return acc
 
 
-def _signed_sum(parts) -> Optional[dict[int, Packed]]:
-    """The sum of weight * part(*args) over the parts of one law.
+def _signed_sum(parts) -> Packed:
+    """The sum of weight * part(*args) over the parts of one decidable law.
 
-    None at the first undecidable part, before any arithmetic is done.  The
-    weights are signed integers that bring every part to numerators over
-    ``den**2``; the residuals that are not all zero are returned packed.
+    The weights are signed integers that bring every part to numerators
+    over ``den**2``; the flat sum is returned packed, zeros included.
     """
-    values = []
+    acc: Packed = {}
+    get = acc.get
     for weight, part, args in parts:
-        value = part(*args)
-        if value is None:
-            return None
-        values.append((weight, value))
-    acc: dict[int, Packed] = {}
-    for weight, value in values:
-        for w, packed in value:
-            target = acc.get(w)
-            if target is None:
-                target = acc[w] = {}
-            get = target.get
-            for k, n in packed.items():
-                target[k] = get(k, 0) + weight * n
-    return {w: p for w, p in acc.items() if any(p.values())}
+        for k, num in part(*args).items():
+            acc[k] = get(k, 0) + weight * num
+    return acc
 
 
 @dataclass(frozen=True)
@@ -426,26 +478,28 @@ class LawReport:
         return not self.violations
 
 
-def _decide(laws, basis: tuple[GeneratorId, ...], packing: Packing
-            ) -> LawReport:
+def _decide(laws, total: int, basis: tuple[GeneratorId, ...],
+            packing: Packing) -> LawReport:
     """Decide ``(positions, name, parts)`` laws by ``_signed_sum``.
 
-    Only the residual of a failing law is unpacked, into its LawViolation.
+    The caller yields, in its order, only the laws whose every part is
+    decidable, out of ``total`` laws; the rest are skipped, with no
+    arithmetic spent on them.  Only the residual of a failing law is split
+    by target and unpacked, into its LawViolation.
     """
-    checked = skipped = 0
+    n = len(basis)
+    checked = 0
     found: list[LawViolation] = []
     for positions, name, parts in laws:
-        residual = _signed_sum(parts)
-        if residual is None:
-            skipped += 1
-            continue
         checked += 1
-        if residual:
+        residual = _signed_sum(parts)
+        if any(residual.values()):
+            by_target = _by_target(residual, n)
             found.append(LawViolation(
                 name, tuple(basis[p] for p in positions),
-                tuple((basis[w], packing.unpack(residual[w]))
-                      for w in sorted(residual))))
-    return LawReport(checked, skipped, tuple(found))
+                tuple((basis[w], packing.unpack(by_target[w]))
+                      for w in sorted(by_target))))
+    return LawReport(checked, total - checked, tuple(found))
 
 
 # -- axiom checks -------------------------------------------------------------
@@ -467,31 +521,27 @@ _JACOBI_FORMS = {
 
 class _Line(dict):
     """Row ``k`` of the table under one form (column ``k`` for ``tw``), by
-    basis position.  An entry is packed and substituted on first read and
-    kept; it is None where the table stores no row, as ``entry`` is.  A line
-    holds the parts of the algebra it reads, not the algebra, which holds its
-    lines: no reference cycle."""
+    basis position.  An entry is packed, substituted and flattened
+    (``_flat``) on first read and kept; the checks read only stored rows.  A
+    line holds the parts of the algebra it reads, not the algebra, which
+    holds its lines: no reference cycle."""
 
     def __init__(self, parts: tuple, form: str, k: int):
         super().__init__()
         self.parts, self.form, self.k = parts, form, k
 
-    def __missing__(self, t: int) -> Entry:
+    def __missing__(self, t: int) -> Packed:
         gens, table, position, packing = self.parts
         u, v = gens[self.k], gens[t]
         if self.form == "tw":
             u, v = v, u
-        row = table.get((u, v))
-        entry = None
-        if row is not None:
-            entry = []
-            for target, poly in row.items():
-                packed = packing.pack(poly)
-                for var, s, variables in _JACOBI_FORMS[self.form]:
-                    packed = packing.substitute(packed, var, s, variables)
-                entry.append((position[target], packed))
-            entry = tuple(entry)
-        self[t] = entry
+        parts = []
+        for target, poly in table[(u, v)].items():
+            packed = packing.pack(poly)
+            for var, s, variables in _JACOBI_FORMS[self.form]:
+                packed = packing.substitute(packed, var, s, variables)
+            parts.append((position[target], packed))
+        entry = self[t] = _flat(parts, len(gens))
         return entry
 
 
@@ -510,17 +560,19 @@ def _lines(alg: ConformalAlgebra) -> dict[str, list[_Line]]:
 def check_skew(alg: ConformalAlgebra) -> LawReport:
     """Skew-symmetry in coefficients: p_{u,v}(d, x) + p_{v,u}(d, -d-x) = 0.
 
-    Antisymmetry with the ``flip`` form on the second entry: both entries
-    are single, over ``den``, so each has the weight ``den``.
+    Antisymmetry with the ``flip`` form on the second entry, decided where
+    both rows are stored: both entries are single, over ``den``, so each
+    has the weight ``den``.
     """
     lines = _lines(alg)
     den = alg._packing.den
-    gens = alg.generators
+    gens, rows = alg.generators, alg._table
+    n = len(gens)
     laws = (((i, j), "skew", ((den, getitem, (lines["plain"][i], j)),
                               (den, getitem, (lines["flip"][j], i))))
-            for i, j in itertools.combinations_with_replacement(
-                range(len(gens)), 2))
-    return _decide(laws, gens, alg._packing)
+            for i, j in itertools.combinations_with_replacement(range(n), 2)
+            if (gens[i], gens[j]) in rows and (gens[j], gens[i]) in rows)
+    return _decide(laws, n * (n + 1) // 2, gens, alg._packing)
 
 
 def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
@@ -536,12 +588,13 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
       - sum_t p^t_{u,w}(d+y, x) p^r_{v,t}(d, y)
 
     An all-zero map means the identity holds on this triple; otherwise the
-    map holds the nonzero residuals only.  Raises OutOfWindowTripleError when
-    an inner bracket's grade is missing, or when some inner bracket is
-    nonzero and the total grade is missing.
+    map holds the nonzero residuals only.  Raises OutOfWindowTripleError,
+    before any arithmetic, when an inner bracket's grade is missing, or when
+    some inner bracket is nonzero and the total grade is missing: the rule
+    of ``_decidable`` for one triple.
 
     The residual is the ``_signed_sum`` of three ``_extend`` composites of
-    the entries ``_lines`` caches.  It is exact:
+    the flat entries ``_lines`` caches.  It is exact:
 
     - the substitutions are linear and homogeneous with integer
       coefficients, so they keep the total degree of every monomial and the
@@ -549,31 +602,42 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     - every exponent of a product is at most twice the largest total degree
       of a table entry, which is below ``2**width``, so no field carries into
       the next;
+    - a flat key is ``m * n + t`` with the target position ``0 <= t < n``,
+      so ``divmod(key, n)`` gives back (m, t), and the product key
+      ``k1 - t + k2`` is ``(m1 + m2) * n + w`` with ``m1 + m2`` the packed
+      product monomial: the target digit never carries into the monomial,
+      and two (monomial, target) pairs never share a key;
     - each residual is a sum of numerators over ``den**2``, so it is zero
-      exactly when every integer numerator is zero, and only nonzero
-      residuals are unpacked.
+      exactly when every integer numerator is zero, and only a nonzero
+      residual is split by target and unpacked.
 
     The products spend term pairs from ``count`` (a fresh one when None).
     """
+    rows = alg._table
+    # Each composite's inner pair, and its outer pair with None where each
+    # target t of the inner row goes.
+    for inner, x, z in (((v, w), u, None), ((u, v), None, w),
+                        ((u, w), v, None)):
+        row = rows.get(inner)
+        if row is None:
+            raise OutOfWindowTripleError((u, v, w))
+        for t in row:
+            if (t if x is None else x, t if z is None else z) not in rows:
+                raise OutOfWindowTripleError((u, v, w))
     a, b, c = (alg._position[g] for g in (u, v, w))
     lines = _lines(alg)
+    n = len(alg.generators)
     if count is None:
         count = PairCount("the Jacobi check")
-
-    def composite(inner: str, x: int, y: int, line: _Line) -> Entry:
-        return _extend(lines[inner][x][y], line, count)
-
     residual = _signed_sum((
         # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
-        (1, composite, ("vw", b, c, lines["plain"][a])),
+        (1, _extend, (lines["vw"][b][c], lines["plain"][a], n, count)),
         # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
-        (-1, composite, ("uv", a, b, lines["tw"][c])),
+        (-1, _extend, (lines["uv"][a][b], lines["tw"][c], n, count)),
         # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
-        (-1, composite, ("uw", a, c, lines["vt"][b]))))
-    if residual is None:
-        raise OutOfWindowTripleError((u, v, w))
+        (-1, _extend, (lines["uw"][a][c], lines["vt"][b], n, count))))
     return {alg.generators[r]: alg._packing.unpack(packed)
-            for r, packed in residual.items()}
+            for r, packed in _by_target(residual, n).items()}
 
 
 @dataclass(frozen=True)
@@ -588,27 +652,37 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
 
     When skew-symmetry holds, ordered triples u <= v <= w suffice; a broken
     skew check forfeits that reduction, so all ordered triples are scanned
-    instead (the algebra is then never certified on the cheap path).  All
-    triples share one PairCount, so MAX_PAIRS bounds the whole check.
+    instead (the algebra is then never certified on the cheap path).  The
+    masks of ``_decidable`` pick the decidable triples, in that order, and
+    ``jacobi_residual`` runs once on each; the others are skipped with no
+    arithmetic.  All triples share one PairCount, so MAX_PAIRS bounds the
+    whole check.
     """
     skew = check_skew(alg)
     gens = alg.generators
-    triples = (itertools.combinations_with_replacement(gens, 3) if skew.ok
-               else itertools.product(gens, repeat=3))
-    checked = skipped = 0
+    n = len(gens)
+    right, left = _decidable(alg, alg)
+    if skew.ok:
+        pairs = itertools.combinations_with_replacement(range(n), 2)
+        total = n * (n + 1) * (n + 2) // 6
+    else:
+        pairs, total = itertools.product(range(n), repeat=2), n ** 3
+    checked = 0
     violations: list[LawViolation] = []
     count = PairCount("the Jacobi check")
-    for triple in triples:
-        try:
+    for a, b in pairs:
+        low = b if skew.ok else 0
+        # (u v) w, then u (v w) and v (u w): the three composites.
+        for c in _bits(right[a][b] >> low << low):
+            if not (left[b][c] >> a & 1 and left[a][c] >> b & 1):
+                continue
+            triple = (gens[a], gens[b], gens[c])
             residual = jacobi_residual(alg, *triple, count)
-        except OutOfWindowTripleError:
-            skipped += 1
-            continue
-        checked += 1
-        if residual:
-            violations.append(LawViolation("jacobi", triple,
-                                           tuple(sorted(residual.items()))))
-    return JacobiReport(checked, skipped, tuple(violations), skew)
+            checked += 1
+            if residual:
+                violations.append(LawViolation(
+                    "jacobi", triple, tuple(sorted(residual.items()))))
+    return JacobiReport(checked, total - checked, tuple(violations), skew)
 
 
 # -- structure diagnostics -----------------------------------------------------

@@ -20,7 +20,9 @@ and return its ``LawReport`` of ``LawViolation``s (``LawViolation`` is
 importable from here too).
 A law is a signed sum of composites such as (x o y) o z, each memoised by
 its position triple for one check call, so a composite shared by several
-laws is computed once.
+laws is computed once.  Only the laws whose every composite is decidable
+are handed to the engine; the others are counted as skipped and cost no
+arithmetic.
 
 The correspondence with quadratic Lie conformal algebras:
 
@@ -40,10 +42,11 @@ from functools import cache
 from operator import getitem
 from typing import Iterable, Mapping
 
-from .conformal import (ConformalAlgebra, Entry, GeneratorId, LawReport,
-                        LawViolation, PairCount, StructureTable, _decide,
-                        _extend, _packing, graded_generators, graded_table)
-from .poly import D, X, Packing, ParamPoly, Scalar, as_poly, param
+from .conformal import (ConformalAlgebra, GeneratorId, LawReport,
+                        LawViolation, PairCount, StructureTable, _bits,
+                        _decidable, _decide, _extend, _flat, _packing,
+                        graded_generators, graded_table)
+from .poly import D, X, Packed, Packing, ParamPoly, Scalar, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
 
@@ -126,39 +129,50 @@ def _add(a: Combination, b: Combination, sign: int = 1) -> Combination:
     return {g: c for g, c in out.items() if c}
 
 
-def _positions(table: StructureTable, packing: Packing) -> list[list[Entry]]:
+def _positions(table: StructureTable, packing: Packing
+               ) -> list[list[Packed | None]]:
     """The table as rows[i][j], i and j positions in the sorted basis, each
-    coefficient packed once (numerators over ``packing.den``)."""
+    entry one flat packed dict (``conformal._flat``, numerators over
+    ``packing.den``) and None where the table stores no row."""
     index = table._position
+    n = len(index)
     pack = packing.pack
-    rows: list[list[Entry]] = [[None] * len(index) for _ in index]
+    rows: list[list[Packed | None]] = [[None] * n for _ in index]
     for (u, v), combo in table._table.items():
-        rows[index[u]][index[v]] = tuple((index[w], pack(c))
-                                         for w, c in combo.items())
+        rows[index[u]][index[v]] = _flat(((index[w], pack(c))
+                                          for w, c in combo.items()), n)
     return rows
 
 
-def _composites(inner: list[list[Entry]], outer: list[list[Entry]],
-                count: PairCount):
+def _composites(inner: list[list[Packed | None]],
+                outer: list[list[Packed | None]], count: PairCount):
     """outer(inner(x, y), z) and outer(x, inner(y, z)), memoised by positions.
 
     The memo lives as long as the two functions, that is one check call, and
-    their products spend term pairs from ``count``.
+    their products spend term pairs from ``count``.  They compute only
+    decidable composites (``conformal._decidable``).
     """
+    n = len(inner)
     columns = list(zip(*outer))
 
     @cache
-    def right(x: int, y: int, z: int) -> Entry:
-        return _extend(inner[x][y], columns[z], count)
+    def right(x: int, y: int, z: int) -> Packed:
+        return _extend(inner[x][y], columns[z], n, count)
 
     @cache
-    def left(x: int, y: int, z: int) -> Entry:
-        return _extend(inner[y][z], outer[x], count)
+    def left(x: int, y: int, z: int) -> Packed:
+        return _extend(inner[y][z], outer[x], n, count)
 
     return right, left
 
 
 # -- law checks ----------------------------------------------------------------
+#
+# Each check walks its laws in the order of the triples, and yields a law only
+# when every composite in it is decidable, by the masks of
+# ``conformal._decidable`` (bit z of right[x][y] for outer(inner(x, y), z),
+# bit x of left[y][z] for outer(x, inner(y, z))).  A law it does not yield is
+# skipped with no arithmetic spent on it.
 
 def check_novikov(nov: NovikovAlgebra) -> LawReport:
     """Left-symmetry and right-commutativity over all decidable triples.
@@ -171,17 +185,25 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
     """
     packing = _packing(nov)
     rows = _positions(nov, packing)
+    n = len(rows)
     right, left = _composites(rows, rows, PairCount("the Novikov check"))
+    is_right, is_left = _decidable(nov, nov)
 
     def laws():
-        for a, b, c in itertools.product(range(len(rows)), repeat=3):
-            abc, bac = (a, b, c), (b, a, c)
-            yield abc, "left-symmetry", ((1, right, abc), (-1, left, abc),
-                                         (-1, right, bac), (1, left, bac))
-            yield abc, "right-commutativity", ((1, right, abc),
-                                               (-1, right, (a, c, b)))
+        for a, b in itertools.product(range(n), repeat=2):
+            for c in _bits(is_right[a][b]):
+                abc, bac = (a, b, c), (b, a, c)
+                if (is_left[b][c] >> a & 1 and is_right[b][a] >> c & 1
+                        and is_left[a][c] >> b & 1):
+                    yield abc, "left-symmetry", ((1, right, abc),
+                                                 (-1, left, abc),
+                                                 (-1, right, bac),
+                                                 (1, left, bac))
+                if is_right[a][c] >> b & 1:
+                    yield abc, "right-commutativity", ((1, right, abc),
+                                                       (-1, right, (a, c, b)))
 
-    return _decide(laws(), nov.basis, packing)
+    return _decide(laws(), 2 * n ** 3, nov.basis, packing)
 
 
 def check_lie(lie: LieStructure) -> LawReport:
@@ -194,19 +216,24 @@ def check_lie(lie: LieStructure) -> LawReport:
     """
     packing = _packing(lie)
     rows = _positions(lie, packing)
+    n = len(rows)
     right, _ = _composites(rows, rows, PairCount("the Lie check"))
+    is_right, _ = _decidable(lie, lie)
     den = packing.den
 
     def laws():
-        for a, b in itertools.product(range(len(rows)), repeat=2):
-            yield (a, b), "antisymmetry", ((den, getitem, (rows[a], b)),
-                                           (den, getitem, (rows[b], a)))
-        for a, b, c in itertools.product(range(len(rows)), repeat=3):
-            yield (a, b, c), "jacobi", ((1, right, (a, b, c)),
-                                        (1, right, (b, c, a)),
-                                        (1, right, (c, a, b)))
+        for a, b in itertools.product(range(n), repeat=2):
+            if rows[a][b] is not None and rows[b][a] is not None:
+                yield (a, b), "antisymmetry", ((den, getitem, (rows[a], b)),
+                                               (den, getitem, (rows[b], a)))
+        for a, b in itertools.product(range(n), repeat=2):
+            for c in _bits(is_right[a][b]):
+                if is_right[b][c] >> a & 1 and is_right[c][a] >> b & 1:
+                    yield (a, b, c), "jacobi", ((1, right, (a, b, c)),
+                                                (1, right, (b, c, a)),
+                                                (1, right, (c, a, b)))
 
-    return _decide(laws(), lie.basis, packing)
+    return _decide(laws(), n ** 2 + n ** 3, lie.basis, packing)
 
 
 def check_gd(g: GDAlgebra) -> LawReport:
@@ -220,19 +247,27 @@ def check_gd(g: GDAlgebra) -> LawReport:
     """
     packing = _packing(g.nov, g.lie)
     nov, lie = _positions(g.nov, packing), _positions(g.lie, packing)
+    n = len(nov)
     count = PairCount("the compatibility check")
     bracket_of_product, _ = _composites(nov, lie, count)
     product_of_bracket, product_by_bracket = _composites(lie, nov, count)
+    is_bp, _ = _decidable(g.nov, g.lie)
+    is_pb, is_pxb = _decidable(g.lie, g.nov)
 
     def laws():
-        for a, b, c in itertools.product(range(len(nov)), repeat=3):
-            abc, acb = (a, b, c), (a, c, b)
-            yield abc, "compatibility", (
-                (1, bracket_of_product, abc), (-1, bracket_of_product, acb),
-                (1, product_of_bracket, abc), (-1, product_of_bracket, acb),
-                (-1, product_by_bracket, abc))
+        for a, b in itertools.product(range(n), repeat=2):
+            for c in _bits(is_bp[a][b]):
+                abc, acb = (a, b, c), (a, c, b)
+                if (is_bp[a][c] >> b & 1 and is_pb[a][b] >> c & 1
+                        and is_pb[a][c] >> b & 1 and is_pxb[b][c] >> a & 1):
+                    yield abc, "compatibility", (
+                        (1, bracket_of_product, abc),
+                        (-1, bracket_of_product, acb),
+                        (1, product_of_bracket, abc),
+                        (-1, product_of_bracket, acb),
+                        (-1, product_by_bracket, abc))
 
-    return _decide(laws(), g.basis, packing)
+    return _decide(laws(), n ** 3, g.basis, packing)
 
 
 # -- truncated families ---------------------------------------------------------

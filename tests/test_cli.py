@@ -449,7 +449,12 @@ def test_commands_refuse_flags_they_do_not_read(tmp_path, vir_path):
             (["family", "CL2", "--window=-1..1", "--lie", vir_path],
              "CL2 does not read --lie"),
             (["gd", "check", str(gd_path), "-o", str(out)],
-             "gd check does not read -o")):
+             "gd check does not read -o"),
+            (["solve-feq", "--ai=1", "--aj=1", "--aij=0", "--top=1",
+              "--bi=5", "--bj=7", "--bij=9"],
+             "solve-feq --top does not read --bi, --bj, --bij"),
+            (["solve-feq", "--tables", "--ai=3"],
+             "solve-feq --tables does not read --ai")):
         code, stdout, err = run(argv)
         assert (code, stdout) == (2, ""), argv
         assert json.loads(err) == {"error": message}, argv

@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlca import conformal, families, gd, grammar, specfile
 from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
@@ -191,8 +193,12 @@ def test_jacobi_residual_vanishing_is_permutation_invariant():
 def test_jacobi_triple_out_of_window():
     alg = families.make_cl1("s", 4)
     gens = {g.grade: g for g in alg.generators}
+    # The inner bracket (L-1, L2) and its outer one are decidable, but
+    # (L-1, L-1) is not: the triple is refused before any product is made.
+    count = conformal.PairCount("the Jacobi check")
     with pytest.raises(OutOfWindowTripleError):
-        jacobi_residual(alg, gens[-1], gens[-1], gens[2])
+        jacobi_residual(alg, gens[-1], gens[-1], gens[2], count)
+    assert count.pairs == 0
     report = check_jacobi(alg)
     assert report.ok and report.skipped > 0
 
@@ -256,6 +262,29 @@ def reference_jacobi_residual(alg, u, v, w, count=None):
     return {r: poly for r, poly in acc.items() if poly}
 
 
+def reference_check_jacobi(alg):
+    """The Jacobi check as a scan of every triple it may need, each through
+    ``reference_jacobi_residual``: an undecidable one is skipped when the
+    reference refuses it."""
+    skew = reference_check_skew(alg)
+    gens = alg.generators
+    triples = (itertools.combinations_with_replacement(gens, 3) if skew.ok
+               else itertools.product(gens, repeat=3))
+    checked = skipped = 0
+    violations = []
+    for triple in triples:
+        try:
+            residual = reference_jacobi_residual(alg, *triple)
+        except OutOfWindowTripleError:
+            skipped += 1
+            continue
+        checked += 1
+        if residual:
+            violations.append(conformal.LawViolation(
+                "jacobi", triple, tuple(sorted(residual.items()))))
+    return conformal.JacobiReport(checked, skipped, tuple(violations), skew)
+
+
 def _outcome(residual, alg, triple):
     try:
         return residual(alg, *triple)
@@ -265,12 +294,13 @@ def _outcome(residual, alg, triple):
 
 def assert_matches_reference(alg, monkeypatch):
     """Every ordered triple, the skew report and the whole report agree with
-    the references."""
+    the references: the report is the dense scan's, and check_jacobi gives
+    it again with the reference residual and skew check in place."""
     for triple in itertools.product(alg.generators, repeat=3):
         assert (_outcome(jacobi_residual, alg, triple)
                 == _outcome(reference_jacobi_residual, alg, triple)), triple
     report = check_jacobi(alg)
-    assert report.skew == reference_check_skew(alg)
+    assert report == reference_check_jacobi(alg)
     with monkeypatch.context() as patch:
         patch.setattr(conformal, "jacobi_residual", reference_jacobi_residual)
         patch.setattr(conformal, "check_skew", reference_check_skew)
@@ -355,9 +385,62 @@ def test_entries_at_the_spec_caps_match_reference(monkeypatch):
     assert not report.ok
 
 
+#: Coefficients of the drawn tables, in d, x and s.
+_DRAWN_COEFFICIENTS = (D, X, const(1), D + 2 * X, param("s") * X,
+                       const(Fraction(1, 2)) * D - param("s"), D * X)
+
+
+@st.composite
+def drawn_algebras(draw):
+    """An algebra with one or two generators at each of two to four grades
+    in -2..2, whose rows are drawn at random.
+
+    The pairs whose sum grade is missing have no row.  The others are empty
+    or list one or two targets at the sum grade.  Half the tables are made
+    skew-symmetric, (v, u) from (u, v), so that ``check_jacobi`` scans the
+    triples u <= v <= w as well as all ordered triples.
+    """
+    grades = draw(st.lists(st.integers(-2, 2), min_size=2, max_size=4,
+                           unique=True))
+    gens = [GeneratorId(g, f"G{g + 2}{k}") for g in grades
+            for k in range(draw(st.integers(1, 2)))]
+    skew = draw(st.booleans())
+    flip = -(D + X)
+    table = {}
+    for u in gens:
+        for v in gens:
+            targets = [w for w in gens if w.grade == u.grade + v.grade]
+            if not targets or (skew and (v, u) in table):
+                continue
+            chosen = draw(st.lists(st.sampled_from(targets), max_size=2,
+                                   unique=True))
+            if skew and u == v:
+                row = {w: draw(st.sampled_from((1, -2))) * (D + 2 * X)
+                       for w in chosen}
+            else:
+                row = {w: draw(st.sampled_from(_DRAWN_COEFFICIENTS))
+                       for w in chosen}
+            table[(u, v)] = row
+            if skew:
+                table[(v, u)] = {w: -p.substitute(LAM, flip)
+                                 for w, p in row.items()}
+    return ConformalAlgebra(gens, table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_algebras())
+def test_drawn_algebras_match_reference(alg):
+    # check_jacobi enumerates only the decidable triples; the references
+    # expand every ordered triple in ParamPoly arithmetic.
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_matches_reference(alg, monkeypatch)
+
+
 def test_jacobi_pair_budget(monkeypatch):
     # One check_jacobi spends one count: its term pairs are the sum over the
-    # triples it decides, and a budget one pair short of that ends it.
+    # triples it decides (jacobi_residual refuses an undecidable triple
+    # before it multiplies anything), and a budget one pair short of that
+    # ends it.
     alg = families.make_cl2("b", "s", range(-2, 3))
     count = conformal.PairCount("the Jacobi check")
     for triple in itertools.combinations_with_replacement(alg.generators, 3):
@@ -365,7 +448,7 @@ def test_jacobi_pair_budget(monkeypatch):
             jacobi_residual(alg, *triple, count)
         except OutOfWindowTripleError:
             pass
-    assert count.pairs == 1108
+    assert count.pairs == 1013
     monkeypatch.setattr(conformal, "MAX_PAIRS", count.pairs)
     assert check_jacobi(alg).ok
     monkeypatch.setattr(conformal, "MAX_PAIRS", count.pairs - 1)

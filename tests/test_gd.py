@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zlca import conformal, families, gd, specfile
 from zlca.conformal import GeneratorId, check_jacobi, check_skew
@@ -480,7 +482,8 @@ def test_law_checks_match_the_reference(case):
 
 def test_gd_pair_budget(monkeypatch):
     # Each law check spends one PairCount, which check_gd's two composite
-    # memos share; a budget one pair short of what a check spends ends it.
+    # memos share, on the composites of the laws it decides only; a budget
+    # one pair short of what a check spends ends it.
     counts = []
 
     class Recorded(conformal.PairCount):
@@ -491,9 +494,9 @@ def test_gd_pair_budget(monkeypatch):
     monkeypatch.setattr(gd, "PairCount", Recorded)
     g = gd.gd_a2("b", "s", range(-2, 3))
     for check, arg, name, pairs in (
-            (gd.check_novikov, g.nov, "the Novikov check", 418),
-            (gd.check_lie, g.lie, "the Lie check", 52),
-            (gd.check_gd, g, "the compatibility check", 280)):
+            (gd.check_novikov, g.nov, "the Novikov check", 350),
+            (gd.check_lie, g.lie, "the Lie check", 36),
+            (gd.check_gd, g, "the compatibility check", 228)):
         counts.clear()
         report = check(arg)
         assert report.ok and report.checked > 0
@@ -507,6 +510,66 @@ def test_gd_pair_budget(monkeypatch):
                                match=f"^{name} needs more than {pairs - 1} "
                                      f"term pairs$"):
                 check(arg)
+
+
+def test_a_skipped_law_spends_no_pairs(monkeypatch):
+    # (A o A) o A needs the rows (A, A) and (B, A); only the first is stored,
+    # so every Novikov law is skipped.  Its (A, A) part alone would spend
+    # pairs, so a check with no pairs to spend completes only when a
+    # skipped law multiplies nothing.
+    a, b = GeneratorId(0, "A"), GeneratorId(0, "B")
+    nov = gd.NovikovAlgebra([a, b], {(a, a): {a: as_poly(1), b: as_poly(1)}})
+    monkeypatch.setattr(conformal, "MAX_PAIRS", 0)
+    assert gd.check_novikov(nov) == reference_check_novikov(nov) == \
+        gd.LawReport(0, 16, ())
+
+
+#: Coefficients of the drawn tables: integers, a fraction, and degree one
+#: and two in the parameters.
+_COEFFICIENTS = (const(1), const(-2), const(Fraction(1, 2)), B, S - 1, B * S)
+
+
+@st.composite
+def drawn_gd(draw):
+    """A GD pair on two to four generators with rows drawn at random.
+
+    Each row of each table is missing (undecidable), empty (zero) or lists
+    one to three targets anywhere in the basis, so targets off the sum grade
+    and rows with several targets occur.
+    """
+    grades = draw(st.lists(st.integers(-1, 1), min_size=2, max_size=4))
+    basis = [GeneratorId(g, f"E{k}") for k, g in enumerate(grades)]
+
+    def table():
+        rows = {}
+        for u in basis:
+            for v in basis:
+                kind = draw(st.sampled_from(("missing", "empty", "row", "row")))
+                if kind == "missing":
+                    continue
+                targets = [] if kind == "empty" else draw(st.lists(
+                    st.sampled_from(basis), min_size=1, max_size=3,
+                    unique=True))
+                rows[(u, v)] = {w: draw(st.sampled_from(_COEFFICIENTS))
+                                for w in targets}
+        return rows
+
+    return gd.GDAlgebra(gd.NovikovAlgebra(basis, table()),
+                        gd.LieStructure(basis, table()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_gd())
+def test_drawn_tables_match_the_reference(g):
+    # The engine enumerates only the decidable laws and keeps each entry as
+    # one flat dict; the reference scans every law on the tables as given.
+    for check, reference, arg in (
+            (gd.check_novikov, reference_check_novikov, g.nov),
+            (gd.check_lie, reference_check_lie, g.lie),
+            (gd.check_gd, reference_check_gd, g)):
+        got, want = check(arg), reference(arg)
+        assert ((got.checked, got.skipped, got.violations)
+                == (want.checked, want.skipped, want.violations))
 
 
 # -- the grade-formula constructors against explicit loops ---------------------------

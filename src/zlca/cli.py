@@ -235,9 +235,13 @@ def cmd_family(args) -> int:
     lie = None
     if args.lie:
         lie_spec = specfile.load_path(args.lie)
+        try:
+            rows = lie_spec.conformal_brackets()
+        except specfile.SpecFileError as exc:
+            raise InputError(f"{args.lie}: {exc}")
         lie = (tuple(g.name for g in lie_spec.generators),
                {(u.name, v.name): {w.name: p for w, p in row.items()}
-                for (u, v), row in lie_spec.brackets.items()})
+                for (u, v), row in rows.items()})
     window = _parse_window(args.window) if args.window else None
     top = _parse_count(args.top, "--top")
     if top is not None:
@@ -362,6 +366,10 @@ def cmd_ideal_check(args) -> int:
     alg = _load_algebra(args.spec, args.bind, spec)
     sub = (specfile.load_pattern(args.pattern) if args.pattern
            else spec.submodule_pattern())
+    bindings = _parse_bindings(args.bind)
+    if bindings:  # as the algebra is; a parameter not named stays free
+        sub = ideals.GradedSubmodule({grade: q.substitute(bindings)
+                                      for grade, q in sub.components.items()})
     try:
         result = ideals.is_graded_ideal(alg, sub)
     except ValueError as exc:

@@ -220,7 +220,7 @@ class StructureTable:
 
     def instantiate(self, values: Mapping[str, Scalar]):
         """The same table with parameters bound to rationals."""
-        table = {pair: {w: coef.instantiate(values)
+        table = {pair: {w: coef.substitute(values)
                         for w, coef in row.items()}
                  for pair, row in self._table.items()}
         return type(self)(self.basis, table, self.params - set(values))
@@ -318,9 +318,9 @@ def bracket(alg: ConformalAlgebra, a: Element, b: Element
     minus_x = -ParamPoly.variable(LAM)
     shift = ParamPoly.variable(DEL) + ParamPoly.variable(LAM)
     for u, f in a.coeffs.items():
-        f_left = f.substitute(DEL, minus_x)
+        f_left = f.substitute({DEL: minus_x})
         for v, g in b.coeffs.items():
-            g_right = g.substitute(DEL, shift)
+            g_right = g.substitute({DEL: shift})
             scale = f_left * g_right
             row = alg.entry(u, v)
             if row is None:

@@ -198,7 +198,7 @@ def make_scl2_literal(b: Fraction, s: Coefficientish,
             return (D + X + 2 * sp) * ((i + b) * D + i * X + sp * (i + 2 * b))
         if i == special:
             # [M x L_j] = -[L_j_{-d-x} M], filled from the line above.
-            return -entry(j, i).substitute("x", flip)
+            return -entry(j, i).substitute({"x": flip})
         if i + j == special:
             return as_poly(Fraction(i - j, 2))
         return cl2_entry(_coeff(b), sp, i, j)

@@ -85,10 +85,11 @@ class SpectralTriple:
 
 def _residual(p: ParamPoly, wl: Fraction, sl: Coefficient, wr: Fraction,
               sr: Coefficient, wo: Fraction, so: Coefficient) -> ParamPoly:
-    """The one residual formula: weights w and shifts s (left, right, out)."""
-    p_sum = p.substitute(LAM, X + Y)
-    p_shift = p.substitute(LAM, Y).substitute(DEL, D + X)
-    p_mu = p.substitute(LAM, Y)
+    """The one residual formula: weights w and shifts s (left, right, out).
+    ``p_shift`` is p(d + x, y), by one simultaneous substitution."""
+    p_sum = p.substitute({LAM: X + Y})
+    p_shift = p.substitute({LAM: Y, DEL: D + X})
+    p_mu = p.substitute({LAM: Y})
     return (((wl - 1) * X - Y + sl) * p_sum
             - p_shift * (D + wo * X + so)
             + (D + Y + wr * X + sr) * p_mu)

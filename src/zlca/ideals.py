@@ -112,7 +112,7 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
     for grade in sub.grades():
         if grade not in alg.window:
             raise ValueError(f"submodule grade {grade} is outside the window")
-    shifted = {grade: sub.generator(grade).substitute(DEL, D + X)
+    shifted = {grade: sub.generator(grade).substitute({DEL: D + X})
                for grade in sub.grades()}
     checked = skipped = 0
     violations: list[LawViolation] = []
@@ -211,7 +211,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
             if v_grade not in pending:
                 continue
             pending.discard(v_grade)
-            q_v = state[v_grade].substitute(DEL, D + X)
+            q_v = state[v_grade].substitute({DEL: D + X})
             for u_grade in sorted(alg.window):
                 target_grade = u_grade + v_grade
                 if target_grade not in alg.window:

@@ -28,6 +28,9 @@ first by *formal* degree (parameters do not count), then lexicographically by
 exponents along the precedence above.  The same order drives printing, leading
 terms, and exact division.
 
+``substitute`` is the one substitution: simultaneous, by rationals or
+polynomials, and alike for formal variables and parameters.
+
 ``Packing`` is a second format for one hot loop, the law engine of
 ``conformal`` on which skew, Jacobi and the Gel'fand-Dorfman laws are
 checked: each monomial is one ``int`` whose bit fields hold the exponents,
@@ -40,7 +43,9 @@ d alone, with which the ideal closure accumulates its components.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
@@ -71,10 +76,6 @@ _FORMAL_RANK = {DEL: (0, ""), LAM: (1, ""), MU: (2, "")}
 # proper "prefix" of another sort after it (the longer one has the larger
 # exponent at the first extra variable).
 _END = ((3, "\x7f"), 0)
-
-
-class SubstituteParamError(ValueError):
-    """Raised when substitute() targets a parameter instead of d, x or y."""
 
 
 class ZeroPolynomialError(ValueError):
@@ -420,47 +421,36 @@ class ParamPoly:
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, var: str, replacement: "ParamPoly") -> "ParamPoly":
-        """Replace every occurrence of a formal variable, renormalizing.
-
-        Only d, x, y may be substituted; parameters are bound through
-        instantiate() instead.
+    def substitute(self, values: Mapping[str, Coefficient]) -> "ParamPoly":
+        """Replace each key of ``values``, formal variable or parameter alike,
+        by its rational or polynomial value, all at once: ``{"x": Y, "y": X}``
+        swaps x and y.  Each product of powers a term needs is expanded once.
         """
-        if var not in _FORMAL_RANK:
-            raise SubstituteParamError(
-                f"cannot substitute parameter {var!r}; use instantiate()")
-        replacement = self._coerce(replacement)
         out: dict[Mono, Scalar] = {}
         get = out.get
-        powers: dict[int, dict[Mono, Scalar]] = {0: {ONE_MONO: 1}}
+        expansions: dict[Mono, dict[Mono, Scalar]] = {}
         for mono, coef in self._terms.items():
-            e, rest = _without(mono, var)
-            if e not in powers:
-                powers[e] = (replacement ** e)._terms
-            for m2, c2 in powers[e].items():
+            kept, replaced = [], []
+            for v, e in mono:
+                value = values.get(v)
+                if value is None:
+                    kept.append((v, e))
+                elif value.__class__ is ParamPoly:
+                    replaced.append((v, e))
+                else:
+                    coef *= value ** e
+            rest = tuple(kept)
+            if not replaced:
+                out[rest] = get(rest, 0) + coef
+                continue
+            key = tuple(replaced)
+            expansion = expansions.get(key)
+            if expansion is None:
+                expansion = expansions[key] = functools.reduce(
+                    operator.mul, (values[v] ** e for v, e in key))._terms
+            for m2, c2 in expansion.items():
                 m = mono_mul(rest, m2)
                 out[m] = get(m, 0) + coef * c2
-        return self._wrap(out)
-
-    def instantiate(self, bindings: Mapping[str, Scalar]) -> "ParamPoly":
-        """Bind parameters to rational values; unbound parameters remain."""
-        for name in bindings:
-            if name in _FORMAL_RANK:
-                raise SubstituteParamError(
-                    f"{name!r} is a formal variable, not a parameter")
-        if not bindings:
-            return self
-        out: dict[Mono, Scalar] = {}
-        for mono, coef in self._terms.items():
-            value = coef
-            kept: list[tuple[str, int]] = []
-            for v, e in mono:
-                if v in bindings:
-                    value *= Fraction(bindings[v]) ** e
-                else:
-                    kept.append((v, e))
-            rest = tuple(kept)
-            out[rest] = out.get(rest, 0) + value
         return self._wrap(out)
 
     # -- division ----------------------------------------------------------

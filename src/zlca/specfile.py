@@ -65,6 +65,12 @@ MAX_FORMAL_DEGREE = feq.MAX_FULL_DEGREE
 #: size of every table entry that verification multiplies.
 MAX_TABLE_TERMS = 612
 
+#: The most terms a submodule component may have: 4 times the largest one in
+#: any golden, test, workload or CI pattern, the 2 terms of ``d + 2*s``.
+#: Components are also held to MAX_FORMAL_DEGREE; every bracket of the ideal
+#: check is divided by them.
+MAX_PATTERN_TERMS = 8
+
 #: The most generators a spec may declare: the widest window ``zlca family``
 #: emits (``cli.MAX_WINDOW_GRADES``), one generator per grade.
 MAX_GENERATORS = 101
@@ -80,11 +86,16 @@ class SpecFile:
 
     # -- model construction -------------------------------------------------
 
-    def algebra(self) -> ConformalAlgebra:
+    def conformal_brackets(self) -> Table:
+        """The bracket rows, or SpecFileError on a GD-mode spec."""
         if self.products is not None:
             raise SpecFileError("spec file has a products table (GD mode): "
                                 "only gd check and gd to-lca read it")
-        return ConformalAlgebra(self.generators, self.brackets, self.params)
+        return self.brackets
+
+    def algebra(self) -> ConformalAlgebra:
+        return ConformalAlgebra(self.generators, self.conformal_brackets(),
+                                self.params)
 
     def gd_algebra(self) -> GDAlgebra:
         if self.products is None:
@@ -154,8 +165,8 @@ def _pattern_entries(raw: Mapping[Any, Any]) -> tuple[tuple[int, str], ...]:
 
 
 def parse_pattern(entries: tuple[tuple[int, str], ...]) -> GradedSubmodule:
-    """``_pattern_entries``, each "full", "zero" or a polynomial, as a graded
-    submodule."""
+    """``_pattern_entries``, each "full", "zero" or a polynomial within the
+    caps (MAX_FORMAL_DEGREE, MAX_PATTERN_TERMS), as a graded submodule."""
     components: dict[int, ParamPoly] = {}
     for grade, value in entries:
         if value == "zero":
@@ -164,9 +175,17 @@ def parse_pattern(entries: tuple[tuple[int, str], ...]) -> GradedSubmodule:
             components[grade] = ParamPoly.const(1)
             continue
         try:
-            components[grade] = grammar.parse(value)
+            poly = grammar.parse(value)
         except grammar.ParseError as exc:
             raise SpecFileError(f"submodule component at {grade}: {exc}")
+        if len(poly) > MAX_PATTERN_TERMS:
+            raise SpecFileError(f"submodule component at {grade}: {len(poly)} "
+                                f"terms exceed {MAX_PATTERN_TERMS}")
+        if poly.formal_degree() > MAX_FORMAL_DEGREE:
+            raise SpecFileError(f"submodule component at {grade}: formal "
+                                f"degree {poly.formal_degree()} exceeds "
+                                f"{MAX_FORMAL_DEGREE}")
+        components[grade] = poly
     try:
         return GradedSubmodule(components)
     except ValueError as exc:

@@ -749,8 +749,9 @@ def write_a2_gd(tmp_path):
 
 @pytest.mark.parametrize("command, options", [
     (["verify"], []), (["probe"], ["--core=-2..2"]),
-    (["ideal-check"], ["--pattern"]), (["gd", "from-lca"], [])],
-    ids=["verify", "probe", "ideal-check", "gd from-lca"])
+    (["ideal-check"], ["--pattern"]), (["gd", "from-lca"], []),
+    (["family", "Cur", "--lie"], [])],
+    ids=["verify", "probe", "ideal-check", "gd from-lca", "family Cur --lie"])
 def test_conformal_commands_refuse_a_gd_spec(tmp_path, command, options):
     # A spec with a products table is a GD structure: reading its brackets
     # as a conformal algebra, without its products, would answer another
@@ -805,6 +806,84 @@ def test_ideal_check_closed(tmp_path):
     code, out, _ = run(["ideal-check", str(cl2), "--pattern", str(pat)])
     assert code == 0
     assert json.loads(out)["closed"] is True
+
+
+def scl2_pattern(tmp_path, component, window=range(-4, 5)):
+    """A pattern file: ``component`` at grade -1, full at every other grade."""
+    return write_json(tmp_path / "pattern.json", {
+        str(g): (component if g == -1 else "full") for g in window})
+
+
+def with_submodule(tmp_path, spec_path, pattern_path):
+    """A copy of the spec with the pattern as its own submodule."""
+    spec = json.loads(open(spec_path).read())
+    spec["submodule"] = json.loads(open(pattern_path).read())
+    return write_json(tmp_path / "with_submodule.json", spec)
+
+
+@pytest.mark.parametrize("component, bind, closed", [
+    ("d + 2*s", [], True), ("d + 2*s", ["s=1"], True),
+    ("d + 3*s", ["s=1"], False), ("d + 2", ["s=1"], True),
+    ("d + 2", ["s=3"], False)])
+def test_bind_binds_the_pattern(tmp_path, component, bind, closed):
+    # CL2(1/2, s) has the SCL2 ideal, d + 2s at grade -1, for every s.  Bound
+    # at s = 1, the algebra's ideal is d + 2 there, and a pattern read at
+    # another s than the algebra's would fail a closed pattern.
+    cl2 = str(write_cl2(tmp_path, "1/2", None, "-4..4"))
+    pattern = scl2_pattern(tmp_path, component)
+    options = [arg for value in bind for arg in ("--bind", value)]
+    for argv in (["ideal-check", cl2, "--pattern", pattern, *options],
+                 ["ideal-check", with_submodule(tmp_path, cl2, pattern),
+                  *options]):
+        code, out, _ = run(argv)
+        assert (code, json.loads(out)["closed"]) == (0 if closed else 1,
+                                                    closed), argv
+
+
+def test_bind_leaves_other_pattern_parameters_free(tmp_path):
+    # --bind b=1/2 on CL2(b, s) leaves s free in the algebra and the pattern.
+    cl2 = str(tmp_path / "cl2.json")
+    assert run(["family", "CL2", "--window=-4..4", "-o", cl2])[0] == 0
+    code, out, _ = run(["ideal-check", cl2, "--pattern",
+                        scl2_pattern(tmp_path, "d + 2*s"), "--bind", "b=1/2"])
+    assert (code, json.loads(out)["closed"]) == (0, True)
+
+
+AT_THE_CAPS = " + ".join(f"d^{e}" for e in range(
+    specfile.MAX_FORMAL_DEGREE,
+    specfile.MAX_FORMAL_DEGREE - specfile.MAX_PATTERN_TERMS, -1))
+
+
+@pytest.mark.parametrize("component, error", [
+    (f"d^{specfile.MAX_FORMAL_DEGREE + 1}",
+     f"formal degree {specfile.MAX_FORMAL_DEGREE + 1} exceeds "
+     f"{specfile.MAX_FORMAL_DEGREE}"),
+    (AT_THE_CAPS + " + 1",
+     f"{specfile.MAX_PATTERN_TERMS + 1} terms exceed "
+     f"{specfile.MAX_PATTERN_TERMS}"),
+    (" + ".join(f"a^{i}*b^{j}*d" for i in range(3) for j in range(3)),
+     f"9 terms exceed {specfile.MAX_PATTERN_TERMS}"),
+    ("*".join(["(d + 1)^16"] * 5),
+     f"81 terms exceed {specfile.MAX_PATTERN_TERMS}")],
+    ids=["degree", "terms", "parameter-terms", "power"])
+def test_pattern_components_are_bounded(tmp_path, component, error):
+    # Every bracket of the ideal check is divided by a component, so a
+    # component is held to caps, as a table entry is; both loaders share
+    # them, and the error names the grade.
+    message = f"submodule component at -1: {error}"
+    cl2 = str(write_cl2(tmp_path, "1/2", "1", "-4..4"))
+    pattern = scl2_pattern(tmp_path, component)
+    with pytest.raises(specfile.SpecFileError) as info:
+        specfile.load_pattern(pattern)
+    assert str(info.value) == message
+    for argv in (["ideal-check", cl2, "--pattern", pattern],
+                 ["ideal-check", with_submodule(tmp_path, cl2, pattern)]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {"error": message}
+    code, out, _ = run(["ideal-check", cl2, "--pattern",
+                        scl2_pattern(tmp_path, AT_THE_CAPS)])
+    assert (code, json.loads(out)["closed"]) == (1, False)
 
 
 @pytest.mark.parametrize("text", ['{"0": ' + "1" * 5000 + "}", "[" * 100_000],

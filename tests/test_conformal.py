@@ -223,7 +223,7 @@ def reference_check_skew(alg):
             for w in sorted(set(forward) | set(backward)):
                 poly = (forward.get(w, ParamPoly.zero())
                         + backward.get(w, ParamPoly.zero())
-                        .substitute(LAM, flip))
+                        .substitute({LAM: flip}))
                 if poly:
                     residual.append((w, poly))
             if residual:
@@ -253,12 +253,12 @@ def reference_jacobi_residual(alg, u, v, w, count=None):
             for r, right in row(*outer_pair(t)).items():
                 acc[r] = acc.get(r, ParamPoly.zero()) + left * outer_sub(right)
 
-    accumulate(lambda p: p.substitute(LAM, Y).substitute(DEL, D + X), v, w,
+    accumulate(lambda p: p.substitute({LAM: Y}).substitute({DEL: D + X}), v, w,
                lambda p: p, lambda t: (u, t))
-    accumulate(lambda p: -p.substitute(DEL, -X - Y), u, v,
-               lambda p: p.substitute(LAM, X + Y), lambda t: (t, w))
-    accumulate(lambda p: -p.substitute(DEL, D + Y), u, w,
-               lambda p: p.substitute(LAM, Y), lambda t: (v, t))
+    accumulate(lambda p: -p.substitute({DEL: -X - Y}), u, v,
+               lambda p: p.substitute({LAM: X + Y}), lambda t: (t, w))
+    accumulate(lambda p: -p.substitute({DEL: D + Y}), u, w,
+               lambda p: p.substitute({LAM: Y}), lambda t: (v, t))
     return {r: poly for r, poly in acc.items() if poly}
 
 
@@ -422,7 +422,7 @@ def drawn_algebras(draw):
                        for w in chosen}
             table[(u, v)] = row
             if skew:
-                table[(v, u)] = {w: -p.substitute(LAM, flip)
+                table[(v, u)] = {w: -p.substitute({LAM: flip})
                                  for w, p in row.items()}
     return ConformalAlgebra(gens, table)
 

@@ -45,11 +45,11 @@ def test_top_residual_is_the_full_residual_without_shifts():
             assert top == feq.feq_residual(p, triple(wl, 0, wr, 0, wo, 0))
             # ((wl - 1) x - y) p(d, x+y) - p(d+x, y)(d + wo x)
             #     + (d + y + wr x) p(d, y), written out
-            p_sum = p.substitute("x", X + Y)
-            p_shift = p.substitute("x", Y).substitute("d", D + X)
+            p_sum = p.substitute({"x": X + Y})
+            p_shift = p.substitute({"x": Y}).substitute({"d": D + X})
             assert top == (((F(wl) - 1) * X - Y) * p_sum
                            - p_shift * (D + F(wo) * X)
-                           + (D + Y + F(wr) * X) * p.substitute("x", Y))
+                           + (D + Y + F(wr) * X) * p.substitute({"x": Y}))
 
 
 def test_degree_guard():

@@ -219,7 +219,7 @@ def test_closure_lands_like_the_general_bracket():
                     continue
                 value = bracket(alg, Element.generator(alg.single_generator(i)),
                                 Element({alg.single_generator(j): q}))
-                landed = alg.graded_entry(i, j) * q.substitute(DEL, D + X)
+                landed = alg.graded_entry(i, j) * q.substitute({DEL: D + X})
                 assert value == ({alg.single_generator(i + j): landed}
                                  if landed else {}), (i, j, q)
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zlca.poly import (D, X, Y, FORMAL_VARS, MINUS_INFINITY, NotDivisibleError,
-                       Packing, ParamPoly, SubstituteParamError,
-                       ZeroPolynomialError, const, gcd_in_d, mono_mul, param)
+                       Packing, ParamPoly, ZeroPolynomialError, const,
+                       gcd_in_d, mono_mul, param)
 
 S = param("s")
 B = param("b")
@@ -101,26 +101,79 @@ def test_normal_form_congruence(p, q):
 # -- substitution --------------------------------------------------------------
 
 def test_substitute_direct_expansion():
-    assert (D + 2 * X).substitute("x", -D - X) == -D - 2 * X
-    assert (D + 2 * X).substitute("d", D + X) == D + 3 * X
+    assert (D + 2 * X).substitute({"x": -D - X}) == -D - 2 * X
+    assert (D + 2 * X).substitute({"d": D + X}) == D + 3 * X
 
 
 @settings(max_examples=40)
 @given(polys())
 def test_substitute_identity(p):
-    assert p.substitute("x", X) == p
+    assert p.substitute({"x": X}) == p
 
 
 @settings(max_examples=40)
 @given(polys())
 def test_skew_substitution_is_involution(p):
-    q = p.substitute("x", -D - X)
-    assert q.substitute("x", -D - X) == p
+    q = p.substitute({"x": -D - X})
+    assert q.substitute({"x": -D - X}) == p
 
 
-def test_substitute_rejects_parameters():
-    with pytest.raises(SubstituteParamError):
-        (D + S).substitute("s", X)
+def test_substitute_replaces_a_parameter_by_a_polynomial():
+    assert (D + S).substitute({"s": X}) == D + X
+    # P(i, j + k) of a family entry: a grade parameter replaced by a sum.
+    i, j, k = param("i"), param("j"), param("k")
+    p = (i + B) * D + (i + j + 2 * B) * X + S * (i - j)
+    assert p.substitute({"j": j + k}) == ((i + B) * D
+                                          + (i + j + k + 2 * B) * X
+                                          + S * (i - j - k))
+
+
+def test_substitute_is_simultaneous():
+    assert (X + 2 * Y).substitute({"x": Y, "y": X}) == Y + 2 * X
+    assert (S * X).substitute({"s": X, "x": S}) == S * X
+    # The d of d + x is not replaced again.
+    assert (D * X).substitute({"x": Y, "d": D + X}) == D * Y + X * Y
+
+
+def test_substitute_binds_formal_variables_to_rationals():
+    assert (D + X).substitute({"x": 1}) == D + 1
+    assert (D * X * S).substitute({"d": 2, "s": Fraction(1, 2)}) == X
+
+
+sympy_vars = ("d", "x", "y", "s", "b")
+
+
+def sympy_of(p):
+    sympy = pytest.importorskip("sympy")
+    return sympy.sympify(str(p).replace("^", "**"),
+                         locals={v: sympy.Symbol(v) for v in sympy_vars})
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.dictionaries(
+    st.sampled_from(sympy_vars),
+    st.one_of(rationals(), polys(max_terms=3)), max_size=4))
+def test_substitute_matches_sympy(p, values):
+    # Mixed formal and parameter keys, rational and polynomial values: the
+    # one substitution is sympy's simultaneous subs, normal form for form.
+    sympy = pytest.importorskip("sympy")
+    got = p.substitute(values)
+    want = sympy.expand(sympy_of(p).subs(
+        {sympy.Symbol(v): (sympy.Rational(r.numerator, r.denominator)
+                           if isinstance(r, Fraction) else sympy_of(r))
+         for v, r in values.items()}, simultaneous=True))
+    assert sympy.expand(sympy_of(got) - want) == 0
+    _assert_stored_canonically(got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys())
+def test_substitute_swap_matches_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.Symbol("x"), sympy.Symbol("y")
+    got = p.substitute({"x": Y, "y": X})
+    want = sympy_of(p).subs({x: y, y: x}, simultaneous=True)
+    assert sympy.expand(sympy_of(got) - want) == 0
 
 
 # -- degrees and leading parts ---------------------------------------------------
@@ -256,34 +309,29 @@ def test_gcd_in_d_of_two_zeros_is_refused():
         gcd_in_d(ParamPoly.zero(), ParamPoly.zero())
 
 
-# -- instantiation ----------------------------------------------------------------
+# -- binding parameters to rationals ---------------------------------------------------
 
 def test_instantiate_zero_binding():
     p = D + 2 * X + S * 3
-    assert p.instantiate({"s": 0}) == D + 2 * X
+    assert p.substitute({"s": 0}) == D + 2 * X
 
 
 def test_instantiate_family_entry():
     # (i+b)d + (i+j+2b)x at i=0, j=2, b=1
     i, j = 0, 2
     p = (i + B) * D + (i + j + 2 * B) * X
-    assert p.instantiate({"b": 1}) == D + 4 * X
+    assert p.substitute({"b": 1}) == D + 4 * X
 
 
 def test_instantiate_empty_is_identity():
     p = D * S + X ** 2
-    assert p.instantiate({}) == p
+    assert p.substitute({}) == p
 
 
 def test_instantiate_partial():
     p = S * B * D
-    assert p.instantiate({"s": Fraction(1, 2)}) == Fraction(1, 2) * B * D
-    assert p.instantiate({"s": 2, "b": 3}) == 6 * D
-
-
-def test_instantiate_rejects_formal_vars():
-    with pytest.raises(SubstituteParamError):
-        (D + X).instantiate({"x": 1})
+    assert p.substitute({"s": Fraction(1, 2)}) == Fraction(1, 2) * B * D
+    assert p.substitute({"s": 2, "b": 3}) == 6 * D
 
 
 # -- ordering and printing ----------------------------------------------------------
@@ -409,8 +457,8 @@ def test_packed_substitute_matches_substitute(p, replacement):
     Packing.mul_add(product, packed, packing.pack(const(1)))
     result = packing.unpack(product)
     expected = p.substitute(
-        var, sign * sum((ParamPoly.variable(v) for v in variables),
-                        ParamPoly.zero()))
+        {var: sign * sum((ParamPoly.variable(v) for v in variables),
+                         ParamPoly.zero())})
     assert result == expected
     _assert_stored_canonically(result)
 

@@ -14,7 +14,8 @@ p_{i,j} from ``graded_entry`` and q shifted once per use, not once per pair
 reference).  The value lies in the target component exactly when that
 component's generator divides it as a polynomial in d (the bracket variable
 and any parameters ride along as transparent coefficients), which is what
-the canonical-order division computes when the divisor is monic in d.
+``poly``'s one canonical-order division decides when the divisor is monic in
+d; a violation reports its unique remainder.
 ``is_graded_ideal`` reports as the law checks of ``conformal`` do, in one
 ``LawReport`` with a ``LawViolation`` per bracket that leaves the submodule.
 
@@ -34,7 +35,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .conformal import ConformalAlgebra, Element, LawReport, LawViolation
-from .poly import DEL, LAM, MU, D, X, ParamPoly, as_poly, gcd_in_d
+from .poly import (DEL, LAM, MU, D, X, NotDivisibleError, ParamPoly, as_poly,
+                   gcd_in_d)
 
 FULL = ParamPoly.const(1)
 
@@ -133,7 +135,7 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
                 try:
                     value.exact_divide(q_w)
                     continue
-                except ArithmeticError as exc:
+                except NotDivisibleError as exc:
                     value = exc.remainder
             violations.append(LawViolation(
                 "ideal", (u, alg.single_generator(v_grade)),
@@ -190,9 +192,8 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
         for coef in poly.coefficients_in(LAM).values():
             if coef.params():
                 raise ValueError("closure requires an instantiated seed")
-            current = state.get(grade)
-            new = coef.monic() if current is None else gcd_in_d(current, coef)
-            if new != current:
+            new = gcd_in_d(state.get(grade, ParamPoly.zero()), coef)
+            if new != state.get(grade):
                 state[grade] = new
                 grew = True
         return grew

@@ -37,13 +37,16 @@ checked: each monomial is one ``int`` whose bit fields hold the exponents,
 each coefficient an ``int`` numerator over a denominator shared by a whole
 set of polynomials.  It converts from and back to ``ParamPoly`` only.
 
-``gcd_in_d`` is the one polynomial gcd: the monic gcd of two polynomials in
-d alone, with which the ideal closure accumulates its components.
+``ParamPoly._divmod`` is the one division, in the canonical order, visiting
+each term once.  ``exact_divide`` and ``divides`` read its remainder, and so
+does ``gcd_in_d``, the monic gcd of two polynomials in d alone with which the
+ideal closure accumulates its components.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 import operator
 import re
@@ -83,15 +86,16 @@ class ZeroPolynomialError(ValueError):
 
 
 class NotDivisibleError(ArithmeticError):
-    """Raised by exact_divide when no exact quotient exists."""
+    """Raised by exact_divide on a nonzero remainder; its message is lazy."""
 
     def __init__(self, dividend: "ParamPoly", divisor: "ParamPoly",
                  remainder: "ParamPoly"):
-        super().__init__(f"({dividend}) is not divisible by ({divisor}); "
-                         f"remainder {remainder}")
-        self.dividend = dividend
-        self.divisor = divisor
-        self.remainder = remainder
+        super().__init__(dividend, divisor, remainder)
+        self.dividend, self.divisor, self.remainder = self.args
+
+    def __str__(self) -> str:
+        return (f"({self.dividend}) is not divisible by ({self.divisor}); "
+                f"remainder {self.remainder}")
 
 
 def _var_rank(var: str) -> tuple[int, str]:
@@ -455,41 +459,55 @@ class ParamPoly:
 
     # -- division ----------------------------------------------------------
 
-    def exact_divide(self, divisor: "ParamPoly") -> "ParamPoly":
-        """Exact quotient self / divisor under the canonical monomial order.
-
-        Raises NotDivisibleError (carrying the division remainder) when no
-        exact quotient exists; raises ZeroPolynomialError on a zero divisor.
-        """
-        divisor = self._coerce(divisor)
-        if divisor.is_zero():
+    def _divmod(self, divisor: "ParamPoly") -> "tuple[ParamPoly, ParamPoly]":
+        """Quotient and remainder of self by divisor: the one division (Cox,
+        Little and O'Shea, ch. 2 section 3).  A heap (Monagan and Pearce,
+        CASC 2007) keys each monomial of what remains once and pops it once,
+        largest first; a step adds only monomials smaller than the one it
+        cancels.  The remainder is the unique normal form: no term of it is
+        divisible by the divisor's leading monomial."""
+        if not divisor._terms:
             raise ZeroPolynomialError("division by the zero polynomial")
-        quotient: dict[Mono, Scalar] = {}
-        remainder: dict[Mono, Scalar] = {}
         lead_mono = divisor.leading_monomial()
         lead_coef = divisor._terms[lead_mono]
-        rest = self
-        while rest._terms:
-            mono = rest.leading_monomial()
-            coef = rest._terms[mono]
-            if mono_divides(lead_mono, mono):
-                t_mono = mono_div(mono, lead_mono)
-                t_coef = Fraction(coef, lead_coef)
-                quotient[t_mono] = quotient.get(t_mono, 0) + t_coef
-                rest = rest - self._wrap({t_mono: t_coef}) * divisor
-            else:
+        tail = [(m, c) for m, c in divisor._terms.items() if m != lead_mono]
+        rest = dict(self._terms)
+        heap = [(mono_sort_key(m), m) for m in rest]
+        heapq.heapify(heap)
+        quotient: dict[Mono, Scalar] = {}
+        remainder: dict[Mono, Scalar] = {}
+        while heap:
+            mono = heapq.heappop(heap)[1]
+            coef = rest[mono]
+            if not coef:
+                continue
+            if not mono_divides(lead_mono, mono):
                 remainder[mono] = coef
-                rest = rest - self._wrap({mono: coef})
+                continue
+            t_mono = mono_div(mono, lead_mono)
+            t_coef = quotient[t_mono] = Fraction(coef, lead_coef)
+            for m, c in tail:
+                m = mono_mul(t_mono, m)
+                old = rest.get(m)
+                if old is None:
+                    heapq.heappush(heap, (mono_sort_key(m), m))
+                    old = 0
+                rest[m] = old - t_coef * c
+        return self._wrap(quotient), self._wrap(remainder)
+
+    def exact_divide(self, divisor: "ParamPoly") -> "ParamPoly":
+        """Exact quotient self / divisor by ``_divmod``.  Raises
+        NotDivisibleError (carrying the remainder) when no exact quotient
+        exists; raises ZeroPolynomialError on a zero divisor."""
+        divisor = self._coerce(divisor)
+        quotient, remainder = self._divmod(divisor)
         if remainder:
-            raise NotDivisibleError(self, divisor, self._wrap(remainder))
-        return self._wrap(quotient)
+            raise NotDivisibleError(self, divisor, remainder)
+        return quotient
 
     def divides(self, other: "ParamPoly") -> bool:
-        try:
-            other.exact_divide(self)
-            return True
-        except NotDivisibleError:
-            return False
+        """True when self divides other: the ``_divmod`` remainder is zero."""
+        return not other._divmod(self)[1]
 
     # -- printing ----------------------------------------------------------
 
@@ -540,36 +558,17 @@ def as_poly(value: Coefficient) -> ParamPoly:
 
 
 def gcd_in_d(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic gcd of two rational polynomials in d alone (Euclid on their
-    coefficient lists).  Raises ValueError when x, y or a parameter occurs,
-    and ZeroPolynomialError when both are zero."""
-    def coeffs(p: ParamPoly) -> list[Fraction]:
-        split = p.coefficients_in(DEL)
-        deg = max(split) if split else 0
-        return [split.get(i, _ZERO).as_fraction() for i in range(deg + 1)]
-
-    fa, fb = coeffs(a), coeffs(b)
-
-    def normalize(c: list[Fraction]) -> list[Fraction]:
-        while c and not c[-1]:
-            c.pop()
-        return c
-
-    fa, fb = normalize(fa), normalize(fb)
-    if not fa and not fb:
+    """Monic gcd of two rational polynomials in d alone: Euclid on the
+    ``_divmod`` remainder.  Raises ValueError when x, y or a parameter
+    occurs, and ZeroPolynomialError when both are zero."""
+    if (a.variables() | b.variables()) - {DEL}:
+        raise ValueError(f"gcd_in_d({a}, {b}): a coefficient in d is not a "
+                         "rational constant")
+    if not a and not b:
         raise ZeroPolynomialError("the gcd of two zero polynomials")
-    while fb:
-        # remainder of fa by fb
-        while len(fa) >= len(fb) and fa:
-            factor = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, cb in enumerate(fb):
-                fa[i + shift] -= factor * cb
-            fa = normalize(fa)
-        fa, fb = fb, fa
-    lead = fa[-1]
-    return ParamPoly({((DEL, e),) if e else (): c / lead
-                      for e, c in enumerate(fa) if c})
+    while b:
+        a, b = b, a._divmod(b)[1]
+    return a.monic()
 
 
 # -- packed monomials with integer numerators -----------------------------------

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zlca import poly
 from zlca.poly import (D, X, Y, FORMAL_VARS, MINUS_INFINITY, NotDivisibleError,
                        Packing, ParamPoly, ZeroPolynomialError, const,
-                       gcd_in_d, mono_mul, param)
+                       gcd_in_d, mono_divides, mono_mul, param)
 
 S = param("s")
 B = param("b")
@@ -241,7 +242,9 @@ def test_exact_divide_constructed_product():
 def test_exact_divide_failure_carries_remainder():
     with pytest.raises(NotDivisibleError) as info:
         (D + X).exact_divide(D + 2 * S)
-    assert not info.value.remainder.is_zero()
+    assert info.value.remainder == X - 2 * S
+    assert str(info.value) == ("(d + x) is not divisible by (d + 2*s); "
+                               "remainder x - 2*s")
 
 
 def test_zero_dividend():
@@ -258,6 +261,46 @@ def test_divide_by_zero_rejected():
 def test_divide_inverts_multiplication(p, q):
     if not q.is_zero():
         assert (p * q).exact_divide(q) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.booleans())
+def test_divmod_is_the_division_with_a_normal_form_remainder(p, q, multiply):
+    if q.is_zero():
+        return
+    if multiply:
+        p = p * q
+    quotient, remainder = p._divmod(q)
+    assert p == quotient * q + remainder
+    lead = q.leading_monomial()
+    assert not any(mono_divides(lead, mono) for mono, _ in remainder.terms())
+    assert q.divides(p) == remainder.is_zero()
+    if multiply:
+        assert remainder.is_zero() and quotient == p.exact_divide(q)
+
+
+def test_division_visits_each_term_once(monkeypatch):
+    """Each monomial of the running dividend is keyed once: the cost is
+    linear in the dividend and quotient-times-divisor terms, not quadratic."""
+    divisor = D + 2 * S + 1
+    quotient = (D + X + Y + S + B + 1) ** 3
+    stray = Y ** 7
+    dividend = quotient * divisor + stray
+    assert len(dividend) >= 100
+    calls = 0
+    key = poly.mono_sort_key
+
+    def counted(mono):
+        nonlocal calls
+        calls += 1
+        return key(mono)
+
+    monkeypatch.setattr(poly, "mono_sort_key", counted)
+    with pytest.raises(NotDivisibleError) as info:
+        dividend.exact_divide(divisor)
+    monkeypatch.undo()
+    assert info.value.remainder == stray
+    assert calls <= 3 * (len(dividend) + len(quotient) * len(divisor))
 
 
 # -- gcd in d ----------------------------------------------------------------------

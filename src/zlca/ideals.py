@@ -11,7 +11,8 @@ Every bracket is one landing formula on the rank-one table: a component
 q(d) L_j bracketed with L_i lands as p_{i,j}(d, x) q(d+x) L_{i+j}, with
 p_{i,j} from ``graded_entry`` and q shifted once per use, not once per pair
 (``conformal.bracket``, the general sesquilinear route, is the tests'
-reference).  The value lies in the target component exactly when that
+reference).  A full component (q = 1) lands p_{i,j} itself, with no shift
+and no product.  The value lies in the target component exactly when that
 component's generator divides it as a polynomial in d (the bracket variable
 and any parameters ride along as transparent coefficients), which is what
 ``poly``'s one canonical-order division decides when the divisor is monic in
@@ -24,9 +25,10 @@ component changed since they were last bracketed, brackets only those against
 the window generators, and accumulates at each landing grade the gcd in d
 (``poly.gcd_in_d``) of all coefficient polynomials (split by powers of the
 bracket variable).  A pair whose landing grade is already full is skipped:
-the gcd with 1 is 1.  Brackets escaping the window are counted; any escape
-makes the result a lower bound of the true ideal, which the simplicity probe
-therefore reports as evidence at truncation, never proof.
+the gcd with 1 is 1, which ``gcd_in_d`` returns with no division for any
+constant.  Brackets escaping the window are counted; any escape makes the
+result a lower bound of the true ideal, which the simplicity probe therefore
+reports as evidence at truncation, never proof.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ FULL = ParamPoly.const(1)
 
 def _validate_component(q: ParamPoly) -> ParamPoly:
     q = as_poly(q)
+    if q == FULL:
+        return FULL
     if q.is_zero():
         raise ValueError("use absence, not a zero generator, for zero components")
     if LAM in q.variables() or MU in q.variables():
@@ -97,6 +101,17 @@ class GradedSubmodule:
         return f"GradedSubmodule({{{body}}})"
 
 
+def _shift(q: ParamPoly) -> ParamPoly:
+    """q(d + x), as a component lands; a full component stays 1."""
+    return q if q == FULL else q.substitute({DEL: D + X})
+
+
+def _land(alg: ConformalAlgebra, i: int, j: int, q: ParamPoly) -> ParamPoly:
+    """p_{i,j}(d, x) times a shifted component q: no product when q is 1."""
+    entry = alg.graded_entry(i, j)
+    return entry if q == FULL else entry * q
+
+
 def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
     """Check closure of a graded submodule under bracketing with the algebra.
 
@@ -107,15 +122,15 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
     is ``LawViolation("ideal", (ambient, generator at the submodule grade),
     ((target, value or remainder),))``.  The bracket value is p_{i,j} from
     ``graded_entry``; free parameters ride along as coefficients, so bind
-    first (``instantiate``) to check at values.
+    first (``instantiate``) to check at values.  A pair landing on a full
+    grade is checked with no product, as is one from a full component.
     """
     if not alg.one_generator_per_grade():
         raise ValueError("ideal check requires exactly one generator per grade")
     for grade in sub.grades():
         if grade not in alg.window:
             raise ValueError(f"submodule grade {grade} is outside the window")
-    shifted = {grade: sub.generator(grade).substitute({DEL: D + X})
-               for grade in sub.grades()}
+    shifted = {grade: _shift(sub.generator(grade)) for grade in sub.grades()}
     checked = skipped = 0
     violations: list[LawViolation] = []
     for u in alg.generators:
@@ -125,11 +140,11 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
                 skipped += 1
                 continue
             checked += 1
-            value = alg.graded_entry(u.grade, v_grade) * q_v
-            if value.is_zero():
-                continue
             q_w = sub.generator(target_grade)
             if q_w == FULL:
+                continue
+            value = _land(alg, u.grade, v_grade, q_v)
+            if value.is_zero():
                 continue
             if q_w is not None:
                 try:
@@ -168,8 +183,9 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
     bracketed, accumulating per grade the gcd in d of all landed coefficients
     (split by powers of the bracket variable).  Pairs landing outside the
     window are counted as boundary skips; pairs landing on a full grade are
-    skipped.  The result converges when a pass changes nothing, or stops at
-    the iteration guard.
+    skipped, and a full component is neither shifted nor multiplied.  The
+    result converges when a pass changes nothing, or stops at the iteration
+    guard.
 
     Skipping loses nothing: a component only ever shrinks to a divisor of
     itself, so a value absorbed once stays divisible by its landing
@@ -212,7 +228,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
             if v_grade not in pending:
                 continue
             pending.discard(v_grade)
-            q_v = state[v_grade].substitute({DEL: D + X})
+            q_v = _shift(state[v_grade])
             for u_grade in sorted(alg.window):
                 target_grade = u_grade + v_grade
                 if target_grade not in alg.window:
@@ -220,8 +236,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
                     continue
                 if state.get(target_grade) == FULL:
                     continue
-                if absorb(target_grade,
-                          alg.graded_entry(u_grade, v_grade) * q_v):
+                if absorb(target_grade, _land(alg, u_grade, v_grade, q_v)):
                     pending.add(target_grade)
                     changed = True
         if not changed:

@@ -558,14 +558,19 @@ def as_poly(value: Coefficient) -> ParamPoly:
 
 
 def gcd_in_d(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic gcd of two rational polynomials in d alone: Euclid on the
-    ``_divmod`` remainder.  Raises ValueError when x, y or a parameter
+    """Monic gcd of two rational polynomials in d alone: 1 for a nonzero
+    constant, the other one made monic for a zero argument, otherwise Euclid
+    on the ``_divmod`` remainder.  Raises ValueError when x, y or a parameter
     occurs, and ZeroPolynomialError when both are zero."""
     if (a.variables() | b.variables()) - {DEL}:
         raise ValueError(f"gcd_in_d({a}, {b}): a coefficient in d is not a "
                          "rational constant")
     if not a and not b:
         raise ZeroPolynomialError("the gcd of two zero polynomials")
+    if (a and a.is_rational()) or (b and b.is_rational()):
+        return ParamPoly.const(1)
+    if not a or not b:
+        return (a or b).monic()
     while b:
         a, b = b, a._divmod(b)[1]
     return a.monic()

@@ -7,7 +7,8 @@ import pytest
 from zlca import families, ideals
 from zlca.conformal import (ConformalAlgebra, Element, bracket,
                             graded_generators, graded_table)
-from zlca.poly import DEL, LAM, D, X, ParamPoly, const, gcd_in_d, param
+from zlca.poly import (DEL, LAM, D, X, NotDivisibleError, ParamPoly, const,
+                       gcd_in_d, param)
 
 S = param("s")
 
@@ -73,6 +74,114 @@ def test_non_ideal_principal_component():
         {g: (D + 1 if g == 0 else ideals.FULL) for g in range(-2, 3)})
     report = ideals.is_graded_ideal(alg, pattern)
     assert not report.ok
+
+
+def reference_ideal_check(alg, sub):
+    """Every pair by the sesquilinear bracket and one exact division, with
+    no early exit: (checked, skipped, violations as (elements, target, str
+    of the residual))."""
+    checked = skipped = 0
+    violations = []
+    for u in alg.generators:
+        for v_grade in sub.grades():
+            v = alg.single_generator(v_grade)
+            if u.grade + v_grade not in alg.window:
+                skipped += 1
+                continue
+            checked += 1
+            target = alg.single_generator(u.grade + v_grade)
+            value = bracket(alg, Element.generator(u),
+                            Element({v: sub.generator(v_grade)})
+                            ).get(target, ParamPoly.zero())
+            q_w = sub.generator(target.grade)
+            residual = value
+            if q_w is not None:
+                try:
+                    value.exact_divide(q_w)
+                    residual = ParamPoly.zero()
+                except NotDivisibleError as exc:
+                    residual = exc.remainder
+            if residual:
+                violations.append(((u, v), target, str(residual)))
+    return checked, skipped, violations
+
+
+def mixed_patterns(window, special, component):
+    """Patterns over the window that mix full, zero and principal parts."""
+    lo, hi = min(window), max(window)
+    return [
+        ideals.GradedSubmodule.full_on(window),
+        ideals.GradedSubmodule({g: (component if g == special
+                                    else ideals.FULL) for g in window}),
+        ideals.GradedSubmodule({lo: ideals.FULL, special: component,
+                                0: D + 2, hi: (D + 1) * (D + 3)}),
+        ideals.GradedSubmodule({g: ideals.FULL for g in window
+                                if g != special}),
+        ideals.GradedSubmodule({g: component for g in window if g % 2}),
+        ideals.GradedSubmodule({0: ideals.FULL}),
+        ideals.GradedSubmodule({special: component, hi: ideals.FULL}),
+    ]
+
+
+def test_ideal_check_matches_the_reference_check():
+    # The check skips the product where the landing grade is full or the
+    # source component is; the reference brackets and divides every pair.
+    window = range(-3, 4)
+    cases = [
+        (families.make_v(1, window), -1, D + 2),
+        (families.make_v(0, window), 1, D),
+        (families.make_cl2(F(1, 2), 1, window), -1, D + 2),  # half-integral b
+        (families.make_cl2(F(1, 3), 1, window), -1, D + 2),
+        (families.make_cl2(1, F(1, 2), window), -2, D + 1),  # integral b
+        (families.make_scl2(F(1, 2), 1, window), -1, D + 5),
+        (families.make_cl2(F(1, 2), "s", window), -1, D + 2 * S),
+    ]
+    kinds = {"zero": 0, "principal": 0, "ok": 0}
+    for alg, special, component in cases:
+        for sub in mixed_patterns(window, special, component):
+            report = ideals.is_graded_ideal(alg, sub)
+            got = [(v.elements, target, str(residual))
+                   for v in report.violations
+                   for target, residual in v.residual]
+            assert all(v.law == "ideal" and len(v.residual) == 1
+                       for v in report.violations)
+            want = reference_ideal_check(alg, sub)
+            assert (report.checked, report.skipped, got) == want
+            kinds["ok"] += report.ok
+            for _, target, _ in got:
+                kinds["zero" if sub.is_zero(target.grade)
+                      else "principal"] += 1
+    assert all(kinds.values()), kinds
+
+
+def count_arithmetic(monkeypatch):
+    """Count ParamPoly products, divisions and substitutions from now on."""
+    counts = {"__mul__": 0, "_divmod": 0, "substitute": 0}
+    for name in counts:
+        def counted(*args, _name=name, _orig=getattr(ParamPoly, name)):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(ParamPoly, name, counted)
+    return counts
+
+
+def test_known_brackets_cost_no_arithmetic(monkeypatch):
+    # On CL2(1/2, 1/2) the SCL2 pattern has one principal grade, d + 1 at
+    # -1: a pair landing on a full grade makes no product, and a full
+    # component is neither shifted nor multiplied, and a gcd with a constant
+    # or with zero divides nothing.  Doing that arithmetic anyway costs 92
+    # products and 11 substitutions for the check, and 90 products, 147
+    # divisions and 55 substitutions for the probe.
+    alg = families.make_cl2(F(1, 2), F(1, 2), range(-5, 6))
+    pattern = scl2_pattern(range(-5, 6), -1, 1)
+    counts = count_arithmetic(monkeypatch)
+    assert ideals.is_graded_ideal(alg, pattern).ok
+    assert counts["__mul__"] <= 2 and counts["substitute"] <= 1, counts
+    counts.update(dict.fromkeys(counts, 0))
+    report = ideals.simplicity_probe(alg, range(-2, 3))
+    assert report.proper_seeds == (-2, 0, 1, 2)
+    assert counts["__mul__"] <= 9, counts
+    assert counts["_divmod"] <= 46 and counts["substitute"] <= 4, counts
 
 
 # -- closure -----------------------------------------------------------------------

@@ -317,6 +317,8 @@ def test_gcd_in_d_examples():
     assert gcd_in_d(2 * D + 4, ParamPoly.zero()) == D + 2
     assert gcd_in_d(ParamPoly.zero(), const(Fraction(-1, 3))) == const(1)
     assert gcd_in_d(D ** 2 + 1, D + 1) == const(1)
+    assert gcd_in_d(const(-3), D ** 2 + 1) == const(1)
+    assert gcd_in_d(ParamPoly.zero(), 2 * D + 4) == D + 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -345,6 +347,12 @@ def test_gcd_in_d_refuses_other_variables():
             gcd_in_d(D + 1, D + other)
         with pytest.raises(ValueError, match="not a rational constant"):
             gcd_in_d(other, D)
+    # a zero or nonzero-constant partner decides the gcd without Euclid, but
+    # only after the other argument has been found to lie in d alone
+    for a, b in ((S, const(3)), (ParamPoly.zero(), X), (const(2), D * S)):
+        for pair in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="not a rational constant"):
+                gcd_in_d(*pair)
 
 
 def test_gcd_in_d_of_two_zeros_is_refused():

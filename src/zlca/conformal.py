@@ -121,6 +121,13 @@ def graded_generators(window: Iterable[int]) -> dict[int, GeneratorId]:
     return {i: GeneratorId(i, f"L{i}") for i in sorted(set(window))}
 
 
+def half_line(top: int) -> range:
+    """The grades -1..top of a family on the half-line i >= -1."""
+    if top < -1:
+        raise ValueError("window top must be at least -1")
+    return range(-1, top + 1)
+
+
 def graded_table(gens: Mapping[int, GeneratorId],
                  entry: Callable[[int, int], ParamPoly]
                  ) -> dict[tuple[GeneratorId, GeneratorId],
@@ -294,14 +301,6 @@ class ConformalAlgebra(StructureTable):
         if row is None:
             raise OutOfWindowError(left, right)
         return row.get(self.single_generator(i + j), ParamPoly.zero())
-
-    def table_items(self) -> Iterator[tuple[GeneratorId, GeneratorId,
-                                            GeneratorId, ParamPoly]]:
-        """All nonzero table entries, canonically ordered."""
-        for (u, v) in sorted(self._table):
-            entry = self._table[(u, v)]
-            for w in sorted(entry):
-                yield u, v, w, entry[w]
 
 
 # -- bracket evaluation ------------------------------------------------------

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
 from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
-                        graded_table)
+                        graded_table, half_line)
 from .poly import D, X, ParamPoly, as_poly, param
 
 Coefficientish = Union[int, Fraction, str, ParamPoly]
@@ -101,9 +101,7 @@ def make_v(s: Coefficientish, window: Iterable[int]) -> ConformalAlgebra:
 
 def make_cl1(s: Coefficientish, top: int) -> ConformalAlgebra:
     """The family on grades -1..top: [L_i x L_j] = ((i+1)d + (i+j+2)x + s(j-i)) L_{i+j}."""
-    if top < -1:
-        raise ValueError("window top must be at least -1")
-    return make_cl2(1, -_coeff(s), range(-1, top + 1))
+    return make_cl2(1, -_coeff(s), half_line(top))
 
 
 def cl2_entry(b: ParamPoly, s: ParamPoly, i: int, j: int) -> ParamPoly:

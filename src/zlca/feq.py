@@ -51,7 +51,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .poly import (DEL, LAM, D, X, Y, MINUS_INFINITY, Coefficient, Mono,
+from .poly import (DEL, LAM, D, X, Y, Coefficient, Mono,
                    ParamPoly, mono_sort_key)
 
 MAX_FULL_DEGREE = 12
@@ -60,10 +60,6 @@ MAX_TOP_DEGREE = 6
 
 class DegreeGuardError(ValueError):
     """Requested degree exceeds the system-size guard."""
-
-
-class FactorCheckError(ArithmeticError):
-    """The factored quotient fails the shifted equation (must not occur)."""
 
 
 @dataclass(frozen=True)
@@ -238,29 +234,6 @@ def solve_feq_top(weight_left: Fraction, weight_right: Fraction,
                                         weight_out, 0))
 
 
-def factor_check(sol: ParamPoly, triple: SpectralTriple) -> ParamPoly:
-    """Divide a weight_out = 0 solution by (d + shift_out) and re-verify.
-
-    The quotient must solve the functional equation with weight_out replaced
-    by 1 and all shifts unchanged; violation of either step is surfaced (a
-    NotDivisibleError from the division, or FactorCheckError from the
-    re-verification) since it would falsify the factorization property.
-    """
-    if triple.weight_out != 0:
-        raise ValueError("factor check applies to weight_out = 0 triples")
-    if sol.formal_degree() is MINUS_INFINITY or sol.formal_degree() < 1:
-        raise ValueError("factor check needs a solution of degree >= 1")
-    quotient = sol.exact_divide(D + triple.shift_out)
-    shifted = SpectralTriple(triple.weight_left, triple.shift_left,
-                             triple.weight_right, triple.shift_right,
-                             Fraction(1), triple.shift_out)
-    residual = feq_residual(quotient, shifted)
-    if residual:
-        raise FactorCheckError(f"quotient {quotient} fails the shifted "
-                               f"equation with residual {residual}")
-    return quotient
-
-
 # -- reproduction of the two homogeneous solution tables -----------------------
 
 @dataclass(frozen=True)
@@ -328,19 +301,15 @@ class TableCaseResult:
 
 def reproduce_tables() -> tuple[TableCaseResult, ...]:
     """Solve every case of TABLE_CASES: a table case passes when its solution
-    space is the line of ``expected``, an off-table probe when it is empty."""
-    from .grammar import parse
-
+    space is the line of ``expected``, an off-table probe when it is empty.
+    The basis is monic and each ``expected`` is printed monic, so comparing
+    the printed forms compares the polynomials."""
     results = []
     for case in TABLE_CASES:
         solutions = solve_feq_top(case.weight_left, case.weight_right,
                                   case.weight_out, case.degree)
-        if case.expected is None:
-            passed = solutions.dimension == 0
-        else:
-            passed = (solutions.dimension == 1
-                      and solutions.basis[0] == parse(case.expected).monic())
-        results.append(TableCaseResult(
-            case, solutions.dimension,
-            tuple(str(p) for p in solutions.basis), passed))
+        basis = tuple(str(p) for p in solutions.basis)
+        expected = () if case.expected is None else (case.expected,)
+        results.append(TableCaseResult(case, solutions.dimension, basis,
+                                       basis == expected))
     return tuple(results)

@@ -45,7 +45,7 @@ from typing import Iterable, Mapping
 from .conformal import (ConformalAlgebra, GeneratorId, LawReport,
                         LawViolation, PairCount, StructureTable, _bits,
                         _decidable, _decide, _extend, _flat, _packing,
-                        graded_generators, graded_table)
+                        graded_generators, graded_table, half_line)
 from .poly import D, X, Packed, Packing, ParamPoly, Scalar, as_poly, param
 
 Combination = dict[GeneratorId, ParamPoly]
@@ -272,16 +272,9 @@ def check_gd(g: GDAlgebra) -> LawReport:
 
 # -- truncated families ---------------------------------------------------------
 
-def _a1_window(top: int) -> range:
-    """The grades -1..top of A1."""
-    if top < -1:
-        raise ValueError("window top must be at least -1")
-    return range(-1, top + 1)
-
-
 def make_a1(top: int) -> NovikovAlgebra:
     """Truncation of the Novikov algebra L_i o L_j = (j+1) L_{i+j}, i, j >= -1."""
-    return make_a2(1, _a1_window(top))
+    return make_a2(1, half_line(top))
 
 
 def make_a2(b, window: Iterable[int]) -> NovikovAlgebra:
@@ -304,7 +297,7 @@ def s_bracket(basis: Iterable[GeneratorId], s) -> LieStructure:
 
 def gd_a1(s, top: int) -> GDAlgebra:
     """A1 with the bracket of s_bracket, that is gd_a2(1, s) on grades >= -1."""
-    return gd_a2(1, s, _a1_window(top))
+    return gd_a2(1, s, half_line(top))
 
 
 def gd_a2(b, s, window: Iterable[int]) -> GDAlgebra:

@@ -54,8 +54,6 @@ def _validate_component(q: ParamPoly) -> ParamPoly:
     lead = q.coefficients_in(DEL).get(q.degree_in(DEL), ParamPoly.zero())
     if lead != as_poly(1):
         raise ValueError(f"component generator must be monic in d: {q}")
-    if q.degree_in(DEL) == 0:
-        return FULL
     return q
 
 

@@ -360,14 +360,6 @@ class ParamPoly:
             return MINUS_INFINITY
         return max(mono_formal_degree(m) for m in self._terms)
 
-    def leading_homogeneous(self) -> "ParamPoly":
-        """The sum of terms of maximal formal degree."""
-        if not self._terms:
-            raise ZeroPolynomialError("zero polynomial has no leading part")
-        top = self.formal_degree()
-        return self._wrap({m: c for m, c in self._terms.items()
-                           if mono_formal_degree(m) == top})
-
     def leading_monomial(self) -> Mono:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading monomial")

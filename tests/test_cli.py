@@ -61,7 +61,8 @@ def test_spec_roundtrip_is_canonical(vir_path):
 def test_spec_polynomials_roundtrip():
     spec = specfile.loads(VIR_SPEC)
     alg = spec.algebra()
-    (u, v, w, poly), = alg.table_items()
+    (pair,) = alg.pairs()
+    (poly,) = alg.entry(*pair).values()
     assert poly == D + 2 * X
 
 

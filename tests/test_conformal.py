@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlca import conformal, families, gd, grammar, specfile
+from zlca import conformal, families, feq, gd, grammar, specfile
 from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
                             NotAffineError, OutOfWindowError,
                             OutOfWindowTripleError, ZeroActionError, bracket,
@@ -117,6 +117,15 @@ def test_gd_table_rejects_formal_variables(cls):
             cls([A], {(A, A): {A: poly}})
 
 
+@pytest.mark.parametrize("owner, name", [
+    (ConformalAlgebra, "table_items"), (ParamPoly, "leading_homogeneous"),
+    (feq, "factor_check"), (feq, "FactorCheckError"), (gd, "_a1_window")])
+def test_test_only_helpers_stay_deleted(owner, name):
+    # tests read tables through pairs/entry, leading parts through terms,
+    # and divide by the shift factor with exact_divide
+    assert not hasattr(owner, name)
+
+
 # -- skew-symmetry -------------------------------------------------------------
 
 def test_vir_skew_clean():
@@ -159,9 +168,7 @@ def test_cl2_jacobi_symbolic_window():
 
 def perturbed_v0():
     alg = families.make_v(0, range(-3, 4))
-    table = {}
-    for u, v, w, poly in alg.table_items():
-        table.setdefault((u, v), {})[w] = poly
+    table = {pair: alg.entry(*pair) for pair in alg.pairs()}
     one = alg.single_generator(1)
     two = alg.single_generator(2)
     table[(one, one)][two] = table[(one, one)][two] + X ** 2
@@ -330,9 +337,7 @@ def test_families_match_reference(build, monkeypatch):
 
 def _with_entry(alg, pair, target, poly):
     """The algebra with ``poly`` added to one table entry."""
-    table = {}
-    for u, v, w, entry in alg.table_items():
-        table.setdefault((u, v), {})[w] = entry
+    table = {uv: alg.entry(*uv) for uv in alg.pairs()}
     row = table.setdefault(pair, {})
     row[target] = row.get(target, ParamPoly.zero()) + poly
     return ConformalAlgebra(alg.generators, table, alg.params)
@@ -482,7 +487,8 @@ def sympy_jacobi_residual(alg, u, v, w):
     def to_sympy(poly):
         return sympy.sympify(str(poly).replace("^", "**"), locals=names)
 
-    table = {(a, b, t): to_sympy(p) for a, b, t, p in alg.table_items()}
+    table = {(a, b, t): to_sympy(p) for a, b in alg.pairs()
+             for t, p in alg.entry(a, b).items()}
 
     def lam(f, g, z):
         out = {}

@@ -166,7 +166,7 @@ def test_zero_gd_gives_zero_brackets():
     empty = {(a, a): {}}
     g = gd.GDAlgebra(gd.NovikovAlgebra([a], empty), gd.LieStructure([a], empty))
     alg = gd.quadratic_from_gd(g)
-    assert list(alg.table_items()) == []
+    assert all(alg.entry(*pair) == {} for pair in alg.pairs())
 
 
 def test_quadratic_from_gd_rejects_broken_input():

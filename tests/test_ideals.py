@@ -37,6 +37,10 @@ def test_component_validation():
         ideals.GradedSubmodule({0: D + X})  # bracket variable
     with pytest.raises(ValueError):
         ideals.GradedSubmodule({0: ParamPoly.zero()})
+    # a component free of d is full only when it is exactly 1
+    for q in (const(2), S):
+        with pytest.raises(ValueError, match="monic in d"):
+            ideals.GradedSubmodule({0: q})
     assert ideals.GradedSubmodule({0: D + 2 * S}).describe(0) == "d + 2*s"
 
 

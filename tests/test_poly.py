@@ -194,22 +194,6 @@ def test_degree_multiplicative(p, q):
         assert (p * q).formal_degree() == p.formal_degree() + q.formal_degree()
 
 
-def test_leading_homogeneous():
-    assert (D ** 2 + 3 * D * X + D).leading_homogeneous() == D ** 2 + 3 * D * X
-    assert (D + 2 * X + S * 5).leading_homogeneous() == D + 2 * X
-    assert const(7).leading_homogeneous() == const(7)
-    with pytest.raises(ZeroPolynomialError):
-        ParamPoly.zero().leading_homogeneous()
-
-
-@settings(max_examples=40)
-@given(polys(), polys())
-def test_leading_homogeneous_multiplicative(p, q):
-    if not p.is_zero() and not q.is_zero():
-        assert ((p * q).leading_homogeneous()
-                == p.leading_homogeneous() * q.leading_homogeneous())
-
-
 def test_affine_parts():
     zero = ParamPoly.zero()
     p = (1 + B) * D + 2 * B * X + 2 * S - Fraction(1, 3)

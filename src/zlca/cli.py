@@ -100,15 +100,19 @@ def _parse_bindings(pairs: Optional[Sequence[str]]) -> dict[str, Fraction]:
 
 
 _COUNT = re.compile(f"[0-9]{{1,{MAX_BOUND_DIGITS}}}")
-_WINDOW = re.compile(f"(-?{_COUNT.pattern})\\.\\.(-?{_COUNT.pattern})")
+_BOUND = re.compile(f"-?{_COUNT.pattern}")
+_WINDOW = re.compile(f"({_BOUND.pattern})\\.\\.({_BOUND.pattern})")
 
 
-def _parse_count(text: Optional[str], flag: str) -> Optional[int]:
-    """An ASCII natural number of at most MAX_BOUND_DIGITS digits, or None."""
+def _parse_count(text: Optional[str], flag: str, signed: bool = False
+                 ) -> Optional[int]:
+    """An ASCII natural number (an integer when ``signed``) of at most
+    MAX_BOUND_DIGITS digits, or None."""
     if text is None:
         return None
-    if not _COUNT.fullmatch(text):
-        raise InputError(f"{flag} must be a natural number of at most "
+    if not (_BOUND if signed else _COUNT).fullmatch(text):
+        kind = "an integer" if signed else "a natural number"
+        raise InputError(f"{flag} must be {kind} of at most "
                          f"{MAX_BOUND_DIGITS} digits, got {text!r}")
     return int(text)
 
@@ -184,7 +188,7 @@ def cmd_verify(args) -> int:
     jacobi = check_jacobi(alg)
     violations = _axiom_violations(jacobi.skew) + _axiom_violations(jacobi)
     sections: dict[str, Any] = {}
-    if not alg.one_generator_per_grade() or 0 not in alg.window:
+    if alg.graded is None or 0 not in alg.window:
         sections["spectral"] = {
             "skipped": "requires exactly one generator per grade and a "
                        "grade-0 generator"}
@@ -243,7 +247,8 @@ def cmd_family(args) -> int:
                {(u.name, v.name): {w.name: p for w, p in row.items()}
                 for (u, v), row in rows.items()})
     window = _parse_window(args.window) if args.window else None
-    top = _parse_count(args.top, "--top")
+    # A signed bound: conformal.half_line alone refuses a top below -1.
+    top = _parse_count(args.top, "--top", signed=True)
     if top is not None:
         _check_width(-1, top)
     try:

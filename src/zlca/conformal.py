@@ -30,10 +30,14 @@ exactly the pairs whose target grade is in its window.
 
 With one generator per grade (every family here) the table is the rank-one
 table ``p_{i,j}(d, x)``, the coefficient of the grade-(i + j) generator in
-the bracket of the grade-i and grade-j ones.  ``graded_entry(i, j)`` is the
-one reader of it: the spectral, degree and support diagnostics and the
-ideal check and closure of ``ideals`` take ``p_{i,j}`` from it alone.  The
-diagnostics take no parameter values: bind first, with ``instantiate``.
+the bracket of the grade-i and grade-j ones.  ``ConformalAlgebra.graded``
+maps each grade to its one generator, and is None when some grade has more;
+``rank_one(what)`` returns the map or raises the one ValueError, "<what>
+requires exactly one generator per grade".  ``graded_entry(i, j)`` is the
+one reader of the table: the spectral, degree and support diagnostics and
+the ideal check, closure and probe of ``ideals`` take ``p_{i,j}`` from it
+and their generators from ``graded`` alone.  The diagnostics take no
+parameter values: bind first, with ``instantiate``.
 
 Every law check, skew and Jacobi here and the Novikov, Lie and
 compatibility laws of ``gd``, runs on one engine, whose work grows with the
@@ -61,6 +65,7 @@ import itertools
 from operator import getitem
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
 
@@ -256,14 +261,15 @@ class ConformalAlgebra(StructureTable):
         self._table = {(u, v): self._table.get((u, v), {})
                        for u in self.basis for v in self.basis
                        if u.grade + v.grade in self.window}
-        self._by_grade: dict[int, tuple[GeneratorId, ...]] = {}
+        graded = {g.grade: g for g in self.basis}
+        #: Grade -> its generator when every grade has exactly one, else
+        #: None; read-only, as the model is.
+        self.graded = (MappingProxyType(graded)
+                       if len(graded) == len(self.basis) else None)
         # The packing and the packed, substituted table entries of the
         # axiom checks, made on first use by ``_lines``.
         self._packing: Packing | None = None
         self._jacobi_forms: dict[str, list[_Line]] = {}
-        for g in self.basis:
-            self._by_grade.setdefault(g.grade, ())
-            self._by_grade[g.grade] += (g,)
 
     def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
                coef: ParamPoly) -> None:
@@ -274,33 +280,30 @@ class ConformalAlgebra(StructureTable):
         if MU in coef.variables():
             raise ValueError("structure polynomials may not use y")
 
-    # -- lookup -------------------------------------------------------------
+    # -- the rank-one table ---------------------------------------------------
 
-    def generators_of_grade(self, grade: int) -> tuple[GeneratorId, ...]:
-        return self._by_grade.get(grade, ())
-
-    def one_generator_per_grade(self) -> bool:
-        return all(len(self._by_grade.get(i, ())) == 1 for i in self.window)
-
-    def single_generator(self, grade: int) -> GeneratorId:
-        gens = self.generators_of_grade(grade)
-        if len(gens) != 1:
-            raise ValueError(f"grade {grade} has {len(gens)} generators, "
-                             f"expected exactly one")
-        return gens[0]
+    def rank_one(self, what: str) -> Mapping[int, GeneratorId]:
+        """The grade map ``graded``; ValueError naming ``what`` when the
+        algebra has a grade with more than one generator."""
+        if self.graded is None:
+            raise ValueError(f"{what} requires exactly one generator per grade")
+        return self.graded
 
     def graded_entry(self, i: int, j: int) -> ParamPoly:
         """p_{i,j}: the coefficient of L_{i+j} in [L_i x L_j], zero if absent.
 
         Raises OutOfWindowError where ``entry`` is None, and ValueError when
-        a grade it reads has other than one generator.
+        the algebra has no grade map or i or j is not a grade of the window.
         """
-        left = self.single_generator(i)
-        right = self.single_generator(j)
+        gens = self.graded
+        if gens is None or i not in gens or j not in gens:
+            self.rank_one("the rank-one table")
+            raise ValueError(f"grades {i} and {j} are not both in the window")
+        left, right = gens[i], gens[j]
         row = self._table.get((left, right))
         if row is None:
             raise OutOfWindowError(left, right)
-        return row.get(self.single_generator(i + j), ParamPoly.zero())
+        return row.get(gens[i + j], ParamPoly.zero())
 
 
 # -- bracket evaluation ------------------------------------------------------
@@ -710,8 +713,7 @@ def spectral_data(alg: ConformalAlgebra) -> SpectralData:
     NotAffineError when the action is not scale*(d + weight*x + shift) with
     rational weight and shift.
     """
-    if not alg.one_generator_per_grade():
-        raise ValueError("spectral data requires exactly one generator per grade")
+    alg.rank_one("spectral data")
     lines: dict[int, SpectralLine] = {}
     for grade in sorted(alg.window):
         poly = alg.graded_entry(0, grade)
@@ -753,8 +755,7 @@ def degree_relation_check(alg: ConformalAlgebra, spectral: SpectralData
     if alg.params:
         raise ValueError("degree relations require an instantiated algebra "
                          f"(free parameters: {sorted(alg.params)})")
-    if not alg.one_generator_per_grade():
-        raise ValueError("degree relations require exactly one generator per grade")
+    alg.rank_one("the degree relation check")
     violations: list[DegreeRelationViolation] = []
     for u, v in alg.pairs():
         i, j = u.grade, v.grade
@@ -790,9 +791,8 @@ def classify_support(alg: ConformalAlgebra) -> SupportClassification:
     polynomial has degree above 2, lands in ``unclassified``.  Bind first
     (``instantiate``) to classify at parameter values.
     """
-    if not alg.one_generator_per_grade():
-        raise ValueError("support classification requires one generator per grade")
-    alg.single_generator(0)
+    if 0 not in alg.rank_one("support classification"):
+        raise ValueError("support classification requires a grade-0 generator")
     buckets: dict[int, set[int]] = {0: set(), 1: set(), 2: set()}
     unclassified: set[int] = set()
     for k in sorted(g for g in alg.window if g > 0):

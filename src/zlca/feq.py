@@ -51,8 +51,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from . import linalg
-from .poly import (DEL, LAM, D, X, Y, Coefficient, Mono,
-                   ParamPoly, mono_sort_key)
+from .poly import DEL, LAM, D, X, Y, Mono, ParamPoly, mono_sort_key
 
 MAX_FULL_DEGREE = 12
 MAX_TOP_DEGREE = 6
@@ -79,29 +78,23 @@ class SpectralTriple:
             object.__setattr__(self, name, Fraction(getattr(self, name)))
 
 
-def _residual(p: ParamPoly, wl: Fraction, sl: Coefficient, wr: Fraction,
-              sr: Coefficient, wo: Fraction, so: Coefficient) -> ParamPoly:
-    """The one residual formula: weights w and shifts s (left, right, out).
-    ``p_shift`` is p(d + x, y), by one simultaneous substitution."""
+def feq_residual(p: ParamPoly, t: SpectralTriple) -> ParamPoly:
+    """Left side minus right side of the functional equation at p: the one
+    residual formula.  ``p_shift`` is p(d + x, y), by one simultaneous
+    substitution."""
     p_sum = p.substitute({LAM: X + Y})
     p_shift = p.substitute({LAM: Y, DEL: D + X})
     p_mu = p.substitute({LAM: Y})
-    return (((wl - 1) * X - Y + sl) * p_sum
-            - p_shift * (D + wo * X + so)
-            + (D + Y + wr * X + sr) * p_mu)
-
-
-def feq_residual(p: ParamPoly, t: SpectralTriple) -> ParamPoly:
-    """Left side minus right side of the functional equation at p."""
-    return _residual(p, t.weight_left, t.shift_left, t.weight_right,
-                     t.shift_right, t.weight_out, t.shift_out)
+    return (((t.weight_left - 1) * X - Y + t.shift_left) * p_sum
+            - p_shift * (D + t.weight_out * X + t.shift_out)
+            + (D + Y + t.weight_right * X + t.shift_right) * p_mu)
 
 
 def top_residual(p: ParamPoly, weight_left: Fraction, weight_right: Fraction,
                  weight_out: Fraction) -> ParamPoly:
     """Residual of the homogeneous top-degree equation at p: all shifts 0."""
-    return _residual(p, Fraction(weight_left), 0, Fraction(weight_right), 0,
-                     Fraction(weight_out), 0)
+    return feq_residual(p, SpectralTriple(weight_left, 0, weight_right, 0,
+                                          weight_out, 0))
 
 
 @dataclass(frozen=True)

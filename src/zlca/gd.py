@@ -9,10 +9,10 @@ decidable product (possibly zero, stored as an empty combination), a missing
 key is undecidable at this truncation.  The family constructors store exactly
 the pairs whose target grade lies in the window, matching the window
 semantics of the conformal side so the quadratic-algebra correspondence
-round-trips on the nose.  A2(b) and the bracket of ``s_bracket`` are each one
-formula in the grades, handed to ``conformal.graded_table``; A1 is not
-written separately, since A1 = A2(1) on the grades >= -1, and ``make_a1``
-builds it so.
+round-trips on the nose.  ``gd_a2`` builds the product of A2(b) and its
+bracket s (i - j) as one formula each in the grades, handed to
+``conformal.graded_table`` on one set of generators; A1 is not written
+separately, since A1 = A2(1) on the grades >= -1, and ``gd_a1`` builds it so.
 
 The law checks run on the law engine of ``conformal``, each with one
 ``poly.Packing`` (``check_gd`` one for both tables) and one ``PairCount``,
@@ -272,37 +272,20 @@ def check_gd(g: GDAlgebra) -> LawReport:
 
 # -- truncated families ---------------------------------------------------------
 
-def make_a1(top: int) -> NovikovAlgebra:
-    """Truncation of the Novikov algebra L_i o L_j = (j+1) L_{i+j}, i, j >= -1."""
-    return make_a2(1, half_line(top))
-
-
-def make_a2(b, window: Iterable[int]) -> NovikovAlgebra:
-    """Truncation of L_i o L_j = (j + b) L_{i+j} on integer grades."""
-    b = param(b) if isinstance(b, str) else as_poly(b)
-    gens = graded_generators(window)
-    return NovikovAlgebra(gens.values(), graded_table(gens, lambda i, j: j + b))
-
-
-def s_bracket(basis: Iterable[GeneratorId], s) -> LieStructure:
-    """The bracket [L_i, L_j] = s (i - j) L_{i+j} on a one-per-grade basis."""
-    s = param(s) if isinstance(s, str) else as_poly(s)
-    elements = tuple(basis)
-    gens = {g.grade: g for g in elements}
-    if len(gens) != len(elements):
-        raise ValueError("s_bracket requires one basis element per grade")
-    return LieStructure(gens.values(),
-                        graded_table(gens, lambda i, j: s * (i - j)))
-
-
 def gd_a1(s, top: int) -> GDAlgebra:
-    """A1 with the bracket of s_bracket, that is gd_a2(1, s) on grades >= -1."""
+    """A1 with the bracket s (i - j), that is gd_a2(1, s) on grades >= -1."""
     return gd_a2(1, s, half_line(top))
 
 
 def gd_a2(b, s, window: Iterable[int]) -> GDAlgebra:
-    nov = make_a2(b, window)
-    return GDAlgebra(nov, s_bracket(nov.basis, s))
+    """Truncation of L_i o L_j = (j + b) L_{i+j} with the bracket
+    [L_i, L_j] = s (i - j) L_{i+j}, on the integer grades of ``window``."""
+    b, s = (param(c) if isinstance(c, str) else as_poly(c) for c in (b, s))
+    gens = graded_generators(window)
+    return GDAlgebra(
+        NovikovAlgebra(gens.values(), graded_table(gens, lambda i, j: j + b)),
+        LieStructure(gens.values(),
+                     graded_table(gens, lambda i, j: s * (i - j))))
 
 
 # -- the quadratic correspondence ------------------------------------------------

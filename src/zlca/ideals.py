@@ -9,9 +9,9 @@ meaning zero.
 
 Every bracket is one landing formula on the rank-one table: a component
 q(d) L_j bracketed with L_i lands as p_{i,j}(d, x) q(d+x) L_{i+j}, with
-p_{i,j} from ``graded_entry`` and q shifted once per use, not once per pair
-(``conformal.bracket``, the general sesquilinear route, is the tests'
-reference).  A full component (q = 1) lands p_{i,j} itself, with no shift
+p_{i,j} from ``graded_entry``, L_j from the grade map of ``rank_one``, and
+q shifted once per use, not once per pair (``conformal.bracket``, the
+general sesquilinear route, is the tests' reference).  A full component (q = 1) lands p_{i,j} itself, with no shift
 and no product.  The value lies in the target component exactly when that
 component's generator divides it as a polynomial in d (the bracket variable
 and any parameters ride along as transparent coefficients), which is what
@@ -123,8 +123,7 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
     first (``instantiate``) to check at values.  A pair landing on a full
     grade is checked with no product, as is one from a full component.
     """
-    if not alg.one_generator_per_grade():
-        raise ValueError("ideal check requires exactly one generator per grade")
+    gens = alg.rank_one("ideal check")
     for grade in sub.grades():
         if grade not in alg.window:
             raise ValueError(f"submodule grade {grade} is outside the window")
@@ -151,8 +150,7 @@ def is_graded_ideal(alg: ConformalAlgebra, sub: GradedSubmodule) -> LawReport:
                 except NotDivisibleError as exc:
                     value = exc.remainder
             violations.append(LawViolation(
-                "ideal", (u, alg.single_generator(v_grade)),
-                ((alg.single_generator(target_grade), value),)))
+                "ideal", (u, gens[v_grade]), ((gens[target_grade], value),)))
     return LawReport(checked, skipped, tuple(violations))
 
 
@@ -196,8 +194,7 @@ def ideal_generated_by(alg: ConformalAlgebra, seed: Element,
     if alg.params:
         raise ValueError("closure requires an instantiated algebra "
                          f"(free parameters: {sorted(alg.params)})")
-    if not alg.one_generator_per_grade():
-        raise ValueError("closure requires exactly one generator per grade")
+    alg.rank_one("closure")
     state: dict[int, ParamPoly] = {}
 
     def absorb(grade: int, poly: ParamPoly) -> bool:
@@ -280,9 +277,10 @@ def simplicity_probe(alg: ConformalAlgebra, core: Iterable[int]
     for grade in core_grades:
         if grade not in alg.window:
             raise ValueError(f"core grade {grade} is outside the window")
+    gens = alg.rank_one("simplicity probe")
     findings = []
     for seed_grade in core_grades:
-        seed = Element.generator(alg.single_generator(seed_grade))
+        seed = Element.generator(gens[seed_grade])
         closure = ideal_generated_by(alg, seed)
         components = tuple((g, closure.submodule.describe(g))
                            for g in core_grades)

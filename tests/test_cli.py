@@ -405,20 +405,34 @@ def test_family_cl1_window(tmp_path):
     assert grades == list(range(-1, 6))
 
 
+def test_family_cl1_top_is_a_signed_bound():
+    # --top=-1 is the one-grade window; half_line alone refuses a lower top.
+    code, out, err = run(["family", "CL1", "--top=-1"])
+    assert (code, err) == (0, "")
+    assert out == specfile.from_algebra(families.make_cl1("s", -1)).dumps()
+    code, out, err = run(["family", "CL1", "--top=-2"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "window top must be at least -1"}
+
+
+#: The Lie algebra sl2 as a spec file for ``family Cur --lie``.
+SL2_LIE = {
+    "params": [],
+    "generators": [{"name": "e", "grade": 0}, {"name": "f", "grade": 0},
+                   {"name": "h", "grade": 0}],
+    "brackets": [
+        {"left": "h", "right": "e", "terms": [{"target": "e", "poly": "2"}]},
+        {"left": "e", "right": "h", "terms": [{"target": "e", "poly": "-2"}]},
+        {"left": "h", "right": "f", "terms": [{"target": "f", "poly": "-2"}]},
+        {"left": "f", "right": "h", "terms": [{"target": "f", "poly": "2"}]},
+        {"left": "e", "right": "f", "terms": [{"target": "h", "poly": "1"}]},
+        {"left": "f", "right": "e", "terms": [{"target": "h", "poly": "-1"}]},
+    ],
+}
+
+
 def test_family_cur_from_lie_file(tmp_path):
-    lie = {
-        "params": [],
-        "generators": [{"name": "e", "grade": 0}, {"name": "f", "grade": 0},
-                       {"name": "h", "grade": 0}],
-        "brackets": [
-            {"left": "h", "right": "e", "terms": [{"target": "e", "poly": "2"}]},
-            {"left": "e", "right": "h", "terms": [{"target": "e", "poly": "-2"}]},
-            {"left": "h", "right": "f", "terms": [{"target": "f", "poly": "-2"}]},
-            {"left": "f", "right": "h", "terms": [{"target": "f", "poly": "2"}]},
-            {"left": "e", "right": "f", "terms": [{"target": "h", "poly": "1"}]},
-            {"left": "f", "right": "e", "terms": [{"target": "h", "poly": "-1"}]},
-        ],
-    }
+    lie = copy.deepcopy(SL2_LIE)
     lie_path = tmp_path / "sl2.json"
     lie_path.write_text(json.dumps(lie))
     out_path = tmp_path / "cur.json"
@@ -434,6 +448,18 @@ def test_family_cur_from_lie_file(tmp_path):
     lie["brackets"][1]["terms"][0]["poly"] = "2"
     lie_path.write_text(json.dumps(lie))
     assert run(["family", "Cur", "--lie", str(lie_path)])[0] == 2
+
+
+def test_probe_refuses_a_grade_with_two_generators(tmp_path):
+    lie_path = tmp_path / "sl2.json"
+    lie_path.write_text(json.dumps(SL2_LIE))
+    cur_path = tmp_path / "cur.json"
+    assert run(["family", "Cur", "--lie", str(lie_path),
+                "-o", str(cur_path)])[0] == 0
+    code, out, err = run(["probe", str(cur_path), "--core=0..0"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "simplicity probe requires exactly one generator per grade"}
 
 
 def test_commands_refuse_flags_they_do_not_read(tmp_path, vir_path):
@@ -479,7 +505,7 @@ def test_integer_arguments_are_bounded(tmp_path):
                  ["family", "V", "--s=0", "--window=-\uff11..1"],
                  ["family", "CL1", "--top=\uff11"],
                  ["family", "CL1", "--top=3000"],
-                 ["family", "CL1", "--top=-1"],
+                 ["family", "CL1", "--top=-2"],
                  [*feq, "--top=\uff11"],
                  [*feq, "--top=" + "9" * 5000],
                  [*feq, "--top=1e3"],

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlca import conformal, families, feq, gd, grammar, specfile
+from zlca import conformal, families, feq, gd, grammar, ideals, specfile
 from zlca.conformal import (ConformalAlgebra, Element, GeneratorId,
                             NotAffineError, OutOfWindowError,
                             OutOfWindowTripleError, ZeroActionError, bracket,
@@ -20,6 +20,12 @@ from zlca.poly import DEL, LAM, D, X, Y, ParamPoly, const, param
 
 L = GeneratorId(0, "L")
 VIR = ConformalAlgebra([L], {(L, L): {L: D + 2 * X}})
+#: The current algebra of sl2: three generators at grade 0.
+SL2_CURRENT = families.make_current(
+    ["e", "f", "h"],
+    {("h", "e"): {"e": 2}, ("e", "h"): {"e": -2},
+     ("h", "f"): {"f": -2}, ("f", "h"): {"f": 2},
+     ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}})
 
 
 def lam(alg, a, b):
@@ -70,7 +76,7 @@ def test_bracket_sesquilinear_on_random_elements():
 
 def test_bracket_out_of_window():
     alg = families.make_v(0, range(-1, 2))
-    top = alg.single_generator(1)
+    top = alg.graded[1]
     with pytest.raises(OutOfWindowError):
         lam(alg, Element.generator(top), Element.generator(top))
 
@@ -119,10 +125,15 @@ def test_gd_table_rejects_formal_variables(cls):
 
 @pytest.mark.parametrize("owner, name", [
     (ConformalAlgebra, "table_items"), (ParamPoly, "leading_homogeneous"),
-    (feq, "factor_check"), (feq, "FactorCheckError"), (gd, "_a1_window")])
+    (feq, "factor_check"), (feq, "FactorCheckError"), (gd, "_a1_window"),
+    (ConformalAlgebra, "single_generator"),
+    (ConformalAlgebra, "generators_of_grade"),
+    (ConformalAlgebra, "one_generator_per_grade"),
+    (gd, "make_a1"), (gd, "make_a2"), (gd, "s_bracket")])
 def test_test_only_helpers_stay_deleted(owner, name):
     # tests read tables through pairs/entry, leading parts through terms,
-    # and divide by the shift factor with exact_divide
+    # generators by grade through ``graded``, and A1/A2 through gd_a1/gd_a2;
+    # they divide by the shift factor with exact_divide
     assert not hasattr(owner, name)
 
 
@@ -169,8 +180,8 @@ def test_cl2_jacobi_symbolic_window():
 def perturbed_v0():
     alg = families.make_v(0, range(-3, 4))
     table = {pair: alg.entry(*pair) for pair in alg.pairs()}
-    one = alg.single_generator(1)
-    two = alg.single_generator(2)
+    one = alg.graded[1]
+    two = alg.graded[2]
     table[(one, one)][two] = table[(one, one)][two] + X ** 2
     return ConformalAlgebra(alg.generators, table)
 
@@ -354,7 +365,8 @@ def test_random_mutants_match_reference(monkeypatch):
         gens = alg.generators
         u, v = rng.choice([(a, b) for a in gens for b in gens
                            if a.grade + b.grade in alg.window])
-        target = rng.choice(alg.generators_of_grade(u.grade + v.grade))
+        target = rng.choice([g for g in gens
+                             if g.grade == u.grade + v.grade])
         coef = Fraction(rng.choice((1, -1, 2, -3)), rng.choice((2, 3, 5)))
         delta = (const(coef) * D ** rng.randrange(3) * X ** rng.randrange(3)
                  * param(rng.choice("bst")) ** rng.randrange(1, 3))
@@ -368,7 +380,7 @@ def test_fractional_skew_violation_matches_reference(monkeypatch):
     # V(1/3) has entries over 3 and the change is over 7, so den = 21 and
     # the skew residual, a sum of two single entries, is a fraction.
     alg = families.make_v(THIRD, range(-2, 3))
-    zero, one = alg.single_generator(0), alg.single_generator(1)
+    zero, one = alg.graded[0], alg.graded[1]
     alg = _with_entry(alg, (one, zero), one, const(Fraction(3, 7)) * X)
     assert conformal._packing(alg).den == 21
     report = assert_matches_reference(alg, monkeypatch)
@@ -382,7 +394,7 @@ def test_entries_at_the_spec_caps_match_reference(monkeypatch):
     # the fields are 6 bits wide and products reach s^32.
     cap = grammar.parse("1/3*s^16*x^12 + 2/5*d^12*t^16 - 1/2*s^16*d^6*x^6")
     alg = families.make_v("s", range(-1, 2))
-    zero, one = alg.single_generator(0), alg.single_generator(1)
+    zero, one = alg.graded[0], alg.graded[1]
     alg = _with_entry(alg, (zero, zero), zero, cap)
     alg = _with_entry(alg, (zero, one), one, cap * param("t"))
     assert conformal._packing(alg).width == 6
@@ -495,7 +507,8 @@ def sympy_jacobi_residual(alg, u, v, w):
         for a, fa in f.items():
             for b, gb in g.items():
                 scale = fa.subs(d, -z) * gb.subs(d, d + z)
-                for t in alg.generators_of_grade(a.grade + b.grade):
+                for t in (g for g in alg.generators
+                          if g.grade == a.grade + b.grade):
                     p = table.get((a, b, t), sympy.Integer(0))
                     out[t] = out.get(t, 0) + scale * p.subs(x, z)
         return out
@@ -514,8 +527,8 @@ def sympy_jacobi_residual(alg, u, v, w):
 
 def _one_monomial_mutant(alg, i, j, monomial):
     """The algebra with ``monomial`` added to p_{i,j}."""
-    return _with_entry(alg, (alg.single_generator(i), alg.single_generator(j)),
-                       alg.single_generator(i + j), monomial)
+    return _with_entry(alg, (alg.graded[i], alg.graded[j]),
+                       alg.graded[i + j], monomial)
 
 
 @pytest.mark.parametrize("build, broken", [
@@ -558,13 +571,8 @@ def test_graded_entry():
     cl2 = families.make_cl2("b", "s", range(-2, 3))
     with pytest.raises(OutOfWindowError):
         cl2.graded_entry(2, 1)
-    cur = families.make_current(
-        ["e", "f", "h"],
-        {("h", "e"): {"e": 2}, ("e", "h"): {"e": -2},
-         ("h", "f"): {"f": -2}, ("f", "h"): {"f": 2},
-         ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}})
-    with pytest.raises(ValueError, match="3 generators"):
-        cur.graded_entry(0, 0)
+    with pytest.raises(ValueError, match="exactly one generator per grade"):
+        SL2_CURRENT.graded_entry(0, 0)
 
 
 @pytest.mark.parametrize("alg", [
@@ -577,12 +585,12 @@ def test_graded_entry_is_the_structure_entry(alg):
     decided = 0
     for i in sorted(alg.window):
         for j in sorted(alg.window):
-            u, v = alg.single_generator(i), alg.single_generator(j)
+            u, v = alg.graded[i], alg.graded[j]
             if i + j not in alg.window:
                 with pytest.raises(OutOfWindowError):
                     alg.graded_entry(i, j)
                 continue
-            target = alg.single_generator(i + j)
+            target = alg.graded[i + j]
             assert alg.graded_entry(i, j) == \
                 alg.entry(u, v).get(target, ParamPoly.zero())
             decided += 1
@@ -625,7 +633,7 @@ def test_entry_is_none_exactly_where_the_window_cannot_decide(name):
             assert row is None, (u, v)
             with pytest.raises(OutOfWindowError):
                 bracket(alg, Element.generator(u), Element.generator(v))
-            if alg.one_generator_per_grade():
+            if alg.graded is not None:
                 with pytest.raises(OutOfWindowError):
                     alg.graded_entry(u.grade, v.grade)
             continue
@@ -633,8 +641,8 @@ def test_entry_is_none_exactly_where_the_window_cannot_decide(name):
         if row == {}:
             found.add((u.name, v.name))
         assert bracket(alg, Element.generator(u), Element.generator(v)) == row
-        if alg.one_generator_per_grade():
-            target = alg.single_generator(u.grade + v.grade)
+        if alg.graded is not None:
+            target = alg.graded[u.grade + v.grade]
             assert alg.graded_entry(u.grade, v.grade) == \
                 row.get(target, ParamPoly.zero())
     assert found == zeros
@@ -643,6 +651,34 @@ def test_entry_is_none_exactly_where_the_window_cannot_decide(name):
         if u.grade + v.grade in alg.window)
     text = spec.dumps()
     assert specfile.from_algebra(specfile.loads(text).algebra()).dumps() == text
+
+
+#: What each consumer of the rank-one table names when it refuses an algebra
+#: with two generators at some grade -> a call of that consumer.
+RANK_ONE_CONSUMERS = {
+    "spectral data": spectral_data,
+    "the degree relation check": lambda alg: degree_relation_check(alg, None),
+    "support classification": classify_support,
+    "ideal check": lambda alg: ideals.is_graded_ideal(
+        alg, ideals.GradedSubmodule({})),
+    "closure": lambda alg: ideals.ideal_generated_by(
+        alg, Element.generator(alg.generators[0])),
+    "simplicity probe": lambda alg: ideals.simplicity_probe(alg, [0]),
+}
+
+
+@pytest.mark.parametrize("what", sorted(RANK_ONE_CONSUMERS))
+def test_rank_one_consumers_refuse_a_grade_with_two_generators(what):
+    algebras = [alg for alg, _ in ONE_RULE_ALGEBRAS.values()]
+    for alg in [*algebras, SL2_CURRENT]:
+        grades = [g.grade for g in alg.generators]
+        assert (alg.graded is None) == (len(set(grades)) < len(grades))
+        if alg.graded is not None:
+            assert alg.graded == {g.grade: g for g in alg.generators}
+            continue
+        with pytest.raises(ValueError, match=f"^{what} requires exactly one "
+                                             "generator per grade$"):
+            RANK_ONE_CONSUMERS[what](alg)
 
 
 def test_the_spec_window_dumps_as_its_family():
@@ -710,13 +746,8 @@ def test_cl2_spectral_at_b1_s0():
 
 
 def test_spectral_requires_one_generator_per_grade():
-    alg = families.make_current(
-        ["e", "f", "h"],
-        {("h", "e"): {"e": 2}, ("e", "h"): {"e": -2},
-         ("h", "f"): {"f": -2}, ("f", "h"): {"f": 2},
-         ("e", "f"): {"h": 1}, ("f", "e"): {"h": -1}})
     with pytest.raises(ValueError):
-        spectral_data(alg)
+        spectral_data(SL2_CURRENT)
 
 
 def test_spectral_zero_action():
@@ -751,10 +782,10 @@ def test_scl2_degree_relations_and_pair_values():
     assert data.lines[-2].shift == 2
     assert degree_relation_check(bound, data) == []
     # constant pairing at the special target grade
-    one = alg.single_generator(1)
-    minus3 = alg.single_generator(-3)
+    one = alg.graded[1]
+    minus3 = alg.graded[-3]
     entry = alg.entry(one, minus3)
-    assert entry[alg.single_generator(-2)] == const(2)
+    assert entry[alg.graded[-2]] == const(2)
 
 
 def test_degree_relation_violation_hand_built():

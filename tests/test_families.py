@@ -80,7 +80,7 @@ def test_v_spectral():
 def test_cl1_formula_and_truncation():
     alg = families.make_cl1("s", 5)
     assert alg.graded_entry(2, 1) == 3 * D + 5 * X - S
-    bottom = alg.single_generator(-1)
+    bottom = alg.graded[-1]
     assert alg.entry(bottom, bottom) is None
     import zlca.conformal as conformal
     with pytest.raises(conformal.OutOfWindowError):
@@ -109,32 +109,32 @@ def test_cl2_spectral():
 
 def test_scl2_bracket_examples_b1():
     alg = families.make_scl2(Fraction(1), "s", range(-6, 7))
-    m = alg.single_generator(-2)
+    m = alg.graded[-2]
     assert m.name == "M"
-    zero = alg.single_generator(0)
-    one = alg.single_generator(1)
+    zero = alg.graded[0]
+    one = alg.graded[1]
     assert alg.entry(zero, m)[m] == D + X + 2 * S
-    assert (alg.entry(one, m)[alg.single_generator(-1)]
+    assert (alg.entry(one, m)[alg.graded[-1]]
             == (D + X + 2 * S) * (2 * D + X + 3 * S))
-    minus3 = alg.single_generator(-3)
+    minus3 = alg.graded[-3]
     assert alg.entry(one, minus3)[m] == const(2)
 
 
 def test_scl2_literal_entries():
     alg = families.make_scl2_literal(Fraction(1), "s", range(-6, 7))
-    m = alg.single_generator(-2)
-    zero = alg.single_generator(0)
+    m = alg.graded[-2]
+    zero = alg.graded[0]
     assert alg.entry(zero, m)[m] == D + X + 2 * S
-    low = alg.single_generator(-4)
+    low = alg.graded[-4]
     assert (alg.entry(m, m)[low]
             == -(-X + 2 * S) * (D + X + 2 * S) * (D + 2 * X))
 
 
 def test_scl2_literal_half():
     alg = families.make_scl2_literal(Fraction(1, 2), "s", range(-6, 7))
-    m = alg.single_generator(-1)
-    one = alg.single_generator(1)
-    minus2 = alg.single_generator(-2)
+    m = alg.graded[-1]
+    one = alg.graded[1]
+    minus2 = alg.graded[-2]
     assert alg.entry(one, minus2)[m] == const(Fraction(3, 2))
 
 
@@ -175,9 +175,9 @@ def test_family_axioms(name, alg):
 
 @pytest.mark.parametrize("name,alg", all_families())
 def test_family_grade0_action_nowhere_zero(name, alg):
-    zero = alg.single_generator(0)
+    zero = alg.graded[0]
     for grade in sorted(alg.window):
-        gen = alg.single_generator(grade)
+        gen = alg.graded[grade]
         assert alg.entry(zero, gen).get(gen), (name, grade)
 
 
@@ -307,7 +307,7 @@ def test_zero_entry_family_equals_its_spec_round_trip():
     # with a zero value, the spec writes no row, and both read as the same
     # algebra (inside the window an absent row is the zero bracket).
     alg = families.make_cl2(1, "s", range(-3, 4))
-    low = alg.single_generator(-1)
+    low = alg.graded[-1]
     assert alg.entry(low, low) == {}
     spec = specfile.from_algebra(alg)
     assert ("L-1", "L-1") not in {(u.name, v.name) for u, v in spec.brackets}

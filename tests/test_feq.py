@@ -318,9 +318,9 @@ def test_family_entries_solve_their_equation(name, alg, bindings):
         for j in grades:
             if i + j not in inst.window:
                 continue
-            u = inst.single_generator(i)
-            v = inst.single_generator(j)
-            poly = inst.entry(u, v).get(inst.single_generator(i + j))
+            u = inst.graded[i]
+            v = inst.graded[j]
+            poly = inst.entry(u, v).get(inst.graded[i + j])
             if poly is None:
                 continue
             li, lj, lo = data.lines[i], data.lines[j], data.lines[i + j]

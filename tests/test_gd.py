@@ -52,7 +52,7 @@ def make_a3(b, window, depth):
 # -- constructors ------------------------------------------------------------------
 
 def test_a1_entries():
-    nov = gd.make_a1(3)
+    nov = gd.gd_a1("s", 3).nov
     two, one, three = (gen_of(nov, n) for n in ("L2", "L1", "L3"))
     assert nov.product(two, one) == {three: const(2)}
     minus = gen_of(nov, "L-1")
@@ -61,7 +61,7 @@ def test_a1_entries():
 
 
 def test_a2_entries():
-    nov = gd.make_a2("b", range(-2, 3))
+    nov = gd.gd_a2("b", "s", range(-2, 3)).nov
     one = gen_of(nov, "L1")
     minus = gen_of(nov, "L-1")
     zero = gen_of(nov, "L0")
@@ -82,11 +82,11 @@ def test_a3_entries():
 # -- law checks --------------------------------------------------------------------
 
 def test_a1_novikov_clean():
-    assert gd.check_novikov(gd.make_a1(4)).ok
+    assert gd.check_novikov(gd.gd_a1("s", 4).nov).ok
 
 
 def test_a2_novikov_clean_symbolic():
-    assert gd.check_novikov(gd.make_a2("b", range(-3, 4))).ok
+    assert gd.check_novikov(gd.gd_a2("b", "s", range(-3, 4)).nov).ok
 
 
 def test_a3_novikov_clean_symbolic():
@@ -94,7 +94,7 @@ def test_a3_novikov_clean_symbolic():
 
 
 def test_novikov_violation_localized():
-    nov = gd.make_a1(2)
+    nov = gd.gd_a1("s", 2).nov
     zero = gen_of(nov, "L0")
     one = gen_of(nov, "L1")
     table = {pair: nov.entry(*pair) for pair in nov.pairs()}
@@ -107,14 +107,11 @@ def test_novikov_violation_localized():
 
 
 def test_s_bracket_lie_clean():
-    nov = gd.make_a2("b", range(-3, 4))
-    assert gd.check_lie(gd.s_bracket(nov.basis, "s")).ok
+    assert gd.check_lie(gd.gd_a2("b", "s", range(-3, 4)).lie).ok
 
 
 def test_zero_bracket_lie_clean():
-    nov = gd.make_a1(3)
-    lie = gd.s_bracket(nov.basis, 0)
-    assert gd.check_lie(lie).ok
+    assert gd.check_lie(gd.gd_a1(0, 3).lie).ok
 
 
 def test_lie_antisymmetry_violation():
@@ -141,7 +138,7 @@ def test_gd_group_algebra_novikov():
              for i in grades for j in grades if i + j in gens}
     nov = gd.NovikovAlgebra(gens.values(), table)
     assert gd.check_novikov(nov).ok
-    assert gd.check_gd(gd.GDAlgebra(nov, gd.s_bracket(nov.basis, "s"))).ok
+    assert gd.check_gd(gd.GDAlgebra(nov, gd.gd_a2(0, "s", grades).lie)).ok
 
 
 # -- the correspondence -----------------------------------------------------------------
@@ -170,12 +167,11 @@ def test_zero_gd_gives_zero_brackets():
 
 
 def test_quadratic_from_gd_rejects_broken_input():
-    nov = gd.make_a1(2)
-    zero = gen_of(nov, "L0")
-    table = {pair: nov.entry(*pair) for pair in nov.pairs()}
+    a1 = gd.gd_a1("s", 2)
+    zero = gen_of(a1.nov, "L0")
+    table = {pair: a1.nov.entry(*pair) for pair in a1.nov.pairs()}
     table[(zero, zero)] = {zero: const(2)}
-    broken = gd.GDAlgebra(gd.NovikovAlgebra(nov.basis, table),
-                          gd.s_bracket(nov.basis, "s"))
+    broken = gd.GDAlgebra(gd.NovikovAlgebra(a1.basis, table), a1.lie)
     with pytest.raises(gd.NotGDError):
         gd.quadratic_from_gd(broken)
 
@@ -232,8 +228,8 @@ def test_round_trip_on_current_algebra():
 
 def test_random_a2_perturbations_always_caught():
     rng = random.Random(20240817)
-    base = gd.make_a2(Fraction(1, 3), range(-3, 4))
-    lie = gd.s_bracket(base.basis, Fraction(2))
+    a2 = gd.gd_a2(Fraction(1, 3), Fraction(2), range(-3, 4))
+    base, lie = a2.nov, a2.lie
     interior = [pair for pair in base.pairs()
                 if abs(pair[0].grade + pair[1].grade) <= 2]
     for trial in range(20):
@@ -574,11 +570,11 @@ def test_drawn_tables_match_the_reference(g):
 
 # -- the grade-formula constructors against explicit loops ---------------------------
 #
-# A2 and s_bracket are built from one formula each by conformal.graded_table,
-# and A1 as A2(1).  The references below write them out as double loops, A1
-# from its own formula.
+# gd_a2 builds the product of A2 and its bracket from one formula each by
+# conformal.graded_table, and gd_a1 builds A1 as A2(1).  The references below
+# write them out as double loops, A1 from its own formula.
 
-def reference_make_a1(top):
+def reference_a1(top):
     gens = {i: GeneratorId(i, f"L{i}") for i in range(-1, top + 1)}
     table = {}
     for i in gens:
@@ -588,7 +584,7 @@ def reference_make_a1(top):
     return gd.NovikovAlgebra(gens.values(), table)
 
 
-def reference_make_a2(b, window):
+def reference_a2(b, window):
     b = param(b) if isinstance(b, str) else as_poly(b)
     gens = {i: GeneratorId(i, f"L{i}") for i in sorted(set(window))}
     table = {}
@@ -599,7 +595,7 @@ def reference_make_a2(b, window):
     return gd.NovikovAlgebra(gens.values(), table)
 
 
-def reference_s_bracket(basis, s):
+def reference_bracket(basis, s):
     s = param(s) if isinstance(s, str) else as_poly(s)
     gens = {g.grade: g for g in basis}
     table = {}
@@ -621,17 +617,14 @@ GD_S_VALUES = ["s", S + 1, Fraction(-2, 3), 0, Fraction(5, 7)]
 @pytest.mark.parametrize("s", GD_S_VALUES)
 def test_gd_a1_matches_the_reference(s):
     for top in (-1, 0, 1, 3, 8):
-        nov = reference_make_a1(top)
-        assert gd.make_a1(top) == nov
+        nov = reference_a1(top)
         assert_same_gd(gd.gd_a1(s, top),
-                       gd.GDAlgebra(nov, reference_s_bracket(nov.basis, s)))
+                       gd.GDAlgebra(nov, reference_bracket(nov.basis, s)))
 
 
 def test_a1_rejects_a_top_below_minus_one():
     # As families.make_cl1 does: grade -1 is the lowest grade of A1.
     for top in (-2, -5):
-        with pytest.raises(ValueError, match="window top must be at least -1"):
-            gd.make_a1(top)
         with pytest.raises(ValueError, match="window top must be at least -1"):
             gd.gd_a1("s", top)
 
@@ -640,18 +633,10 @@ def test_a1_rejects_a_top_below_minus_one():
 @pytest.mark.parametrize("b", ["b", 1, -2, Fraction(1, 3), B + S])
 def test_gd_a2_matches_the_reference(b):
     for window in (range(-3, 4), range(-1, 5), (-2, 0, 1, 3), (0,), ()):
-        nov = reference_make_a2(b, window)
-        assert gd.make_a2(b, window) == nov
+        nov = reference_a2(b, window)
         for s in GD_S_VALUES:
             assert_same_gd(gd.gd_a2(b, s, window),
-                           gd.GDAlgebra(nov, reference_s_bracket(nov.basis, s)))
-
-
-def test_s_bracket_matches_the_reference_on_any_names():
-    basis = [GeneratorId(2, "c"), GeneratorId(-1, "a"), GeneratorId(0, "b"),
-             GeneratorId(1, "z"), GeneratorId(3, "y")]
-    for s in GD_S_VALUES:
-        assert gd.s_bracket(basis, s) == reference_s_bracket(basis, s)
+                           gd.GDAlgebra(nov, reference_bracket(nov.basis, s)))
 
 
 # -- table presence in GD mode ---------------------------------------------------------

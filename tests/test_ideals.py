@@ -88,12 +88,12 @@ def reference_ideal_check(alg, sub):
     violations = []
     for u in alg.generators:
         for v_grade in sub.grades():
-            v = alg.single_generator(v_grade)
+            v = alg.graded[v_grade]
             if u.grade + v_grade not in alg.window:
                 skipped += 1
                 continue
             checked += 1
-            target = alg.single_generator(u.grade + v_grade)
+            target = alg.graded[u.grade + v_grade]
             value = bracket(alg, Element.generator(u),
                             Element({v: sub.generator(v_grade)})
                             ).get(target, ParamPoly.zero())
@@ -192,7 +192,7 @@ def test_known_brackets_cost_no_arithmetic(monkeypatch):
 
 def test_closure_of_generator_in_v0_regenerates_everything():
     alg = families.make_v(0, range(-4, 5))
-    seed = Element.generator(alg.single_generator(1))
+    seed = Element.generator(alg.graded[1])
     result = ideals.ideal_generated_by(alg, seed)
     assert result.converged
     assert result.window_truncated
@@ -202,7 +202,7 @@ def test_closure_of_generator_in_v0_regenerates_everything():
 
 def test_closure_of_rescaled_seed_gives_scl2_pattern():
     alg = families.make_cl2(1, 1, range(-5, 6))
-    seed = Element({alg.single_generator(-2): D + 2})
+    seed = Element({alg.graded[-2]: D + 2})
     result = ideals.ideal_generated_by(alg, seed)
     assert result.submodule == scl2_pattern(range(-5, 6), -2, 2)
 
@@ -216,12 +216,12 @@ def test_closure_of_zero_seed_is_zero():
 def test_closure_requires_instantiated_algebra():
     alg = families.make_v("s", range(-2, 3))
     with pytest.raises(ValueError):
-        ideals.ideal_generated_by(alg, Element.generator(alg.single_generator(0)))
+        ideals.ideal_generated_by(alg, Element.generator(alg.graded[0]))
 
 
 def test_closure_iteration_guard_reports_partial():
     alg = families.make_v(0, range(-4, 5))
-    seed = Element.generator(alg.single_generator(2))
+    seed = Element.generator(alg.graded[2])
     result = ideals.ideal_generated_by(alg, seed, max_iterations=1)
     assert not result.converged
     assert result.iterations == 1
@@ -251,12 +251,12 @@ def reference_closure(alg, seed, max_iterations=64):
         iterations += 1
         changed = False
         for v_grade in sorted(state):
-            member = Element({alg.single_generator(v_grade): state[v_grade]})
+            member = Element({alg.graded[v_grade]: state[v_grade]})
             for u_grade in sorted(alg.window):
                 if u_grade + v_grade not in alg.window:
                     boundary_skips += 1
                     continue
-                u = Element.generator(alg.single_generator(u_grade))
+                u = Element.generator(alg.graded[u_grade])
                 for target, poly in bracket(alg, u, member).items():
                     changed = absorb(target.grade, poly) or changed
         if not changed:
@@ -292,7 +292,7 @@ def test_worklist_closure_matches_full_rescan():
     proper = 0
     for alg in algebras:
         for grade in window:
-            gen = alg.single_generator(grade)
+            gen = alg.graded[grade]
             seeds = [Element.generator(gen)]
             if grade in (-2, -1, 0):
                 seeds += [Element({gen: D + 2}),
@@ -313,7 +313,7 @@ def test_worklist_closure_matches_full_rescan_under_the_guard():
         (families.make_cl2(1, 1, range(-4, 5)), -2, (D + 2) * (D + 5)),
     ]
     for alg, grade, coeff in cases:
-        seed = Element({alg.single_generator(grade): coeff})
+        seed = Element({alg.graded[grade]: coeff})
         changing = reference_closure(alg, seed).iterations - 1
         assert changing == 2
         for cap in range(changing + 2):
@@ -330,10 +330,10 @@ def test_closure_lands_like_the_general_bracket():
             for j in alg.window:
                 if i + j not in alg.window:
                     continue
-                value = bracket(alg, Element.generator(alg.single_generator(i)),
-                                Element({alg.single_generator(j): q}))
+                value = bracket(alg, Element.generator(alg.graded[i]),
+                                Element({alg.graded[j]: q}))
                 landed = alg.graded_entry(i, j) * q.substitute({DEL: D + X})
-                assert value == ({alg.single_generator(i + j): landed}
+                assert value == ({alg.graded[i + j]: landed}
                                  if landed else {}), (i, j, q)
 
 
@@ -355,7 +355,7 @@ def test_closure_and_check_land_p_i_j_not_p_j_i():
     alg = non_skew_cl2()
     assert alg.graded_entry(-2, 0).is_zero()
     assert alg.graded_entry(0, -2) == D - 2
-    closure = _same_closure(alg, Element.generator(alg.single_generator(-1)))
+    closure = _same_closure(alg, Element.generator(alg.graded[-1]))
     assert closure.converged
     assert closure.submodule == ideals.GradedSubmodule.full_on(range(-1, 3))
     # grade 0 (full) brackets with L_{-2} to p_{-2,0} = 0, not to d - 2
@@ -371,7 +371,7 @@ def test_closure_and_check_agree_on_the_scl2_pattern(b, window):
     alg = families.make_cl2(b, 1, window)
     for shift, closed in ((2, True), (3, False)):
         pattern = scl2_pattern(window, int(-2 * b), shift)
-        seed = Element({alg.single_generator(g): pattern.generator(g)
+        seed = Element({alg.graded[g]: pattern.generator(g)
                         for g in window})
         closure = _same_closure(alg, seed)
         assert closure.converged
@@ -388,7 +388,7 @@ def test_closure_is_sound():
         (families.make_cl2(1, 1, range(-5, 6)), -2, D + 2),
     ]
     for alg, grade, coeff in cases:
-        gen = alg.single_generator(grade)
+        gen = alg.graded[grade]
         seed = Element({gen: coeff}) if coeff is not None \
             else Element.generator(gen)
         closure = ideals.ideal_generated_by(alg, seed)
@@ -400,7 +400,7 @@ def test_closure_monotone_under_containing_ideal():
     # a seed inside the rescaled-generator ideal closes up inside it
     alg = families.make_cl2(1, 1, range(-5, 6))
     pattern = scl2_pattern(range(-5, 6), -2, 2)
-    seed = Element({alg.single_generator(-2): (D + 2) ** 2})
+    seed = Element({alg.graded[-2]: (D + 2) ** 2})
     closure = ideals.ideal_generated_by(alg, seed).submodule
     for grade in range(-5, 6):
         q_closure = closure.generator(grade)

@@ -10,7 +10,10 @@ two sides of a pair run one after the other, and the side that runs first
 alternates from seed to seed, so a slow spell of a shared machine does not
 fall on one side only.  Each side then runs once more with ``--trace 1`` and
 the first seed, for the traced work counts (the metrics counted in ``count``
-or ``bytes``).
+or ``bytes``) and the per-layer timings (the per-layer metrics BENCHMARK.json
+counts in ``s`` or ``ms``).  The timings come from that one short traced run,
+unpaired and slowed by the tracer, so they are kept under their own key with
+a note that no claim may rest on them.
 
 The entry holds, per workload and side, every run's end-to-end metrics and
 their median and quartiles, and the work counts.  It also holds, per
@@ -34,6 +37,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("verify-window", "feq-solve", "closure-probe", "gd-roundtrip")
+TIMING_UNITS = ("s", "ms")
+TIMINGS_NOTE = ("one traced run of the first seed, unpaired and slowed by "
+                "the tracer: a guide to where time goes, on which no claim "
+                "may rest")
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: float,
@@ -68,6 +75,15 @@ def spread(values: list[float]) -> dict:
 def summary(runs: list[dict], names: list[str]) -> dict:
     return {name: spread([run["metrics"][name]["value"] for run in runs])
             for name in names}
+
+
+def layer_timings(traced: dict, per_layer: list[dict]) -> dict:
+    """The traced run's per-layer timings, under the note that marks them."""
+    metrics = traced.get("metrics", {})
+    return {"note": TIMINGS_NOTE,
+            "values": {m["name"]: metrics[m["name"]]["value"]
+                       for m in per_layer
+                       if m["unit"] in TIMING_UNITS and m["name"] in metrics}}
 
 
 def wins(baseline: list[dict], change: list[dict], name: str,
@@ -129,6 +145,7 @@ def main(argv=None) -> int:
                 "work_counts": {name: m["value"] for name, m
                                 in traced.get("metrics", {}).items()
                                 if m["unit"] in ("count", "bytes")},
+                "layer_timings": layer_timings(traced, declared["per_layer"]),
                 "runs": runs[side],
             }
         if all_correct:

@@ -188,7 +188,7 @@ def cmd_verify(args) -> int:
     jacobi = check_jacobi(alg)
     violations = _axiom_violations(jacobi.skew) + _axiom_violations(jacobi)
     sections: dict[str, Any] = {}
-    if alg.graded is None or 0 not in alg.window:
+    if not alg.has_grade_zero:
         sections["spectral"] = {
             "skipped": "requires exactly one generator per grade and a "
                        "grade-0 generator"}

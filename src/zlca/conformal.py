@@ -33,11 +33,15 @@ table ``p_{i,j}(d, x)``, the coefficient of the grade-(i + j) generator in
 the bracket of the grade-i and grade-j ones.  ``ConformalAlgebra.graded``
 maps each grade to its one generator, and is None when some grade has more;
 ``rank_one(what)`` returns the map or raises the one ValueError, "<what>
-requires exactly one generator per grade".  ``graded_entry(i, j)`` is the
-one reader of the table: the spectral, degree and support diagnostics and
-the ideal check, closure and probe of ``ideals`` take ``p_{i,j}`` from it
-and their generators from ``graded`` alone.  The diagnostics take no
-parameter values: bind first, with ``instantiate``.
+requires exactly one generator per grade".  The spectral diagnostics also
+read the grade-0 action: ``has_grade_zero`` states their one rule, rank one
+with a grade-0 generator, which ``verify`` reads to skip its spectral
+section, and ``grade_zero(what)`` returns the map or raises by it.
+``graded_entry(i, j)`` is the one reader of the table: the spectral, degree
+and support diagnostics and the ideal check, closure and probe of
+``ideals`` take ``p_{i,j}`` from it and their generators from ``graded``
+alone.  The diagnostics take no parameter values: bind first, with
+``instantiate``.
 
 Every law check, skew and Jacobi here and the Novikov, Lie and
 compatibility laws of ``gd``, runs on one engine, whose work grows with the
@@ -69,7 +73,8 @@ from types import MappingProxyType
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence)
 
-from .poly import DEL, LAM, MU, Packed, Packing, ParamPoly, Scalar, as_poly
+from .poly import (DEL, FORMAL_VARS, LAM, MU, Packed, Packing, ParamPoly,
+                   Scalar, as_poly)
 
 Table = Mapping[tuple["GeneratorId", "GeneratorId"],
                 Mapping["GeneratorId", ParamPoly]]
@@ -187,7 +192,8 @@ class StructureTable:
     coefficients use.  A stored row is decidable (an empty row is zero), a
     missing row undecidable; ``entry`` reads a pair by that rule.  A subclass
     states its coefficient rule in ``_check``, which sees every listed target
-    (a zero coefficient too).
+    (a zero coefficient too) and the names of the variables its coefficient
+    uses, collected in one walk over the monomials.
     """
 
     def __init__(self, basis: Iterable[GeneratorId], table: Table,
@@ -207,9 +213,10 @@ class StructureTable:
                 if w not in known:
                     raise ValueError(f"target {w.name} is undeclared")
                 coef = as_poly(coef)
-                self._check(u, v, w, coef)
+                names = coef.variables()
+                self._check(u, v, w, names)
                 if coef:
-                    used |= coef.params()
+                    used |= names.difference(FORMAL_VARS)
                     entry[w] = coef
             clean[(u, v)] = entry
         self.params = frozenset(used)
@@ -217,8 +224,9 @@ class StructureTable:
         self._position = {g: k for k, g in enumerate(self.basis)}
 
     def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
-               coef: ParamPoly) -> None:
-        """Raise ValueError when ``coef`` may not be the (u, v) entry at w."""
+               names: frozenset[str]) -> None:
+        """Raise ValueError when a coefficient in the variables ``names``
+        may not be the (u, v) entry at w."""
         raise NotImplementedError
 
     def entry(self, u: GeneratorId, v: GeneratorId
@@ -266,18 +274,21 @@ class ConformalAlgebra(StructureTable):
         #: None; read-only, as the model is.
         self.graded = (MappingProxyType(graded)
                        if len(graded) == len(self.basis) else None)
+        #: Whether the table is rank one with a grade-0 generator, whose
+        #: action p_{0,j} the spectral diagnostics read.
+        self.has_grade_zero = self.graded is not None and 0 in self.window
         # The packing and the packed, substituted table entries of the
         # axiom checks, made on first use by ``_lines``.
         self._packing: Packing | None = None
         self._jacobi_forms: dict[str, list[_Line]] = {}
 
     def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
-               coef: ParamPoly) -> None:
+               names: frozenset[str]) -> None:
         if w.grade != u.grade + v.grade:
             raise ValueError(
                 f"bracket ({u.name}, {v.name}) targets {w.name} of "
                 f"grade {w.grade}, expected {u.grade + v.grade}")
-        if MU in coef.variables():
+        if MU in names:
             raise ValueError("structure polynomials may not use y")
 
     # -- the rank-one table ---------------------------------------------------
@@ -288,6 +299,15 @@ class ConformalAlgebra(StructureTable):
         if self.graded is None:
             raise ValueError(f"{what} requires exactly one generator per grade")
         return self.graded
+
+    def grade_zero(self, what: str) -> Mapping[int, GeneratorId]:
+        """``rank_one(what)`` of an algebra with a grade-0 generator, whose
+        action p_{0,j} the spectral diagnostics read; ValueError naming
+        ``what`` when the window has no grade 0."""
+        graded = self.rank_one(what)
+        if not self.has_grade_zero:
+            raise ValueError(f"{what} requires a grade-0 generator")
+        return graded
 
     def graded_entry(self, i: int, j: int) -> ParamPoly:
         """p_{i,j}: the coefficient of L_{i+j} in [L_i x L_j], zero if absent.
@@ -713,7 +733,7 @@ def spectral_data(alg: ConformalAlgebra) -> SpectralData:
     NotAffineError when the action is not scale*(d + weight*x + shift) with
     rational weight and shift.
     """
-    alg.rank_one("spectral data")
+    alg.grade_zero("spectral data")
     lines: dict[int, SpectralLine] = {}
     for grade in sorted(alg.window):
         poly = alg.graded_entry(0, grade)
@@ -791,8 +811,7 @@ def classify_support(alg: ConformalAlgebra) -> SupportClassification:
     polynomial has degree above 2, lands in ``unclassified``.  Bind first
     (``instantiate``) to classify at parameter values.
     """
-    if 0 not in alg.rank_one("support classification"):
-        raise ValueError("support classification requires a grade-0 generator")
+    alg.grade_zero("support classification")
     buckets: dict[int, set[int]] = {0: set(), 1: set(), 2: set()}
     unclassified: set[int] = set()
     for k in sorted(g for g in alg.window if g > 0):

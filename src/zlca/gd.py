@@ -46,7 +46,8 @@ from .conformal import (ConformalAlgebra, GeneratorId, LawReport,
                         LawViolation, PairCount, StructureTable, _bits,
                         _decidable, _decide, _extend, _flat, _packing,
                         graded_generators, graded_table, half_line)
-from .poly import D, X, Packed, Packing, ParamPoly, Scalar, as_poly, param
+from .poly import (FORMAL_VARS, D, X, Packed, Packing, ParamPoly, Scalar,
+                   as_poly, param)
 
 Combination = dict[GeneratorId, ParamPoly]
 
@@ -75,9 +76,10 @@ class InconsistentStarError(ValueError):
 
 
 def _structure_constant(table: StructureTable, u: GeneratorId,
-                        v: GeneratorId, w: GeneratorId, coef: ParamPoly) -> None:
+                        v: GeneratorId, w: GeneratorId,
+                        names: frozenset[str]) -> None:
     """The GD coefficient rule: a scalar in the parameters only."""
-    if not coef.is_formal_constant():
+    if not names.isdisjoint(FORMAL_VARS):
         raise ValueError("structure constants must be free of d, x, y")
 
 

@@ -34,9 +34,13 @@ and give the same polynomial, and only the second reports errors.
   and a ``*``-product of identifiers with optional exponents from 2 to
   MAX_EXPONENT; a term that is only a literal is a constant.  One regular
   expression checks the whole string, including the digit bound, so every
-  string it admits is valid.  Each coefficient is an integer pair until the
-  end, when it becomes one ``Fraction`` per monomial.  Every spec zlca writes
-  takes this route.
+  string it admits is valid.  Each distinct term text is read once per
+  memo, a dict from the text of a signed term to its monomial and its
+  coefficient (an ``int``, or a reduced ``Fraction`` when not integral).
+  ``parse`` takes the memo of one load, which the spec loader shares among
+  all the polynomials of one file; without one, each call makes a fresh
+  memo.  There is no module-level cache, so no term outlives its load.
+  Every spec zlca writes takes this route.
 - The recursive descent reads everything else: parentheses, ``^`` on a
   number or an exponent below 2, ``*`` between numbers, other spacing, and
   every string that breaks a bound or is not in the grammar, so it alone
@@ -49,7 +53,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .poly import FORMAL_VARS, ONE_MONO, Mono, ParamPoly, mono_mul
+from .poly import FORMAL_VARS, ONE_MONO, Mono, ParamPoly, Scalar, mono_mul
 
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
@@ -243,42 +247,64 @@ _TERM = (rf"(?:[0-9]{{1,{MAX_LITERAL_DIGITS}}}"
 _FLAT = re.compile(rf"-?{_TERM}(?: [+-] {_TERM})*")
 
 
-def _parse_flat(text: str) -> Optional[ParamPoly]:
-    """A sum of monomials read in one pass; None when text is not one."""
+#: One load's parsed terms: the text of a signed term, as the flat route
+#: splits it, mapped to its monomial and its coefficient (an int, or a
+#: reduced Fraction when not integral).
+Memo = dict[str, tuple[Mono, Scalar]]
+
+
+def _flat_term(term: str) -> tuple[Mono, Scalar]:
+    """The monomial and coefficient of one signed term of a flat string."""
+    sign = 1
+    if term[0] == "-":
+        sign = -1
+        term = term[1:]
+    factors = term.split("*")
+    coef: Scalar = sign
+    if term[0] in _DIGITS:
+        n, _, d = factors.pop(0).partition("/")
+        coef = sign * int(n)
+        if d:
+            q = Fraction(coef, int(d))
+            coef = q.numerator if q.denominator == 1 else q
+    mono = ONE_MONO
+    for factor in factors:
+        var, _, exp = factor.partition("^")
+        mono = mono_mul(mono, ((var, int(exp) if exp else 1),))
+    return mono, coef
+
+
+def _parse_flat(text: str, memo: Optional[Memo] = None) -> Optional[ParamPoly]:
+    """A sum of monomials read in one pass, each distinct term text once
+    per ``memo``; None when text is not one."""
     if _FLAT.fullmatch(text) is None:
         return None
-    coefs: dict[Mono, tuple[int, int]] = {}
-    for term in text.replace(" - ", " + -").split(" + "):
-        sign = 1
-        if term[0] == "-":
-            sign = -1
-            term = term[1:]
-        factors = term.split("*")
-        num = den = 1
-        if term[0] in _DIGITS:
-            n, _, d = factors.pop(0).partition("/")
-            num = int(n)
-            if d:
-                den = int(d)
-        mono = ONE_MONO
-        for factor in factors:
-            var, _, exp = factor.partition("^")
-            mono = mono_mul(mono, ((var, int(exp) if exp else 1),))
-        if mono in coefs:
-            n0, d0 = coefs[mono]
-            coefs[mono] = (n0 * den + sign * num * d0, d0 * den)
-        else:
-            coefs[mono] = (sign * num, den)
-    return ParamPoly._wrap({mono: num if den == 1 else Fraction(num, den)
-                            for mono, (num, den) in coefs.items()})
+    if memo is None:
+        memo = {}
+    parts = text.replace(" - ", " + -").split(" + ")
+    terms: dict[Mono, Scalar] = {}
+    for term in parts:
+        read = memo.get(term)
+        if read is None:
+            read = memo[term] = _flat_term(term)
+        mono, coef = read
+        terms[mono] = terms[mono] + coef if mono in terms else coef
+    # The memo's coefficients are clean; a sum or a zero needs _clean.
+    if len(terms) == len(parts) and 0 not in terms.values():
+        return ParamPoly._adopt(terms)
+    return ParamPoly._wrap(terms)
 
 
-def parse(text: str) -> ParamPoly:
-    """Parse a polynomial string in the canonical grammar."""
-    flat = _parse_flat(text)
+def parse(text: str, memo: Optional[Memo] = None) -> ParamPoly:
+    """Parse a polynomial string in the canonical grammar.
+
+    ``memo`` is the flat route's term memo of one load, shared by the
+    polynomials it reads; without it each call uses a fresh one.
+    """
+    flat = _parse_flat(text, memo)
     if flat is not None:
         return flat
     return _Parser(_tokenize(text)).parse()
 
 
-__all__ = ["ParseError", "parse", "FORMAL_VARS"]
+__all__ = ["Memo", "ParseError", "parse", "FORMAL_VARS"]

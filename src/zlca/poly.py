@@ -241,10 +241,6 @@ class ParamPoly:
         """True when the polynomial involves no variable at all."""
         return not self._terms or self._terms.keys() == {ONE_MONO}
 
-    def is_formal_constant(self) -> bool:
-        """True when no formal variable (d, x, y) occurs."""
-        return all(mono_formal_degree(m) == 0 for m in self._terms)
-
     def as_fraction(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)

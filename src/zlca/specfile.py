@@ -11,12 +11,14 @@ The on-disk format is a single JSON object:
       "submodule": {"-2": "d + 2*s", "0": "full", "1": "zero"}   # optional
     }
 
-Polynomial payloads are strings in the canonical grammar.  The rows of both
-modes load alike, by one loader, as ``conformal.Table``s keyed by generator
-with one term per target.  The loader checks only the file: JSON shape, names,
-polynomial syntax, the caps (MAX_GENERATORS generators, and per polynomial
-MAX_FORMAL_DEGREE and MAX_TABLE_TERMS), declared parameters, and repeated rows
-or targets.  The model checks the grading when the spec is built:
+Polynomial payloads are strings in the canonical grammar.  A load reads
+each distinct term text once: ``loads`` hands one term memo to every
+``grammar.parse`` of the file, and drops it when the load ends.  The rows
+of both modes load alike, by one loader, as ``conformal.Table``s keyed by
+generator with one term per target.  The loader checks only the file: JSON
+shape, names, polynomial syntax, the caps (MAX_GENERATORS generators, and
+per polynomial MAX_FORMAL_DEGREE and MAX_TABLE_TERMS), declared parameters,
+and repeated rows or targets.  The model checks the grading when the spec is built:
 ``ConformalAlgebra`` refuses a bracket target off grade i + j.  Both modes
 build a ``conformal.StructureTable``, whose ``params`` are the declared ones
 together with those the entries use.  In conformal mode a missing bracket row
@@ -219,7 +221,7 @@ def _degree_and_stray(poly: ParamPoly, params: set[str]) -> tuple[int, bool]:
 
 
 def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
-               params: set[str]) -> Table:
+               params: set[str], memo: grammar.Memo) -> Table:
     # Every message is formatted only on the way to its raise: a CL2 window
     # has thousands of terms, and loading is a large part of a short job.
     if not isinstance(raw, list):
@@ -261,7 +263,7 @@ def _load_rows(raw: Any, where: str, generators: dict[str, GeneratorId],
                 raise SpecFileError(f"{where}[{idx}].terms[{tdx}]: repeated "
                                     f"target {target!r}")
             try:
-                poly = grammar.parse(poly_text)
+                poly = grammar.parse(poly_text, memo)
             except grammar.ParseError as exc:
                 raise SpecFileError(f"{where}[{idx}].terms[{tdx}].poly: {exc}")
             if len(poly) > MAX_TABLE_TERMS:
@@ -343,7 +345,9 @@ def loads(text: str) -> SpecFile:
         _require(name not in generators, f"{ctx}: duplicate generator {name!r}")
         generators[name] = GeneratorId(grade, name)
 
-    tables = {key: _load_rows(raw[key], key, generators, params)
+    # One term memo for the load: a family's rows repeat a few term texts.
+    memo: grammar.Memo = {}
+    tables = {key: _load_rows(raw[key], key, generators, params, memo)
               for key in ("brackets", "products") if key in raw}
 
     submodule = None

@@ -41,3 +41,19 @@ def test_wins_follow_the_metric_direction():
     assert record.wins(baseline, change, "t", "higher") == 1
     assert record.summary(change, ["t"]) == {
         "t": {"median": 2.0, "q1": 1.25, "q3": 3.0}}
+
+
+def test_layer_timings_are_the_declared_timed_metrics_under_a_note():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    traced = {"metrics": {"poly.mul_s": {"value": 0.5, "unit": "s"},
+                          "conformal.residual_ms_per_triple":
+                              {"value": 2.0, "unit": "ms"},
+                          "poly.mul_calls": {"value": 40, "unit": "count"},
+                          "setup_s": {"value": 0.2, "unit": "s"}}}
+    timings = record.layer_timings(traced, declared["per_layer"])
+    # only per-layer metrics in s or ms: no count, no end-to-end metric
+    assert timings["values"] == {"poly.mul_s": 0.5,
+                                 "conformal.residual_ms_per_triple": 2.0}
+    assert "no claim may rest" in timings["note"]
+    assert record.layer_timings({"correct": False},
+                                declared["per_layer"])["values"] == {}

@@ -462,6 +462,26 @@ def test_probe_refuses_a_grade_with_two_generators(tmp_path):
         "error": "simplicity probe requires exactly one generator per grade"}
 
 
+def test_verify_skips_the_spectral_section_by_the_grade_zero_rule(tmp_path):
+    lie_path = tmp_path / "sl2.json"
+    lie_path.write_text(json.dumps(SL2_LIE))
+    cur_path = tmp_path / "cur.json"
+    assert run(["family", "Cur", "--lie", str(lie_path),
+                "-o", str(cur_path)])[0] == 0
+    no_zero = tmp_path / "no_zero.json"
+    write_json(no_zero, {"generators": [{"name": "A", "grade": 1},
+                                        {"name": "B", "grade": 2}]})
+    # three generators at grade 0, and one generator per grade but no grade 0
+    for path in (cur_path, no_zero):
+        code, out, _ = run(["verify", str(path)])
+        assert code == 0
+        sections = json.loads(out)["sections"]
+        assert sections["spectral"] == {
+            "skipped": "requires exactly one generator per grade and a "
+                       "grade-0 generator"}
+        assert "support" not in sections
+
+
 def test_commands_refuse_flags_they_do_not_read(tmp_path, vir_path):
     gd_path = tmp_path / "a1.json"
     gd_path.write_text(a1_spec_text())

@@ -123,6 +123,51 @@ def test_gd_table_rejects_formal_variables(cls):
             cls([A], {(A, A): {A: poly}})
 
 
+def test_coefficient_rules_refuse_what_a_spec_load_builds():
+    # the rules read the variable names collected in one walk per coefficient
+    def spec(poly, gd_mode=None):
+        """L with one entry poly; in GD mode poly sits in the table gd_mode
+        names and the other table holds 1."""
+        def rows(p):
+            return [{"left": "L", "right": "L",
+                     "terms": [{"target": "L", "poly": p}]}]
+        out = {"params": ["s"], "generators": [{"name": "L", "grade": 0}],
+               "brackets": rows(poly)}
+        if gd_mode is not None:
+            out["products"] = rows(poly)
+            out[{"brackets": "products", "products": "brackets"}[gd_mode]] = \
+                rows("1")
+        return json.dumps(out)
+
+    for poly in ("y", "d + s*y", "x^2*y^3 - 1"):
+        with pytest.raises(ValueError, match="may not use y"):
+            specfile.loads(spec(poly)).algebra()
+    assert specfile.loads(spec("d + s*x")).algebra().params == {"s"}
+    for key in ("brackets", "products"):
+        for poly in ("d", "2*s*x", "s + y^2"):
+            with pytest.raises(ValueError, match="must be free of d, x, y"):
+                specfile.loads(spec(poly, key)).gd_algebra()
+        assert specfile.loads(spec("2*s + 1", key)).gd_algebra().params == {"s"}
+
+
+@pytest.mark.parametrize("cls, poly", [
+    (ConformalAlgebra, D + param("s") * X + param("t_2") * param("b")),
+    (gd.NovikovAlgebra, param("s") + param("t_2") * param("b")),
+    (gd.LieStructure, 3 * param("t_2") ** 2 * param("b")),
+])
+def test_params_are_the_declared_and_the_used(cls, poly):
+    used = poly.params()
+    for declared in ((), ("a",), ("s", "z9")):
+        table = cls([A], {(A, A): {A: poly}}, declared)
+        assert table.params == used | set(declared)
+        # a zero coefficient uses no parameter; formal names are never params
+        zero = cls([A], {(A, A): {A: 0 * poly}}, declared)
+        assert zero.params == set(declared)
+        assert not table.params & {"d", "x", "y"}
+    assert cls([A], {(A, A): {A: poly}}).instantiate(
+        {"b": 2}).params == used - {"b"}
+
+
 @pytest.mark.parametrize("owner, name", [
     (ConformalAlgebra, "table_items"), (ParamPoly, "leading_homogeneous"),
     (feq, "factor_check"), (feq, "FactorCheckError"), (gd, "_a1_window"),
@@ -748,6 +793,19 @@ def test_cl2_spectral_at_b1_s0():
 def test_spectral_requires_one_generator_per_grade():
     with pytest.raises(ValueError):
         spectral_data(SL2_CURRENT)
+
+
+def test_spectral_diagnostics_refuse_a_window_without_grade_zero():
+    # one generator per grade, but no grade-0 action to read
+    alg = ConformalAlgebra([GeneratorId(1, "A"), GeneratorId(2, "B")], {})
+    assert alg.graded is not None and not alg.has_grade_zero
+    assert VIR.has_grade_zero and not SL2_CURRENT.has_grade_zero
+    for what, check in (("spectral data", spectral_data),
+                        ("support classification", classify_support)):
+        with pytest.raises(ValueError,
+                           match=f"^{what} requires a grade-0 generator$"):
+            check(alg)
+    assert VIR.grade_zero("spectral data") == {0: L}
 
 
 def test_spectral_zero_action():

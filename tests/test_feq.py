@@ -39,12 +39,27 @@ def test_shift_mismatch_kills_solutions(shifts):
     assert feq.solve_feq(t, 3).dimension == 0
 
 
-def test_top_residual_is_the_full_residual_without_shifts():
-    polys = [D + 2 * X, D * D * X - 3 * X ** 3 + F(1, 2) * D, ParamPoly({(): 1})]
+def homogeneous(p, degree):
+    """The formal-degree ``degree`` component of p."""
+    return ParamPoly({m: c for m, c in p.terms()
+                      if mono_formal_degree(m) == degree})
+
+
+def test_top_residual_is_the_top_component_of_the_full_residual():
+    polys = [D + 2 * X, D * D * X - 3 * X ** 3 + F(1, 2) * D, ParamPoly({(): 1}),
+             D * X + X - 4]
+    shifts = ((1, -2, F(1, 2)), (F(-3, 4), 0, 5), (0, 0, 1))
     for p in polys:
+        n = p.formal_degree()
+        p_top = homogeneous(p, n)
         for wl, wr, wo in ((2, 2, 2), (F(1, 3), 0, -1), (1, F(5, 2), 0)):
             top = feq.top_residual(p, F(wl), F(wr), F(wo))
-            assert top == feq.feq_residual(p, triple(wl, 0, wr, 0, wo, 0))
+            # the shifts and p's lower parts reach degree n at most, so the
+            # residual's degree-(n + 1) part is the top equation at p's top
+            for sl, sr, so in shifts:
+                full = feq.feq_residual(p, triple(wl, sl, wr, sr, wo, so))
+                assert homogeneous(full, n + 1) == feq.top_residual(
+                    p_top, F(wl), F(wr), F(wo))
             # ((wl - 1) x - y) p(d, x+y) - p(d+x, y)(d + wo x)
             #     + (d + y + wr x) p(d, y), written out
             p_sum = p.substitute({"x": X + Y})

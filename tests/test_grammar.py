@@ -300,3 +300,63 @@ def test_emitted_specs_take_the_flat_route(tmp_path, monkeypatch):
         for table in (spec.brackets, spec.products or {}):
             terms += sum(len(row) for row in table.values())
     assert terms > 1000
+
+
+# -- the flat route's term memo -----------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(wide_polys(), max_size=6))
+def test_a_shared_memo_parses_as_the_descent_does(ps):
+    # one memo across many polynomials, as one spec load shares it
+    memo = {}
+    for p in ps:
+        text = str(p)
+        assert grammar.parse(text, memo) == descent(text) == p
+
+
+def stored(p):
+    """The stored terms of p, coefficients with their types."""
+    return {mono: (type(coef), coef) for mono, coef in p.items()}
+
+
+@pytest.mark.parametrize("text, want", [
+    ("d + d", 2 * D), ("d - d", ParamPoly.zero()), ("0*d", ParamPoly.zero()),
+    ("4/2*x", 2 * X), ("d + 0 - 2/4*x", D - Fraction(1, 2) * X),
+])
+def test_flat_terms_that_repeat_or_vanish_are_cleaned(text, want):
+    for memo in (None, {}):
+        got = grammar.parse(text, memo)
+        assert got == want == descent(text)
+        assert stored(got) == stored(want)
+
+
+def test_memo_holds_each_term_text_once_as_int_or_reduced_fraction():
+    memo = {}
+    assert grammar.parse("4/2*x + 3*d", memo) == 2 * X + 3 * D
+    assert grammar.parse("-2/4*y - 4/2*x", memo) == -Fraction(1, 2) * Y - 2 * X
+    assert memo == {"4/2*x": ((("x", 1),), 2), "3*d": ((("d", 1),), 3),
+                    "-2/4*y": ((("y", 1),), Fraction(-1, 2)),
+                    "-4/2*x": ((("x", 1),), -2)}
+    assert type(memo["4/2*x"][1]) is int
+    assert stored(grammar.parse("4/2*x", memo)) == {(("x", 1),): (int, 2)}
+
+
+def test_one_term_text_in_two_rows_with_different_neighbours():
+    memo = {}
+    first = grammar.parse("d*x + 2*x", memo)
+    second = grammar.parse("-3 - d*x + d*x + 2*x", memo)
+    assert first == D * X + 2 * X
+    assert second == 2 * X - 3 == descent("-3 - d*x + d*x + 2*x")
+    assert grammar.parse("2*x", memo) == 2 * X
+    assert sorted(memo) == ["-3", "-d*x", "2*x", "d*x"]
+    # the shared term did not carry a sum from one polynomial to the next
+    assert first == descent("d*x + 2*x")
+
+
+def test_no_term_outlives_its_parse():
+    # a lone parse makes a fresh memo; no module-level cache keeps a term
+    text = "123456789*q_7"
+    assert grammar.parse(text) == 123456789 * ParamPoly.variable("q_7")
+    for value in vars(grammar).values():
+        assert not hasattr(value, "cache_info")
+        assert not (isinstance(value, dict) and text in value)

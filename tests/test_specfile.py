@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zlca import families, gd, specfile
+from zlca import families, gd, grammar, specfile
 
 #: Real spec texts: a symbolic and a bound window, a GD structure, and a
 #: spec with a submodule pattern.
@@ -139,3 +139,32 @@ def test_submodule_grade_keys_within_the_rule_load():
     spec["submodule"] = {"-0": "full", "0012": "zero", "-9999": "d + s"}
     loaded = specfile.loads(json.dumps(spec))
     assert loaded.submodule == ((-9999, "d + s"), (0, "full"), (12, "zero"))
+
+
+def memos_of(monkeypatch):
+    """The memo each grammar.parse call receives, in call order."""
+    seen = []
+    original = grammar.parse
+
+    def spy(text, memo=None):
+        seen.append(memo)
+        return original(text, memo)
+
+    monkeypatch.setattr(grammar, "parse", spy)
+    return seen
+
+
+def test_one_memo_per_load_and_none_shared(monkeypatch):
+    seen = memos_of(monkeypatch)
+    first = specfile.loads(SPECS[0])
+    calls = len(seen)
+    second = specfile.loads(SPECS[0])
+    assert first == second and len(seen) == 2 * calls > 2
+    one, two = seen[:calls], seen[calls:]
+    # every polynomial of a load reads one memo, and the next load another
+    assert all(memo is one[0] for memo in one) and isinstance(one[0], dict)
+    assert all(memo is two[0] for memo in two) and two[0] is not one[0]
+    # a family window repeats term texts: the memo holds fewer than it read
+    terms = sum(len(str(p).replace(" - ", " + ").split(" + "))
+                for row in first.brackets.values() for p in row.values())
+    assert len(one[0]) < terms

@@ -6,6 +6,7 @@ Subpackages:
     conformal  graded algebras, brackets, axiom checks, diagnostics
     families   constructors for the classified families
     gd         Novikov / Gel'fand-Dorfman structures and the correspondence
+    linalg     exact sparse linear algebra over Q (row reduction, kernels)
     feq        the grade-action functional equation solver
     ideals     graded submodules, closure, simplicity probe
     specfile   JSON spec files

@@ -175,9 +175,6 @@ class Element:
     def generator(cls, gen: GeneratorId) -> "Element":
         return cls({gen: as_poly(1)})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Element) and dict(self.coeffs) == dict(other.coeffs)
 

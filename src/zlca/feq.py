@@ -38,8 +38,8 @@ which is the top-degree component of the full equation and pins down the
 leading homogeneous part of any solution.
 
 Solution spaces are returned echelonized: basis polynomials have canonical
-leading coefficient 1 and the reduced row echelon certificate over the
-monomial coordinates is kept for membership tests and reproducible hashing.
+leading coefficient 1 and the reduced row echelon form over the monomial
+coordinates is kept for reproducible hashing.
 """
 
 from __future__ import annotations
@@ -109,7 +109,6 @@ class SolutionBasis:
 
     monomials: tuple[Mono, ...]
     echelon: tuple[tuple[Fraction, ...], ...]
-    pivots: tuple[int, ...]
 
     @property
     def dimension(self) -> int:
@@ -119,22 +118,6 @@ class SolutionBasis:
     def basis(self) -> tuple[ParamPoly, ...]:
         return tuple(ParamPoly(dict(zip(self.monomials, row)))
                      for row in self.echelon)
-
-    def contains(self, poly: ParamPoly) -> bool:
-        """Exact membership of an instantiated polynomial in the span."""
-        if poly.params():
-            raise ValueError("membership requires an instantiated polynomial")
-        index = {m: i for i, m in enumerate(self.monomials)}
-        vec = [Fraction(0)] * len(self.monomials)
-        for mono, coef in poly.terms():
-            if mono not in index:
-                return False
-            vec[index[mono]] = coef
-        for row, p in zip(self.echelon, self.pivots):
-            factor = vec[p]
-            if factor:
-                vec = [v - factor * r for v, r in zip(vec, row)]
-        return not any(vec)
 
     def echelon_hash(self) -> str:
         payload = ";".join(
@@ -192,10 +175,10 @@ def _solve(monomials: Sequence[Mono], t: SpectralTriple) -> SolutionBasis:
     equations = integer_system(monomials, t)
     kernel = linalg.nullspace(list(equations.values()), ncols)
     if not kernel:
-        return SolutionBasis(tuple(monomials), (), ())
-    echelon, pivots = linalg.rref(
+        return SolutionBasis(tuple(monomials), ())
+    echelon, _ = linalg.rref(
         [{c: v for c, v in enumerate(vec) if v} for vec in kernel], ncols)
-    return SolutionBasis(tuple(monomials), echelon, pivots)
+    return SolutionBasis(tuple(monomials), echelon)
 
 
 def _monomials_up_to(degree: int) -> list[Mono]:

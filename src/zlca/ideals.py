@@ -64,19 +64,12 @@ class GradedSubmodule:
         self.components = {grade: _validate_component(q)
                            for grade, q in dict(components).items()}
 
-    @classmethod
-    def full_on(cls, grades: Iterable[int]) -> "GradedSubmodule":
-        return cls({g: FULL for g in grades})
-
     def generator(self, grade: int) -> Optional[ParamPoly]:
         """The monic component generator, or None for the zero component."""
         return self.components.get(grade)
 
     def is_full(self, grade: int) -> bool:
         return self.components.get(grade) == FULL
-
-    def is_zero(self, grade: int) -> bool:
-        return grade not in self.components
 
     def grades(self) -> tuple[int, ...]:
         return tuple(sorted(self.components))
@@ -254,14 +247,9 @@ class ProbeFinding:
 
 @dataclass(frozen=True)
 class ProbeReport:
-    core: tuple[int, ...]
     findings: tuple[ProbeFinding, ...]
     note: str = ("evidence at truncation only: a proper closure witnesses a "
                  "proper graded ideal candidate, absence of one proves nothing")
-
-    @property
-    def proper_seeds(self) -> tuple[int, ...]:
-        return tuple(f.seed_grade for f in self.findings if f.proper)
 
 
 def simplicity_probe(alg: ConformalAlgebra, core: Iterable[int]
@@ -288,4 +276,4 @@ def simplicity_probe(alg: ConformalAlgebra, core: Iterable[int]
         findings.append(ProbeFinding(seed_grade, proper, components,
                                      closure.window_truncated,
                                      closure.converged))
-    return ProbeReport(core_grades, tuple(findings))
+    return ProbeReport(tuple(findings))

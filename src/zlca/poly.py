@@ -10,13 +10,11 @@ dicts are equal: the dict *is* the canonical normal form.
 Storage contract: a coefficient is stored as an ``int`` when it is integral
 and as a ``fractions.Fraction`` otherwise.  ``int`` n and ``Fraction(n)``
 compare and hash equal, so the normal form is unaffected, and integer
-arithmetic skips the gcd work of ``Fraction``.  Every method that hands a
-coefficient to a caller (``terms``, ``coefficient``, ``as_fraction``,
-``leading_coefficient``) returns a ``Fraction``; only ``items`` hands out the
-stored values.  Quotients are formed with ``Fraction``, never with ``/`` on
-two ints.  There is deliberately no process-wide cache (of monomial products
-or anything else): it would grow with every polynomial a long-running process
-ever saw.
+arithmetic skips the gcd work of ``Fraction``.  ``as_fraction`` returns a
+``Fraction``; ``items`` hands out the stored values.  Quotients are formed
+with ``Fraction``, never with ``/`` on two ints.  There is deliberately no
+process-wide cache (of monomial products or anything else): it would grow
+with every polynomial a long-running process ever saw.
 
 A monomial is a tuple of ``(variable, exponent)`` pairs, sorted by the
 canonical variable precedence
@@ -44,8 +42,8 @@ forms.  It stays because it is the cheaper route: building those forms with
 benchmark a third or more of its jobs per second (8 s runs, 2-vCPU VM).
 
 ``ParamPoly._divmod`` is the one division, in the canonical order, visiting
-each term once.  ``exact_divide`` and ``divides`` read its remainder, and so
-does ``gcd_in_d``, the monic gcd of two polynomials in d alone with which the
+each term once.  ``exact_divide`` reads its remainder, and so does
+``gcd_in_d``, the monic gcd of two polynomials in d alone with which the
 ideal closure accumulates its components.
 """
 
@@ -254,11 +252,6 @@ class ParamPoly:
     def params(self) -> frozenset[str]:
         return frozenset(v for v in self.variables() if v not in _FORMAL_RANK)
 
-    def terms(self) -> Iterator[tuple[Mono, Fraction]]:
-        """Terms in decreasing canonical order."""
-        for mono in sorted(self._terms, key=mono_sort_key):
-            yield mono, Fraction(self._terms[mono])
-
     def items(self) -> Iterator[tuple[Mono, Scalar]]:
         """Terms in storage order, coefficients as stored (int or Fraction).
 
@@ -266,9 +259,6 @@ class ParamPoly:
         values, such as one that builds a sparse linear system.
         """
         return iter(self._terms.items())
-
-    def coefficient(self, mono: Mono) -> Fraction:
-        return Fraction(self._terms.get(mono, 0))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -366,9 +356,6 @@ class ParamPoly:
         if not self._terms:
             raise ZeroPolynomialError("zero polynomial has no leading monomial")
         return min(self._terms, key=mono_sort_key)
-
-    def leading_coefficient(self) -> Fraction:
-        return Fraction(self._terms[self.leading_monomial()])
 
     def monic(self) -> "ParamPoly":
         """Rescale so the canonical leading coefficient is 1."""
@@ -498,10 +485,6 @@ class ParamPoly:
         if remainder:
             raise NotDivisibleError(self, divisor, remainder)
         return quotient
-
-    def divides(self, other: "ParamPoly") -> bool:
-        """True when self divides other: the ``_divmod`` remainder is zero."""
-        return not other._divmod(self)[1]
 
     # -- printing ----------------------------------------------------------
 

@@ -11,14 +11,15 @@ The on-disk format is a single JSON object:
       "submodule": {"-2": "d + 2*s", "0": "full", "1": "zero"}   # optional
     }
 
-Polynomial payloads are strings in the canonical grammar.  A load reads
-each distinct term text once: ``loads`` hands one term memo to every
-``grammar.parse`` of the file, and drops it when the load ends.  The rows
-of both modes load alike, by one loader, as ``conformal.Table``s keyed by
+Polynomial payloads are strings in the canonical grammar.  A load reads each
+distinct term text once: ``loads`` hands one term memo to every
+``grammar.parse`` of the file, and drops it when the load ends.  The rows of
+both modes load alike, by one loader, as ``conformal.Table``s keyed by
 generator with one term per target.  The loader checks only the file: JSON
-shape, names, polynomial syntax, the caps (MAX_GENERATORS generators, and
-per polynomial MAX_FORMAL_DEGREE and MAX_TABLE_TERMS), declared parameters,
-and repeated rows or targets.  The model checks the grading when the spec is built:
+shape, names, polynomial syntax, the caps (MAX_GENERATORS generators, each
+grade of at most MAX_GRADE_DIGITS digits, and per polynomial MAX_FORMAL_DEGREE
+and MAX_TABLE_TERMS), declared parameters, and repeated parameters, rows or
+targets.  The model checks the grading when the spec is built:
 ``ConformalAlgebra`` refuses a bracket target off grade i + j.  Both modes
 build a ``conformal.StructureTable``, whose ``params`` are the declared ones
 together with those the entries use.  In conformal mode a missing bracket row
@@ -137,8 +138,8 @@ class SpecFile:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-#: A submodule grade key has at most this many ASCII digits, as a window
-#: bound on the command line has.
+#: A generator grade and a submodule grade key have at most this many digits,
+#: as a window bound on the command line has.
 MAX_GRADE_DIGITS = 4
 
 _GRADE_KEY = re.compile(f"-?[0-9]{{1,{MAX_GRADE_DIGITS}}}")
@@ -319,6 +320,7 @@ def loads(text: str) -> SpecFile:
     _require(isinstance(params_raw, list)
              and all(isinstance(p, str) for p in params_raw),
              "params must be a list of strings")
+    params: set[str] = set()
     for p in params_raw:
         try:
             ParamPoly.variable(p)
@@ -326,7 +328,9 @@ def loads(text: str) -> SpecFile:
             raise SpecFileError(f"params: {exc}")
         if p in ("d", "x", "y"):
             raise SpecFileError(f"params: {p!r} is a reserved formal variable")
-    params = set(params_raw)
+        if p in params:
+            raise SpecFileError(f"params: duplicate parameter {p!r}")
+        params.add(p)
 
     gens_raw = raw.get("generators")
     _require(isinstance(gens_raw, list) and gens_raw,
@@ -343,6 +347,9 @@ def loads(text: str) -> SpecFile:
         _require(isinstance(grade, int) and not isinstance(grade, bool),
                  f"{ctx} needs an integer grade")
         _require(name not in generators, f"{ctx}: duplicate generator {name!r}")
+        if abs(grade) >= 10 ** MAX_GRADE_DIGITS:
+            raise SpecFileError(f"{ctx}: grade of {name!r} has more than "
+                                f"{MAX_GRADE_DIGITS} digits")
         generators[name] = GeneratorId(grade, name)
 
     # One term memo for the load: a family's rows repeat a few term texts.

@@ -356,6 +356,20 @@ def test_spec_generator_budget(tmp_path):
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"params": ["s", "s"]}, "params: duplicate parameter 's'"),
+    ({"generators": [{"name": "L", "grade": 0},
+                     {"name": "M", "grade": 10000}]},
+     "generators[1]: grade of 'M' has more than 4 digits"),
+], ids=["parameter-twice", "grade-10000"])
+def test_bad_declarations_are_input_errors(tmp_path, change, message):
+    path = tmp_path / "declared.json"
+    path.write_text(json.dumps({**json.loads(VIR_SPEC), **change}))
+    code, out, err = run(["verify", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == message
+
+
 def test_internal_error_exit_code(vir_path, monkeypatch):
     # An uncaught exception is exit 3 with a JSON error, never exit 1.
     def broken(alg):

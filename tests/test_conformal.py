@@ -1,5 +1,6 @@
 """Conformal core: brackets, axiom checks, spectral diagnostics."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -86,7 +87,7 @@ def test_element_coefficient_validation():
         Element({L: D + X})  # bracket variable in a module coefficient
     with pytest.raises(ValueError):
         Element({L: D + Y})
-    assert Element({L: const(0)}).is_zero()
+    assert Element({L: const(0)}).coeffs == {}
 
 
 # -- structure-table rules ----------------------------------------------------
@@ -174,12 +175,24 @@ def test_params_are_the_declared_and_the_used(cls, poly):
     (ConformalAlgebra, "single_generator"),
     (ConformalAlgebra, "generators_of_grade"),
     (ConformalAlgebra, "one_generator_per_grade"),
-    (gd, "make_a1"), (gd, "make_a2"), (gd, "s_bracket")])
+    (gd, "make_a1"), (gd, "make_a2"), (gd, "s_bracket"),
+    (feq.SolutionBasis, "contains"), (ideals.GradedSubmodule, "full_on"),
+    (ideals.GradedSubmodule, "is_zero"), (ideals.ProbeReport, "proper_seeds"),
+    (Element, "is_zero"), (ParamPoly, "coefficient"),
+    (ParamPoly, "leading_coefficient"), (ParamPoly, "divides"),
+    (ParamPoly, "terms")])
 def test_test_only_helpers_stay_deleted(owner, name):
-    # tests read tables through pairs/entry, leading parts through terms,
-    # generators by grade through ``graded``, and A1/A2 through gd_a1/gd_a2;
-    # they divide by the shift factor with exact_divide
+    # tests read tables through pairs/entry, terms through items, generators
+    # by grade through ``graded``, and A1/A2 through gd_a1/gd_a2; they divide
+    # with exact_divide, test span membership by rank with linalg.rref, and
+    # read the proper seeds off the probe findings
     assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("cls, field", [(feq.SolutionBasis, "pivots"),
+                                        (ideals.ProbeReport, "core")])
+def test_test_only_fields_stay_deleted(cls, field):
+    assert field not in {f.name for f in dataclasses.fields(cls)}
 
 
 # -- skew-symmetry -------------------------------------------------------------

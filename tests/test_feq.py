@@ -41,8 +41,21 @@ def test_shift_mismatch_kills_solutions(shifts):
 
 def homogeneous(p, degree):
     """The formal-degree ``degree`` component of p."""
-    return ParamPoly({m: c for m, c in p.terms()
+    return ParamPoly({m: c for m, c in p.items()
                       if mono_formal_degree(m) == degree})
+
+
+def in_span(sols, poly):
+    """Exact membership of poly in the solution space, by rank: adding its
+    coordinates to the echelon rows must not raise the rank.  A monomial
+    outside the coordinates (a parameter, too high a degree) is not in it."""
+    column = {m: j for j, m in enumerate(sols.monomials)}
+    if any(m not in column for m, _ in poly.items()):
+        return False
+    rows = [{j: v for j, v in enumerate(row) if v} for row in sols.echelon]
+    rows.append({column[m]: c for m, c in poly.items()})
+    reduced, _ = linalg.rref(rows, len(sols.monomials))
+    return len(reduced) == sols.dimension
 
 
 def test_top_residual_is_the_top_component_of_the_full_residual():
@@ -95,9 +108,7 @@ def test_leading_parts_lie_in_top_space():
         top = feq.solve_feq_top(t.weight_left, t.weight_right, t.weight_out,
                                 degree)
         for sol in full.basis:
-            assert top.contains(ParamPoly({
-                m: c for m, c in sol.terms()
-                if mono_formal_degree(m) == sol.formal_degree()}))
+            assert in_span(top, homogeneous(sol, sol.formal_degree()))
 
 
 def test_shift_rescaling_preserves_dimension():
@@ -189,11 +200,9 @@ def reference_solve_feq(t, degree):
         for eq, coef in feq.feq_residual(unit(mono), t).items():
             equations.setdefault(eq, {})[j] = coef
     kernel = linalg.nullspace(list(equations.values()), len(monos))
-    if not kernel:
-        return feq.SolutionBasis(tuple(monos), (), ())
-    echelon, pivots = linalg.rref(
+    echelon, _ = linalg.rref(
         [{c: v for c, v in enumerate(vec) if v} for vec in kernel], len(monos))
-    return feq.SolutionBasis(tuple(monos), echelon, pivots)
+    return feq.SolutionBasis(tuple(monos), echelon)
 
 
 # Two more with solutions: a factorizing triple, and one of dimension 2.
@@ -286,24 +295,25 @@ def test_double_weight1_breaks_factorization():
     t = triple(1, 2, 1, -1, 0, 1)
     sols = feq.solve_feq(t, 1)
     assert sols.dimension == 2
-    divisible = [sol for sol in sols.basis if (D + 1).divides(sol)]
-    assert len(divisible) == 1
-    stray = next(sol for sol in sols.basis if not (D + 1).divides(sol))
-    with pytest.raises(NotDivisibleError) as info:
-        stray.exact_divide(D + t.shift_out)
-    assert "not divisible" in str(info.value)
+    strays = []
+    for sol in sols.basis:
+        try:
+            sol.exact_divide(D + t.shift_out)
+        except NotDivisibleError as exc:
+            assert "not divisible" in str(exc)
+            strays.append(sol)
+    assert len(strays) == 1
 
 
 # -- solution-space plumbing ----------------------------------------------------------
 
 def test_contains_rejects_foreign_polynomials():
     sols = feq.solve_feq(triple(2, 0, 2, 0, 2, 0), 1)
-    assert sols.contains(D + 2 * X)
-    assert sols.contains(2 * D + 4 * X)
-    assert not sols.contains(D + X)
-    assert not sols.contains(D ** 5)
-    with pytest.raises(ValueError):
-        sols.contains(ParamPoly.variable("s"))
+    assert in_span(sols, D + 2 * X)
+    assert in_span(sols, 2 * D + 4 * X)
+    assert not in_span(sols, D + X)
+    assert not in_span(sols, D ** 5)
+    assert not in_span(sols, ParamPoly.variable("s"))
 
 
 def test_echelon_hash_is_reproducible():
@@ -342,6 +352,6 @@ def test_family_entries_solve_their_equation(name, alg, bindings):
             t = feq.SpectralTriple(li.weight, li.shift, lj.weight, lj.shift,
                                    lo.weight, lo.shift)
             degree = int(poly.formal_degree())
-            assert feq.solve_feq(t, degree).contains(poly), (name, i, j)
+            assert in_span(feq.solve_feq(t, degree), poly), (name, i, j)
             checked += 1
     assert checked > 0

@@ -137,7 +137,7 @@ def feq_system(triple, degree):
     equations = {}
     for j, mono in enumerate(monomials):
         residual = feq.feq_residual(ParamPoly({mono: 1}), triple)
-        for eq, coef in residual.terms():
+        for eq, coef in residual.items():
             equations.setdefault(eq, {})[j] = coef
     return list(equations.values()), len(monomials)
 

@@ -141,6 +141,47 @@ def test_submodule_grade_keys_within_the_rule_load():
     assert loaded.submodule == ((-9999, "d + s"), (0, "full"), (12, "zero"))
 
 
+#: Declarations the loader refuses: a parameter listed twice, and generator
+#: grades of more than MAX_GRADE_DIGITS digits, the bound on submodule keys.
+BAD_DECLARATIONS = {
+    "parameter-twice": ("params", ["s", "t", "s"],
+                        "params: duplicate parameter 's'"),
+    "grade-10000": ("grade", 10_000,
+                    "generators[1]: grade of 'M' has more than 4 digits"),
+    "grade-minus-10000": ("grade", -10_000,
+                          "generators[1]: grade of 'M' has more than 4 "
+                          "digits"),
+    "grade-4001-digits": ("grade", 10 ** 4000,
+                          "generators[1]: grade of 'M' has more than 4 "
+                          "digits"),
+}
+
+
+def declared(key, value):
+    """SPECS[3] with its params replaced, or a generator M at a grade."""
+    spec = json.loads(SPECS[3])
+    if key == "params":
+        spec["params"] = value
+    else:
+        spec["generators"].append({"name": "M", "grade": value})
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DECLARATIONS))
+def test_bad_declarations_are_spec_errors(case):
+    key, value, message = BAD_DECLARATIONS[case]
+    with pytest.raises(specfile.SpecFileError) as info:
+        specfile.loads(declared(key, value))
+    assert str(info.value) == message
+
+
+def test_generator_grades_within_the_rule_load():
+    for grade in (9999, -9999):
+        loaded = specfile.loads(declared("grade", grade))
+        assert max(abs(g.grade) for g in loaded.generators) == 9999
+    assert specfile.loads(declared("params", ["t", "s"])).params == ("s", "t")
+
+
 def memos_of(monkeypatch):
     """The memo each grammar.parse call receives, in call order."""
     seen = []

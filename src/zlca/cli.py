@@ -369,8 +369,13 @@ def cmd_gd(args) -> int:
 def cmd_ideal_check(args) -> int:
     spec = specfile.load_path(args.spec)
     alg = _load_algebra(args.spec, args.bind, spec)
-    sub = (specfile.load_pattern(args.pattern) if args.pattern
-           else spec.submodule_pattern())
+    if args.pattern:
+        sub = specfile.load_pattern(args.pattern)
+    else:
+        try:
+            sub = spec.submodule_pattern()
+        except specfile.SpecFileError as exc:
+            raise InputError(f"{args.spec}: {exc}")
     bindings = _parse_bindings(args.bind)
     if bindings:  # as the algebra is; a parameter not named stays free
         sub = ideals.GradedSubmodule({grade: q.substitute(bindings)

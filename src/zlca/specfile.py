@@ -20,7 +20,9 @@ shape, names, polynomial syntax, the caps (MAX_GENERATORS generators, each
 grade of at most MAX_GRADE_DIGITS digits, and per polynomial MAX_FORMAL_DEGREE
 and MAX_TABLE_TERMS), declared parameters, and repeated parameters, rows or
 targets.  The model checks the grading when the spec is built:
-``ConformalAlgebra`` refuses a bracket target off grade i + j.  Both modes
+``ConformalAlgebra`` refuses a bracket target off grade i + j.
+``load_path`` and ``load_pattern`` start every error message with the path of
+the file, so a command that reads two files names the one at fault.  Both modes
 build a ``conformal.StructureTable``, whose ``params`` are the declared ones
 together with those the entries use.  In conformal mode a missing bracket row
 is the zero bracket when its target grade is in the window and undecidable
@@ -369,16 +371,26 @@ def loads(text: str) -> SpecFile:
 
 
 def load_path(path: str) -> SpecFile:
-    return loads(_read(path))
+    """``loads`` of the file at path; an error message starts with the path."""
+    text = _read(path)
+    try:
+        return loads(text)
+    except SpecFileError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_pattern(path: str) -> GradedSubmodule:
-    """A pattern file: a {grade: component} object, bare or as "submodule"."""
-    raw = _decode(_read(path))
-    if isinstance(raw, dict) and isinstance(raw.get("submodule"), dict):
-        raw = raw["submodule"]
-    _require(isinstance(raw, dict), "pattern file must be a JSON object")
-    return parse_pattern(_pattern_entries(raw))
+    """A pattern file: a {grade: component} object, bare or as "submodule".
+    An error message starts with the path."""
+    text = _read(path)
+    try:
+        raw = _decode(text)
+        if isinstance(raw, dict) and isinstance(raw.get("submodule"), dict):
+            raw = raw["submodule"]
+        _require(isinstance(raw, dict), "pattern file must be a JSON object")
+        return parse_pattern(_pattern_entries(raw))
+    except SpecFileError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # -- writers --------------------------------------------------------------------

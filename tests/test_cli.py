@@ -262,8 +262,8 @@ def test_spec_term_budget(tmp_path):
     start = time.perf_counter()
     code, out, err = run(["verify", str(path)])
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == ("brackets[0].terms[0].poly: 3006 "
-                                        "terms exceed 612")
+    assert json.loads(err)["error"] == (f"{path}: brackets[0].terms[0].poly: "
+                                        "3006 terms exceed 612")
     assert time.perf_counter() - start < 2
 
     a, b, c = (ParamPoly.variable(name) for name in "abc")
@@ -367,7 +367,7 @@ def test_bad_declarations_are_input_errors(tmp_path, change, message):
     path.write_text(json.dumps({**json.loads(VIR_SPEC), **change}))
     code, out, err = run(["verify", str(path)])
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == message
+    assert json.loads(err)["error"] == f"{path}: {message}"
 
 
 def test_internal_error_exit_code(vir_path, monkeypatch):
@@ -930,18 +930,19 @@ AT_THE_CAPS = " + ".join(f"d^{e}" for e in range(
 def test_pattern_components_are_bounded(tmp_path, component, error):
     # Every bracket of the ideal check is divided by a component, so a
     # component is held to caps, as a table entry is; both loaders share
-    # them, and the error names the grade.
+    # them, and the error names the file and the grade.
     message = f"submodule component at -1: {error}"
     cl2 = str(write_cl2(tmp_path, "1/2", "1", "-4..4"))
     pattern = scl2_pattern(tmp_path, component)
     with pytest.raises(specfile.SpecFileError) as info:
         specfile.load_pattern(pattern)
-    assert str(info.value) == message
-    for argv in (["ideal-check", cl2, "--pattern", pattern],
-                 ["ideal-check", with_submodule(tmp_path, cl2, pattern)]):
+    assert str(info.value) == f"{pattern}: {message}"
+    embedded = with_submodule(tmp_path, cl2, pattern)
+    for argv, path in ((["ideal-check", cl2, "--pattern", pattern], pattern),
+                       (["ideal-check", embedded], embedded)):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
-        assert json.loads(err) == {"error": message}
+        assert json.loads(err) == {"error": f"{path}: {message}"}
     code, out, _ = run(["ideal-check", cl2, "--pattern",
                         scl2_pattern(tmp_path, AT_THE_CAPS)])
     assert (code, json.loads(out)["closed"]) == (1, False)
@@ -956,7 +957,23 @@ def test_ideal_check_pattern_the_decoder_cannot_hold(tmp_path, text):
     pat.write_text(text)
     code, out, err = run(["ideal-check", str(cl2), "--pattern", str(pat)])
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"].startswith("invalid JSON: ")
+    assert json.loads(err)["error"].startswith(f"{pat}: invalid JSON: ")
+
+
+def test_ideal_check_names_the_bad_one_of_its_two_files(tmp_path):
+    # The spec loads; only the pattern file is wrong, and the error says so.
+    # The loader's message follows the path once.
+    cl2 = str(write_cl2(tmp_path, "1", None))
+    pattern = scl2_pattern(tmp_path, "d + ")
+    code, out, err = run(["ideal-check", cl2, "--pattern", pattern])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error.startswith(f"{pattern}: submodule component at -1: ")
+    assert error.count(pattern) == 1 and cl2 not in error
+    code, out, err = run(["ideal-check", cl2])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == (f"{cl2}: spec file has no submodule "
+                                        "pattern")
 
 
 #: Texts with a key repeated in one JSON object, and that key: the decoder
@@ -977,16 +994,19 @@ def test_repeated_keys_are_input_errors(tmp_path, case):
     message = f"invalid JSON: repeated key '{key}' in one object"
     path = tmp_path / "repeated.json"
     path.write_text(text)
-    for load in (specfile.loads, specfile.load_pattern):
-        with pytest.raises(specfile.SpecFileError, match=message):
-            load(text if load is specfile.loads else str(path))
+    with pytest.raises(specfile.SpecFileError) as info:
+        specfile.loads(text)
+    assert str(info.value) == message
+    with pytest.raises(specfile.SpecFileError) as info:
+        specfile.load_pattern(str(path))
+    assert str(info.value) == f"{path}: {message}"
     cl2 = write_cl2(tmp_path, "1", None)
     for argv in (["verify", str(path)],
                  ["ideal-check", str(cl2), "--pattern", str(path)],
                  ["family", "Cur", "--lie", str(path)]):
         code, out, err = run(argv)
         assert (code, out) == (2, ""), argv
-        assert json.loads(err)["error"] == message
+        assert json.loads(err)["error"] == f"{path}: {message}"
 
 
 def _repeat_target(spec: dict, section: str, poly: Optional[str] = None
@@ -1035,7 +1055,7 @@ def test_repeated_target_in_one_row_is_an_input_error(tmp_path, case):
     path.write_text(text)
     code, out, err = run([*command, str(path)])
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == message
+    assert json.loads(err)["error"] == f"{path}: {message}"
 
 
 def test_parameter_bound_twice_is_an_input_error(tmp_path):

@@ -11,12 +11,26 @@ from hypothesis import strategies as st
 from zlca import families, feq, linalg
 from zlca.conformal import spectral_data
 from zlca.grammar import parse
-from zlca.poly import (D, X, Y, NotDivisibleError, ParamPoly,
-                       mono_formal_degree)
+from zlca.poly import (DEL, LAM, D, X, Y, NotDivisibleError, ParamPoly,
+                       mono_formal_degree, mono_sort_key)
 
 
 def triple(*values) -> feq.SpectralTriple:
     return feq.SpectralTriple(*[F(v) for v in values])
+
+
+# -- the unknowns ---------------------------------------------------------------
+
+def test_monomials_are_built_in_canonical_order():
+    # The solvers emit their unknowns in order, with no sort: every d^a x^b
+    # of degree <= n, and the degree-n slice alone for the top solve.
+    for n in range(feq.MAX_FULL_DEGREE + 1):
+        every = [tuple(p for p in ((DEL, a), (LAM, b)) if p[1])
+                 for a in range(n + 1) for b in range(n + 1 - a)]
+        assert feq._monomials_up_to(n) == sorted(every, key=mono_sort_key)
+        assert feq._homogeneous(n) == sorted(
+            [m for m in every if mono_formal_degree(m) == n],
+            key=mono_sort_key)
 
 
 # -- full mode ----------------------------------------------------------------
@@ -251,6 +265,13 @@ def test_tables_split():
     assert (len(nonzero), len(zero)) == (12, 8)
     assert all(r.passed for r in nonzero)
     assert all(r.passed for r in zero)
+
+
+def test_table_weight_out_honors_the_degree_relation():
+    for case in feq.TABLE_CASES:
+        assert case.weight_out == (case.weight_left + case.weight_right
+                                   - case.degree - 1)
+        assert type(case.weight_out) is F
 
 
 def test_table_strings_are_canonical_monic():

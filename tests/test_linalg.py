@@ -163,3 +163,90 @@ def test_degree12_systems_match_sympy(name):
     kernel = linalg.nullspace(rows, ncols)
     assert len(kernel) == ncols - len(pivots)
     assert len(kernel) == feq.solve_feq(TRIPLES[name], 12).dimension
+
+
+# -- the peel of one-entry rows --------------------------------------------------
+
+
+def dense_of(rows, ncols):
+    return [[F(row.get(c, 0)) for c in range(ncols)] for row in rows]
+
+
+def check_peel(rows, ncols, peeled):
+    """The matrix matches the reference, and the peel settles ``peeled``."""
+    check_against_reference(dense_of(rows, ncols), ncols)
+    columns, survivors = linalg._peel(rows, ncols)
+    assert columns == set(peeled)
+    assert all(len(row) > 1 and not set(row) & columns for row in survivors)
+
+
+@pytest.mark.parametrize("rows, ncols, peeled", [
+    # a chain: each deletion leaves the next row with one entry
+    ([{3: F(1, 2), 4: 7}, {1: -1, 2: 5}, {0: 2, 1: 3}, {0: 1},
+      {2: 4, 3: F(-1, 3)}, {4: 1, 5: 1, 6: -2}], 7, [0, 1, 2, 3, 4]),
+    # a row that the peel empties, beside two that survive
+    ([{0: 1}, {1: -3}, {0: 3, 1: -2}, {2: 1, 3: 1}, {2: 2, 3: 5}], 4,
+     [0, 1]),
+    # every column peeled: the RREF is the identity
+    ([{0: 2, 1: 1, 2: 1}, {0: 1, 1: F(1, 2)}, {0: -4}], 3, [0, 1, 2]),
+    # no one-entry row at all: elimination alone
+    ([{0: 1, 1: 2}, {1: 1, 2: 1}, {0: 1, 2: 1}, {2: 3, 3: -1}], 4, []),
+    # peeled unit rows at 1 and 3 between the survivors' pivots at 0 and 2
+    ([{1: 5}, {3: F(-1, 2)}, {0: 1, 1: 2, 2: 3, 4: 1},
+      {0: 2, 2: 1, 3: 4, 4: -1}, {2: 1, 1: 9, 4: 1, 5: 2}], 6, [1, 3]),
+], ids=["chain", "emptied", "all-peeled", "no-unit-row", "interleaved"])
+def test_peel_cases(rows, ncols, peeled):
+    check_peel(rows, ncols, peeled)
+
+
+def test_rref_leaves_the_callers_rows_unchanged():
+    rows = [{0: 1}, {0: F(2, 3), 1: 3}, {1: -1, 2: 5, 3: 1}, {2: 4, 3: 4}]
+    before = [dict(row) for row in rows]
+    linalg.rref(rows, 4)
+    linalg.nullspace(rows, 4)
+    assert rows == before
+
+
+@pytest.mark.parametrize("rows", [[{0: 0}, {1: 1}], [{0: F(0), 1: 2}]],
+                         ids=["one-entry", "fraction"])
+def test_a_stored_zero_is_refused(rows):
+    # A stored zero is no entry: peeled as one, {0: 0} would force column 0
+    # to zero, and the kernel e_0 would be lost.
+    for solve in (linalg.rref, linalg.nullspace):
+        with pytest.raises(ValueError, match="zero value"):
+            solve(rows, 2)
+
+
+@pytest.mark.parametrize("rows", [[{3: 1}], [{-1: 1}], [{0: 1, -1: 2}]],
+                         ids=["past-the-end", "negative", "negative-pair"])
+def test_a_column_outside_the_matrix_is_refused(rows):
+    # A negative column would index the dense rows from the end.
+    for solve in (linalg.rref, linalg.nullspace):
+        with pytest.raises(ValueError, match="column outside 0..2"):
+            solve(rows, 3)
+
+
+nonzero = st.one_of(st.integers(-9, 9).filter(bool),
+                    st.builds(F, st.integers(1, 40), st.integers(1, 12)),
+                    st.builds(F, st.integers(-40, -1), st.integers(1, 12)))
+
+
+@st.composite
+def short_rows(draw):
+    """Sparse matrices of mostly one- and two-entry rows, which the peel
+    settles in chains, with now and then a longer row."""
+    ncols = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        size = draw(st.sampled_from((1, 1, 2, 2, 2, 3, 4)))
+        cols = draw(st.lists(st.integers(0, ncols - 1), min_size=1,
+                             max_size=size, unique=True))
+        rows.append({c: draw(nonzero) for c in cols})
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(short_rows())
+def test_peel_heavy_matrices_match_dense_reference(case):
+    rows, ncols = case
+    check_against_reference(dense_of(rows, ncols), ncols)

@@ -8,11 +8,13 @@ Commands
     ideal-check SPEC     graded-submodule closure check
     probe SPEC           simplicity probe (closure of every seed)
 
-All reports are JSON on stdout with sorted keys and canonical polynomial
-strings; identical inputs produce byte-identical output.  Exit codes:
-0 = pass, 1 = violations found, 2 = input error (or a probe closure cut off
-by its iteration guard, which would otherwise pass for a finding), 3 =
-internal error (an uncaught exception, reported on stderr, never a verdict).
+Each command returns a report or a spec file, and ``main`` alone writes it:
+a report as JSON on stdout with sorted keys and canonical polynomial strings,
+a spec to ``-o`` or to stdout.  Identical inputs produce byte-identical
+output.  Exit codes: 0 = pass or a spec written, 1 = violations found, 2 =
+input error (an unwritable ``-o`` among them, and a probe closure cut off by
+its iteration guard, which would otherwise pass for a finding), 3 = internal
+error (an uncaught exception, reported on stderr, never a verdict).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Union
 
 from . import __version__, families, feq, gd, grammar, ideals, specfile
 from .conformal import (LawReport, NotAffineError, PairBudgetError,
@@ -40,6 +42,10 @@ MAX_BOUND_DIGITS = specfile.MAX_GRADE_DIGITS
 MAX_WINDOW_GRADES = specfile.MAX_GENERATORS
 
 
+#: What a command returns: a report, or the spec file it emits.
+Result = Union[dict[str, Any], specfile.SpecFile]
+
+
 class InputError(ValueError):
     pass
 
@@ -47,6 +53,15 @@ class InputError(ValueError):
 def _emit(payload: dict[str, Any], stream=None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (stream or sys.stdout).write(text)
+
+
+def _built(path: str, build: Callable[[], Any]) -> Any:
+    """``build()``, with a model error turned into an input error that
+    starts with the path of the file at fault."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}")
 
 
 def _report(command: str, checked: int, skipped: int,
@@ -66,10 +81,6 @@ def _report(command: str, checked: int, skipped: int,
     }
     report.update(extra)
     return report
-
-
-def _exit_code(report: dict[str, Any]) -> int:
-    return VIOLATIONS if report["status"] == "fail" else PASS
 
 
 _FRACTION = re.compile(r"-?([0-9]+)(?:/([0-9]+))?")
@@ -141,10 +152,7 @@ def _load_algebra(path: str, bind: Optional[Sequence[str]],
     """The spec's ConformalAlgebra, or its GDAlgebra when ``gd_mode``, with
     ``--bind`` applied.  Errors come in the order spec, model, bindings."""
     spec = spec or specfile.load_path(path)
-    try:
-        model = spec.gd_algebra() if gd_mode else spec.algebra()
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}")
+    model = _built(path, spec.gd_algebra if gd_mode else spec.algebra)
     bindings = _parse_bindings(bind)
     unknown = set(bindings) - model.params
     if unknown:
@@ -183,7 +191,7 @@ def _law_violation(section: str, v) -> dict[str, Any]:
 
 # -- commands -------------------------------------------------------------------
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     alg = _load_algebra(args.spec, args.bind)
     jacobi = check_jacobi(alg)
     violations = _axiom_violations(jacobi.skew) + _axiom_violations(jacobi)
@@ -220,29 +228,15 @@ def cmd_verify(args) -> int:
             }
         except (NotAffineError, ZeroActionError) as exc:
             sections["spectral"] = {"error": str(exc)}
-    report = _law_report("verify", {"skew": jacobi.skew, "jacobi": jacobi},
-                         violations, **sections)
-    _emit(report)
-    return _exit_code(report)
+    return _law_report("verify", {"skew": jacobi.skew, "jacobi": jacobi},
+                       violations, **sections)
 
 
-def _emit_spec(spec: specfile.SpecFile, out: Optional[str]) -> None:
-    text = spec.dumps()
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_family(args) -> int:
+def cmd_family(args) -> Result:
     lie = None
     if args.lie:
         lie_spec = specfile.load_path(args.lie)
-        try:
-            rows = lie_spec.conformal_brackets()
-        except specfile.SpecFileError as exc:
-            raise InputError(f"{args.lie}: {exc}")
+        rows = _built(args.lie, lie_spec.conformal_brackets)
         lie = (tuple(g.name for g in lie_spec.generators),
                {(u.name, v.name): {w.name: p for w, p in row.items()}
                 for (u, v), row in rows.items()})
@@ -259,8 +253,7 @@ def cmd_family(args) -> int:
             window=window, top=top, lie=lie)
     except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc))
-    _emit_spec(specfile.from_algebra(alg), args.output)
-    return PASS
+    return specfile.from_algebra(alg)
 
 
 #: The weight and shift flags each ``solve-feq`` mode reads (``--full`` reads
@@ -270,7 +263,7 @@ FEQ_MODE_ARGS = {"--full": ("ai", "bi", "aj", "bj", "aij", "bij"),
                  "--tables": ()}
 
 
-def cmd_solve_feq(args) -> int:
+def cmd_solve_feq(args) -> Result:
     modes = [flag for flag, given in (("--full", args.full is not None),
                                       ("--top", args.top is not None),
                                       ("--tables", args.tables)) if given]
@@ -297,10 +290,8 @@ def cmd_solve_feq(args) -> int:
         } for r in feq.reproduce_tables()]
         failures = [{"kind": "table-case", "label": c["label"]}
                     for c in cases if not c["passed"]]
-        report = _report("solve-feq", len(cases) - len(failures),
-                         0, failures, cases=cases)
-        _emit(report)
-        return _exit_code(report)
+        return _report("solve-feq", len(cases) - len(failures), 0, failures,
+                       cases=cases)
 
     def need(name: str) -> Fraction:
         value = getattr(args, name)
@@ -316,44 +307,36 @@ def cmd_solve_feq(args) -> int:
                  else feq.solve_feq(feq.SpectralTriple(*values), full))
     except feq.DegreeGuardError as exc:
         raise InputError(str(exc))
-    report = _report("solve-feq", 1, 0, [],
-                     dimension=basis.dimension,
-                     basis=[str(p) for p in basis.basis],
-                     echelon_hash=basis.echelon_hash())
-    _emit(report)
-    return _exit_code(report)
+    return _report("solve-feq", 1, 0, [],
+                   dimension=basis.dimension,
+                   basis=[str(p) for p in basis.basis],
+                   echelon_hash=basis.echelon_hash())
 
 
-def cmd_gd(args) -> int:
+def cmd_gd(args) -> Result:
     if args.subcommand == "from-lca":
         alg = _load_algebra(args.spec, args.bind)
         try:
             structure = gd.gd_from_quadratic(alg)
         except (gd.NotQuadraticError, gd.InconsistentStarError) as exc:
-            report = _report("gd from-lca", 0, 0,
-                             [{"kind": "not-quadratic", "detail": str(exc)}])
-            _emit(report)
-            return _exit_code(report)
-        _emit_spec(specfile.from_gd(structure), args.output)
-        return PASS
+            return _report("gd from-lca", 0, 0,
+                           [{"kind": "not-quadratic", "detail": str(exc)}])
+        return specfile.from_gd(structure)
 
     if args.subcommand == "check" and args.output:
         raise InputError("gd check does not read -o")
     structure = _load_algebra(args.spec, args.bind, gd_mode=True)
     if args.subcommand == "to-lca":
-        try:
-            alg = gd.quadratic_from_gd(structure)
-        except gd.NotGDError as exc:
-            report = _report("gd to-lca", 0, 0,
-                             [{"kind": "not-gd", "detail": str(exc)}])
-            _emit(report)
-            return _exit_code(report)
-        except ValueError as exc:
-            # A lawful structure that is no conformal algebra on this basis:
-            # a product target at the wrong grade, or an undecidable pair.
-            raise InputError(f"{args.spec}: {exc}")
-        _emit_spec(specfile.from_algebra(alg), args.output)
-        return PASS
+        def to_lca() -> Result:
+            # A broken law is a verdict.  Any other model error is a lawful
+            # structure that is no conformal algebra on this basis: a
+            # product target at the wrong grade, or an undecidable pair.
+            try:
+                return specfile.from_algebra(gd.quadratic_from_gd(structure))
+            except gd.NotGDError as exc:
+                return _report("gd to-lca", 0, 0,
+                               [{"kind": "not-gd", "detail": str(exc)}])
+        return _built(args.spec, to_lca)
 
     laws = {"novikov": gd.check_novikov(structure.nov),
             "lie": gd.check_lie(structure.lie),
@@ -361,21 +344,16 @@ def cmd_gd(args) -> int:
     violations = [_law_violation(kind, v)
                   for kind, law in zip(("novikov", "lie", "gd"), laws.values())
                   for v in law.violations]
-    report = _law_report("gd check", laws, violations)
-    _emit(report)
-    return _exit_code(report)
+    return _law_report("gd check", laws, violations)
 
 
-def cmd_ideal_check(args) -> int:
+def cmd_ideal_check(args) -> Result:
     spec = specfile.load_path(args.spec)
     alg = _load_algebra(args.spec, args.bind, spec)
     if args.pattern:
         sub = specfile.load_pattern(args.pattern)
     else:
-        try:
-            sub = spec.submodule_pattern()
-        except specfile.SpecFileError as exc:
-            raise InputError(f"{args.spec}: {exc}")
+        sub = _built(args.spec, spec.submodule_pattern)
     bindings = _parse_bindings(args.bind)
     if bindings:  # as the algebra is; a parameter not named stays free
         sub = ideals.GradedSubmodule({grade: q.substitute(bindings)
@@ -389,13 +367,11 @@ def cmd_ideal_check(args) -> int:
                    "target_grade": target.grade, "residual": str(residual)}
                   for v in result.violations
                   for target, residual in v.residual]
-    report = _report("ideal-check", result.checked, result.skipped, violations,
-                     closed=result.ok)
-    _emit(report)
-    return _exit_code(report)
+    return _report("ideal-check", result.checked, result.skipped, violations,
+                   closed=result.ok)
 
 
-def cmd_probe(args) -> int:
+def cmd_probe(args) -> Result:
     alg = _load_algebra(args.spec, args.bind)
     low, high = _parse_window(args.core)
     try:
@@ -416,10 +392,8 @@ def cmd_probe(args) -> int:
         "components": {str(g): desc for g, desc in f.components},
         "window_truncated": f.window_truncated,
     } for f in probe.findings]
-    report = _report("probe", len(probe.findings), 0, violations,
-                     findings=findings, note=probe.note)
-    _emit(report)
-    return _exit_code(report)
+    return _report("probe", len(probe.findings), 0, violations,
+                   findings=findings, note=probe.note)
 
 
 # -- argument wiring --------------------------------------------------------------
@@ -493,9 +467,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command and write its result: a report to stdout, exit 1 when
+    it fails and 0 otherwise; a spec to ``-o`` or to stdout, exit 0."""
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        result = args.fn(args)
+        if isinstance(result, dict):
+            _emit(result)
+            return VIOLATIONS if result["status"] == "fail" else PASS
+        text = result.dumps()
+        if not args.output:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}")
+        return PASS
     except (InputError, specfile.SpecFileError, PairBudgetError) as exc:
         _emit({"error": str(exc)}, sys.stderr)
         return INPUT_ERROR

@@ -124,10 +124,10 @@ class GDAlgebra:
 
 # -- combination arithmetic ---------------------------------------------------
 
-def _add(a: Combination, b: Combination, sign: int = 1) -> Combination:
+def _add(a: Combination, b: Combination) -> Combination:
     out = dict(a)
     for g, coef in b.items():
-        out[g] = out.get(g, ParamPoly.zero()) + (coef if sign > 0 else -coef)
+        out[g] = out.get(g, ParamPoly.zero()) + coef
     return {g: c for g, c in out.items() if c}
 
 
@@ -359,8 +359,7 @@ def gd_from_quadratic(alg: ConformalAlgebra) -> GDAlgebra:
         # [u_x v] = d (v o u) + ...: the pair's d-part defines (v o u).
         circ[(v, u)] = alpha
         lie[(v, u)] = gamma
-        expected = _add(alpha, split[(v, u)][0])
-        if _add(beta, expected, -1):
+        if beta != _add(alpha, split[(v, u)][0]):
             raise InconsistentStarError((u, v))
     return GDAlgebra(NovikovAlgebra(alg.generators, circ),
                      LieStructure(alg.generators, lie))

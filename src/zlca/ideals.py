@@ -2,10 +2,10 @@
 
 A graded submodule assigns each window grade one of three components: the
 full rank-one module, the zero module, or a principal piece generated by a
-monic polynomial q(d) times the grade's generator.  A principal component
-with constant generator normalizes to full, so components are stored as a
-map grade -> monic generator with q = 1 meaning full and a missing grade
-meaning zero.
+monic polynomial q(d) times the grade's generator.  Components are stored
+as a map grade -> monic generator, with q = 1 meaning full and a missing
+grade meaning zero.  A generator must be monic in d: any other constant, such
+as 2 or s, is refused, not normalized to full.
 
 Every bracket is one landing formula on the rank-one table: a component
 q(d) L_j bracketed with L_i lands as p_{i,j}(d, x) q(d+x) L_{i+j}, with
@@ -51,8 +51,8 @@ def _validate_component(q: ParamPoly) -> ParamPoly:
         raise ValueError("use absence, not a zero generator, for zero components")
     if LAM in q.variables() or MU in q.variables():
         raise ValueError("component generators live in d and parameters only")
-    lead = q.coefficients_in(DEL).get(q.degree_in(DEL), ParamPoly.zero())
-    if lead != as_poly(1):
+    by_power = q.coefficients_in(DEL)
+    if by_power[max(by_power)] != as_poly(1):
         raise ValueError(f"component generator must be monic in d: {q}")
     return q
 

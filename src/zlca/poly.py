@@ -366,12 +366,6 @@ class ParamPoly:
             return self
         return self._wrap({m: Fraction(c, lc) for m, c in self._terms.items()})
 
-    def degree_in(self, var: str) -> int:
-        """Max exponent of one variable; -1 on the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max((dict(m).get(var, 0) for m in self._terms), default=0)
-
     def coefficients_in(self, var: str) -> dict[int, "ParamPoly"]:
         """Split as a polynomial in one variable: exponent -> coefficient."""
         buckets: dict[int, dict[Mono, Scalar]] = {}
@@ -380,27 +374,19 @@ class ParamPoly:
             buckets.setdefault(e, {})[rest] = coef
         return {e: self._adopt(terms) for e, terms in buckets.items()}
 
-    def formal_coefficients(self) -> dict[Mono, "ParamPoly"]:
-        """Group terms by their formal-variable part.
+    def affine_parts(self) -> "tuple[ParamPoly, ParamPoly, ParamPoly] | None":
+        """Split as a*d + b*x + c with a, b, c free of d, x and y.
 
-        Returns a map from pure {d,x,y} monomials to coefficients in the
-        parameters alone.
+        Returns (a, b, c), or None at the first term not of that form.
         """
         buckets: dict[Mono, dict[Mono, Scalar]] = {}
         for mono, coef in self._terms.items():
             formal = tuple((v, e) for v, e in mono if v in _FORMAL_RANK)
+            if formal not in _AFFINE_MONOS:
+                return None
             rest = tuple((v, e) for v, e in mono if v not in _FORMAL_RANK)
             buckets.setdefault(formal, {})[rest] = coef
-        return {f: self._adopt(terms) for f, terms in buckets.items()}
-
-    def affine_parts(self) -> "tuple[ParamPoly, ParamPoly, ParamPoly] | None":
-        """Split as a*d + b*x + c with a, b, c free of d, x and y.
-
-        Returns (a, b, c), or None when some term is not of that form.
-        """
-        parts = self.formal_coefficients()
-        if set(parts) - _AFFINE_MONOS:
-            return None
+        parts = {f: self._adopt(terms) for f, terms in buckets.items()}
         return (parts.get(_D_MONO, _ZERO), parts.get(_X_MONO, _ZERO),
                 parts.get(ONE_MONO, _ZERO))
 

@@ -19,8 +19,10 @@ generator with one term per target.  The loader checks only the file: JSON
 shape, names, polynomial syntax, the caps (MAX_GENERATORS generators, each
 grade of at most MAX_GRADE_DIGITS digits, and per polynomial MAX_FORMAL_DEGREE
 and MAX_TABLE_TERMS), declared parameters, and repeated parameters, rows or
-targets.  The model checks the grading when the spec is built:
-``ConformalAlgebra`` refuses a bracket target off grade i + j.
+targets.  A ``submodule`` pattern is checked by ``parse_pattern``, as
+``load_pattern`` checks a pattern file, and kept as its raw entries.  The
+model checks the grading when the spec is built: ``ConformalAlgebra`` refuses
+a bracket target off grade i + j.
 ``load_path`` and ``load_pattern`` start every error message with the path of
 the file, so a command that reads two files names the one at fault.  Both modes
 build a ``conformal.StructureTable``, whose ``params`` are the declared ones
@@ -364,6 +366,7 @@ def loads(text: str) -> SpecFile:
         sub_raw = raw["submodule"]
         _require(isinstance(sub_raw, dict), "submodule must be an object")
         submodule = _pattern_entries(sub_raw)
+        parse_pattern(submodule)
 
     return SpecFile(tuple(sorted(params)), tuple(sorted(generators.values())),
                     tables.get("brackets", {}), tables.get("products"),

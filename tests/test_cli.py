@@ -948,6 +948,28 @@ def test_pattern_components_are_bounded(tmp_path, component, error):
     assert (code, json.loads(out)["closed"]) == (1, False)
 
 
+
+@pytest.mark.parametrize("component, error", [
+    (f"d^{specfile.MAX_FORMAL_DEGREE + 1}",
+     f"formal degree {specfile.MAX_FORMAL_DEGREE + 1} exceeds "
+     f"{specfile.MAX_FORMAL_DEGREE}"),
+    ("d + ", "unexpected end of input (column 5)")],
+    ids=["over-cap", "unparsable"])
+def test_every_command_refuses_a_spec_whose_submodule_breaks_a_rule(
+        tmp_path, component, error):
+    # The loader checks the spec's own pattern, so the commands that do not
+    # read it refuse the file as ideal-check does, naming it and the grade.
+    cl2 = write_cl2(tmp_path, "1/2", "1", "-4..4")
+    spec = write_json(tmp_path / "spec.json", {
+        **json.loads(cl2.read_text()),
+        "submodule": {"0": component, "1": "full"}})
+    for argv in (["verify", spec], ["probe", spec, "--core=-2..2"],
+                 ["gd", "from-lca", spec], ["ideal-check", spec]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {
+            "error": f"{spec}: submodule component at 0: {error}"}
+
 @pytest.mark.parametrize("text", ['{"0": ' + "1" * 5000 + "}", "[" * 100_000],
                          ids=["long-int", "deep-array"])
 def test_ideal_check_pattern_the_decoder_cannot_hold(tmp_path, text):
@@ -1155,6 +1177,37 @@ def test_main_calls_share_no_state(tmp_path):
     assert (first.bind, second.bind, third.bind) == (["s=1"], ["b=2"], None)
     assert cli._parser() is cli._parser()
 
+
+# -- writing a spec: main alone writes, to -o or to stdout --------------------------
+
+def spec_commands(tmp_path):
+    """family, gd from-lca and gd to-lca, each with its input file written."""
+    a1 = tmp_path / "a1.json"
+    a1.write_text(a1_spec_text())
+    cl2 = write_cl2(tmp_path, "1/2", "1", "-4..4")
+    return [["family", "CL2", "--b=1/2", "--s=1", "--window=-4..4"],
+            ["gd", "from-lca", str(cl2)], ["gd", "to-lca", str(a1)]]
+
+
+def test_output_file_holds_the_bytes_stdout_prints(tmp_path):
+    for argv in spec_commands(tmp_path):
+        code, printed, err = run(argv)
+        assert (code, err) == (0, ""), argv
+        out = tmp_path / "out.json"
+        assert run(argv + ["-o", str(out)]) == (0, "", ""), argv
+        assert out.read_text(encoding="utf-8") == printed, argv
+        out.unlink()
+
+
+def test_unwritable_output_is_an_input_error(tmp_path):
+    # As an unreadable input is: exit 2 naming the path, not an internal
+    # error, and nothing written.
+    missing = tmp_path / "missing" / "x.json"
+    for argv in [["family", "Vir"]] + spec_commands(tmp_path):
+        code, out, err = run(argv + ["-o", str(missing)])
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err)["error"].startswith(f"cannot write {missing}: ")
+        assert not missing.parent.exists()
 
 # -- fuzz: every command on a mutated spec ends in a verdict or an input error ---
 

@@ -53,11 +53,15 @@ laws it decides, not with the triples it scans:
   part is, so a skipped law costs no arithmetic;
 - a table entry, read by basis position on one ``poly.Packing``, is one
   flat packed dict keyed by ``monomial_key * n + target_position``
-  (``_flat``), and so is a composite (``_extend``), whose products spend
-  one ``PairCount`` per check;
-- a law is the ``_signed_sum`` of weighted parts, and ``_decide`` counts
-  the laws not handed on as skipped and splits by target and unpacks only
-  a failing residual; ``jacobi_residual`` says why that is exact.
+  (``_flat``), and so is a composite: ``_extend``, the one product loop,
+  adds a composite with a sign into an accumulator, a fresh dict unless
+  the caller hands one on, and its products spend one ``PairCount`` per
+  check;
+- a law of ``gd`` or skew is the ``_signed_sum`` of weighted parts, and
+  ``_decide`` counts the laws not handed on as skipped and splits by
+  target and unpacks only a failing residual; ``jacobi_residual`` extends
+  its three composites into one accumulator, with no ``_signed_sum``, and
+  says why splitting and unpacking only a nonzero residual is exact.
 
 These checks and the ideal check of ``ideals`` return one ``LawReport``:
 counts, and a ``LawViolation`` per failing case.
@@ -274,8 +278,8 @@ class ConformalAlgebra(StructureTable):
         #: Whether the table is rank one with a grade-0 generator, whose
         #: action p_{0,j} the spectral diagnostics read.
         self.has_grade_zero = self.graded is not None and 0 in self.window
-        # The packing and the packed, substituted table entries of the
-        # axiom checks, made on first use by ``_lines``.
+        # The packing, the packed rows and the packed, substituted table
+        # entries of the axiom checks, made on first use by ``_lines``.
         self._packing: Packing | None = None
         self._jacobi_forms: dict[str, list[_Line]] = {}
 
@@ -431,8 +435,10 @@ def _decidable(inner: StructureTable, outer: StructureTable
 
 
 def _extend(combo: Packed, line: Sequence[Packed] | Mapping[int, Packed],
-            n: int, count: PairCount) -> Packed:
-    """Sum of coef * line[t] over a flat combination.
+            n: int, count: PairCount, acc: Packed | None = None,
+            sign: int = 1) -> Packed:
+    """Add sign * coef * line[t] over a flat combination into ``acc`` (a
+    fresh dict when None), and return it.
 
     ``line`` is a row of a table or a column, by basis position, so one
     helper extends a product on either side.  The caller extends only a
@@ -443,7 +449,8 @@ def _extend(combo: Packed, line: Sequence[Packed] | Mapping[int, Packed],
     multiplied.  The numerators of the result are over ``den**2``; zeros
     may remain.
     """
-    acc: Packed = {}
+    if acc is None:
+        acc = {}
     get = acc.get
     pairs = count.pairs
     for k1, n1 in combo.items():
@@ -454,6 +461,7 @@ def _extend(combo: Packed, line: Sequence[Packed] | Mapping[int, Packed],
             raise PairBudgetError(f"{count.check} needs more than "
                                   f"{MAX_PAIRS} term pairs")
         base = k1 - t
+        n1 *= sign
         for k2, n2 in other.items():
             k = base + k2
             acc[k] = get(k, 0) + n1 * n2
@@ -540,36 +548,44 @@ _JACOBI_FORMS = {
 
 class _Line(dict):
     """Row ``k`` of the table under one form (column ``k`` for ``tw``), by
-    basis position.  An entry is packed, substituted and flattened
-    (``_flat``) on first read and kept; the checks read only stored rows.  A
-    line holds the parts of the algebra it reads, not the algebra, which
-    holds its lines: no reference cycle."""
+    basis position.  An entry is substituted and flattened (``_flat``) on
+    first read and kept; the checks read only stored rows.  A stored pair's
+    coefficients are packed once, on the first read of any form, into the
+    packed rows the seven forms share, and each form substitutes that
+    packing.  A line holds the parts of the algebra it reads, not the
+    algebra, which holds its lines: no reference cycle."""
 
     def __init__(self, parts: tuple, form: str, k: int):
         super().__init__()
         self.parts, self.form, self.k = parts, form, k
 
     def __missing__(self, t: int) -> Packed:
-        gens, table, position, packing = self.parts
+        gens, table, position, packing, packed_rows = self.parts
         u, v = gens[self.k], gens[t]
         if self.form == "tw":
             u, v = v, u
+        row = packed_rows.get((u, v))
+        if row is None:
+            row = packed_rows[(u, v)] = [
+                (position[target], packing.pack(poly))
+                for target, poly in table[(u, v)].items()]
+        chain = _JACOBI_FORMS[self.form]
         parts = []
-        for target, poly in table[(u, v)].items():
-            packed = packing.pack(poly)
-            for var, s, variables in _JACOBI_FORMS[self.form]:
+        for w, packed in row:
+            for var, s, variables in chain:
                 packed = packing.substitute(packed, var, s, variables)
-            parts.append((position[target], packed))
+            parts.append((w, packed))
         entry = self[t] = _flat(parts, len(gens))
         return entry
 
 
 def _lines(alg: ConformalAlgebra) -> dict[str, list[_Line]]:
     """Form -> the lines of the table under it, with the algebra's packing
-    made from its table on first use and kept on the algebra."""
+    made from its table on first use and kept on the algebra, as are the
+    packed rows its lines share."""
     if alg._packing is None:
         alg._packing = _packing(alg)
-        parts = (alg.generators, alg._table, alg._position, alg._packing)
+        parts = (alg.generators, alg._table, alg._position, alg._packing, {})
         alg._jacobi_forms = {form: [_Line(parts, form, k)
                                     for k in range(len(alg.generators))]
                              for form in _JACOBI_FORMS}
@@ -612,8 +628,9 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     some inner bracket is nonzero and the total grade is missing: the rule
     of ``_decidable`` for one triple.
 
-    The residual is the ``_signed_sum`` of three ``_extend`` composites of
-    the flat entries ``_lines`` caches.  It is exact:
+    The residual is one packed accumulator: ``_extend`` multiplies each of
+    the three composites, from the flat entries ``_lines`` caches, straight
+    into it with its sign.  It is exact:
 
     - the substitutions are linear and homogeneous with integer
       coefficients, so they keep the total degree of every monomial and the
@@ -627,8 +644,9 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
       product monomial: the target digit never carries into the monomial,
       and two (monomial, target) pairs never share a key;
     - each residual is a sum of numerators over ``den**2``, so it is zero
-      exactly when every integer numerator is zero, and only a nonzero
-      residual is split by target and unpacked.
+      exactly when every integer numerator is zero: an all-zero one
+      returns ``{}``, and only a nonzero residual is split by target and
+      unpacked.
 
     The products spend term pairs from ``count`` (a fresh one when None).
     """
@@ -648,13 +666,14 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     n = len(alg.generators)
     if count is None:
         count = PairCount("the Jacobi check")
-    residual = _signed_sum((
-        # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
-        (1, _extend, (lines["vw"][b][c], lines["plain"][a], n, count)),
-        # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
-        (-1, _extend, (lines["uv"][a][b], lines["tw"][c], n, count)),
-        # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
-        (-1, _extend, (lines["uw"][a][c], lines["vt"][b], n, count))))
+    # [u_x [v_y w]]: inner polynomial evaluated at (d+x, y).
+    residual = _extend(lines["vw"][b][c], lines["plain"][a], n, count)
+    # [[u_x v]_{x+y} w]: inner coefficient at (-x-y, x), outer at (d, x+y).
+    _extend(lines["uv"][a][b], lines["tw"][c], n, count, residual, -1)
+    # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
+    _extend(lines["uw"][a][c], lines["vt"][b], n, count, residual, -1)
+    if not any(residual.values()):
+        return {}
     return {alg.generators[r]: alg._packing.unpack(packed)
             for r, packed in _by_target(residual, n).items()}
 

@@ -5,7 +5,8 @@ full rank-one module, the zero module, or a principal piece generated by a
 monic polynomial q(d) times the grade's generator.  Components are stored
 as a map grade -> monic generator, with q = 1 meaning full and a missing
 grade meaning zero.  A generator must be monic in d: any other constant, such
-as 2 or s, is refused, not normalized to full.
+as 2 or s, is refused, not normalized to full.  A refused component's
+ValueError names its grade: "submodule component at <grade>: <reason>".
 
 Every bracket is one landing formula on the rank-one table: a component
 q(d) L_j bracketed with L_i lands as p_{i,j}(d, x) q(d+x) L_{i+j}, with
@@ -61,8 +62,13 @@ class GradedSubmodule:
     """Per-grade components: monic generator in d; 1 = full, absent = zero."""
 
     def __init__(self, components: Mapping[int, ParamPoly]):
-        self.components = {grade: _validate_component(q)
-                           for grade, q in dict(components).items()}
+        self.components: dict[int, ParamPoly] = {}
+        for grade, q in dict(components).items():
+            try:
+                self.components[grade] = _validate_component(q)
+            except ValueError as exc:
+                raise ValueError(f"submodule component at {grade}: {exc}"
+                                 ) from None
 
     def generator(self, grade: int) -> Optional[ParamPoly]:
         """The monic component generator, or None for the zero component."""

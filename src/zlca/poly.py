@@ -37,9 +37,11 @@ each coefficient an ``int`` numerator over a denominator shared by a whole
 set of polynomials.  It converts from and back to ``ParamPoly`` only.
 ``Packing.substitute`` is that format's own substitution, of one variable
 by a signed sum of variables, with which ``conformal`` builds its Jacobi
-forms.  It stays because it is the cheaper route: building those forms with
-``ParamPoly.substitute`` and packing the result cost the verify-window
-benchmark a third or more of its jobs per second (8 s runs, 2-vCPU VM).
+forms: the seven forms of a stored row each substitute the one packing of
+that row, made once.  It stays because it is the cheaper route: building
+those forms with ``ParamPoly.substitute`` and packing the result cost the
+verify-window benchmark a third or more of its jobs per second (8 s runs,
+2-vCPU VM).
 
 ``ParamPoly._divmod`` is the one division, in the canonical order, visiting
 each term once.  ``exact_divide`` reads its remainder, and so does

@@ -173,7 +173,12 @@ def _pattern_entries(raw: Mapping[Any, Any]) -> tuple[tuple[int, str], ...]:
 
 def parse_pattern(entries: tuple[tuple[int, str], ...]) -> GradedSubmodule:
     """``_pattern_entries``, each "full", "zero" or a polynomial within the
-    caps (MAX_FORMAL_DEGREE, MAX_PATTERN_TERMS), as a graded submodule."""
+    caps (MAX_FORMAL_DEGREE, MAX_PATTERN_TERMS), as a graded submodule.
+
+    Every refusal reads "submodule component at <grade>: <reason>": a parse
+    or cap error here, and a component ``GradedSubmodule`` refuses, checked
+    there once, in the same form.
+    """
     components: dict[int, ParamPoly] = {}
     for grade, value in entries:
         if value == "zero":

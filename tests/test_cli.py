@@ -970,6 +970,32 @@ def test_every_command_refuses_a_spec_whose_submodule_breaks_a_rule(
         assert json.loads(err) == {
             "error": f"{spec}: submodule component at 0: {error}"}
 
+
+@pytest.mark.parametrize("component, error", [
+    ("2", "component generator must be monic in d: 2"),
+    ("s", "component generator must be monic in d: s"),
+    ("d + x", "component generators live in d and parameters only"),
+    ("0", "use absence, not a zero generator, for zero components")],
+    ids=["constant", "parameter", "bracket-variable", "zero"])
+def test_a_refused_component_names_its_grade(tmp_path, component, error):
+    # A component that parses within the caps but is no submodule generator
+    # is refused in the form of a parse or cap error, with its grade, by the
+    # spec loader and the pattern loader alike.
+    cl2 = write_cl2(tmp_path, "1/2", "1", "-4..4")
+    spec = write_json(tmp_path / "spec.json", {
+        **json.loads(cl2.read_text()),
+        "submodule": {"0": component, "1": "full"}})
+    pattern = write_json(tmp_path / "pattern.json",
+                         {"0": component, "1": "full"})
+    for argv, path in ((["verify", spec], spec),
+                       (["ideal-check", str(cl2), "--pattern", pattern],
+                        pattern)):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert json.loads(err) == {
+            "error": f"{path}: submodule component at 0: {error}"}
+
+
 @pytest.mark.parametrize("text", ['{"0": ' + "1" * 5000 + "}", "[" * 100_000],
                          ids=["long-int", "deep-array"])
 def test_ideal_check_pattern_the_decoder_cannot_hold(tmp_path, text):

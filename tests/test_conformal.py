@@ -279,6 +279,27 @@ def test_jacobi_triple_out_of_window():
     assert report.ok and report.skipped > 0
 
 
+@pytest.mark.parametrize("grades, missing", [
+    ((-1, 3, 2), [(3, 2)]), ((3, -1, 2), [(3, 2)]), ((2, 2, 1), [])],
+    ids=["only-vw", "only-uw", "total-grade"])
+def test_jacobi_triple_refusals(grades, missing):
+    # Each inner row of (u, v, w) missing alone, and every inner row stored
+    # and nonzero with the total grade 5 outside -1..4: each triple is
+    # refused before any product is made.
+    alg = families.make_cl1("s", 4)
+    gens = {g.grade: g for g in alg.generators}
+    u, v, w = (gens[i] for i in grades)
+    inner = [(v, w), (u, v), (u, w)]
+    assert [(p.grade, q.grade) for p, q in inner
+            if alg.entry(p, q) is None] == missing
+    assert all(alg.entry(p, q) for p, q in inner
+               if (p.grade, q.grade) not in missing)
+    count = conformal.PairCount("the Jacobi check")
+    with pytest.raises(OutOfWindowTripleError):
+        jacobi_residual(alg, u, v, w, count)
+    assert count.pairs == 0
+
+
 # -- the packed kernel against the ParamPoly expansion ----------------------------
 
 def reference_check_skew(alg):
@@ -537,6 +558,23 @@ def test_jacobi_cache_is_per_algebra():
     check_jacobi(alg)
     assert alg._packing.den == 1 and alg._jacobi_forms
     assert not families.make_cl2("b", "s", range(-2, 3))._jacobi_forms
+
+
+def test_jacobi_packs_each_stored_row_once(monkeypatch):
+    # The seven forms of a stored row share one packing of it, so a whole
+    # check packs at most one coefficient per stored pair of this rank-one
+    # table: a form that packed the row again would double the count.
+    alg = families.make_cl2("b", "s", range(-5, 6))
+    calls = []
+    pack = conformal.Packing.pack
+
+    def counted(self, poly):
+        calls.append(poly)
+        return pack(self, poly)
+
+    monkeypatch.setattr(conformal.Packing, "pack", counted)
+    assert check_jacobi(alg).ok
+    assert 0 < len(calls) <= len(alg.pairs())
 
 
 # -- the Jacobi identity expanded by sympy ------------------------------------------

@@ -50,18 +50,23 @@ laws it decides, not with the triples it scans:
 - ``_decidable`` reads off the stored rows alone, with no arithmetic, which
   composites outer(inner(x, y), z) and outer(x, inner(y, z)) are decidable;
   each check walks its laws in order and hands on only those whose every
-  part is, so a skipped law costs no arithmetic;
+  part is, so a skipped law costs no arithmetic.  An algebra's masks are
+  made once, with its lines, and ``jacobi_residual`` refuses a triple by
+  the same three bit tests ``check_jacobi`` reads;
 - a table entry, read by basis position on one ``poly.Packing``, is one
   flat packed dict keyed by ``monomial_key * n + target_position``
   (``_flat``), and so is a composite: ``_extend``, the one product loop,
   adds a composite with a sign into an accumulator, a fresh dict unless
   the caller hands one on, and its products spend one ``PairCount`` per
   check;
-- a law of ``gd`` or skew is the ``_signed_sum`` of weighted parts, and
-  ``_decide`` counts the laws not handed on as skipped and splits by
-  target and unpacks only a failing residual; ``jacobi_residual`` extends
-  its three composites into one accumulator, with no ``_signed_sum``, and
-  says why splitting and unpacking only a nonzero residual is exact.
+- a law's residual is ``{target: nonzero ParamPoly}``, ``{}`` when it
+  holds: ``_split``, the one split, returns ``{}`` for an all-zero flat
+  sum and splits by target and unpacks any other.  A law of ``gd`` or skew
+  is the ``_signed_sum`` of its evaluated, weighted parts;
+  ``jacobi_residual`` extends its three composites into one accumulator
+  and says why its split is exact;
+- ``_decide``, the one decider, takes each law with its residual, counts
+  the laws not handed on as skipped, and makes the report.
 
 These checks and the ideal check of ``ideals`` return one ``LawReport``:
 counts, and a ``LawViolation`` per failing case.
@@ -70,7 +75,6 @@ counts, and a ``LawViolation`` per failing case.
 from __future__ import annotations
 
 import itertools
-from operator import getitem
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -278,10 +282,11 @@ class ConformalAlgebra(StructureTable):
         #: Whether the table is rank one with a grade-0 generator, whose
         #: action p_{0,j} the spectral diagnostics read.
         self.has_grade_zero = self.graded is not None and 0 in self.window
-        # The packing, the packed rows and the packed, substituted table
-        # entries of the axiom checks, made on first use by ``_lines``.
+        # The packing, the packed and substituted table entries and the
+        # ``_decidable`` masks of the axiom checks, made by ``_lines``.
         self._packing: Packing | None = None
         self._jacobi_forms: dict[str, list[_Line]] = {}
+        self._masks: tuple[list[list[int]], list[list[int]]] = ([], [])
 
     def _check(self, u: GeneratorId, v: GeneratorId, w: GeneratorId,
                names: frozenset[str]) -> None:
@@ -386,14 +391,22 @@ def _flat(parts: Iterable[tuple[int, Packed]], n: int) -> Packed:
     return {k * n + w: num for w, packed in parts for k, num in packed.items()}
 
 
-def _by_target(packed: Packed, n: int) -> dict[int, Packed]:
-    """A flat packed dict split by target position, zeros dropped."""
+def _split(packed: Packed, basis: Sequence[GeneratorId], packing: Packing
+           ) -> dict[GeneratorId, ParamPoly]:
+    """A flat packed sum as {target: nonzero ParamPoly}.
+
+    An all-zero sum, the common case, is ``{}`` with no split; any other is
+    split by target position and each nonzero part unpacked.
+    """
+    if not any(packed.values()):
+        return {}
+    n = len(basis)
     out: dict[int, Packed] = {}
     for k, num in packed.items():
         if num:
             monomial, w = divmod(k, n)
             out.setdefault(w, {})[monomial] = num
-    return out
+    return {basis[w]: packing.unpack(part) for w, part in out.items()}
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -469,18 +482,19 @@ def _extend(combo: Packed, line: Sequence[Packed] | Mapping[int, Packed],
     return acc
 
 
-def _signed_sum(parts) -> Packed:
-    """The sum of weight * part(*args) over the parts of one decidable law.
-
-    The weights are signed integers that bring every part to numerators
-    over ``den**2``; the flat sum is returned packed, zeros included.
-    """
+def _signed_sum(basis: Sequence[GeneratorId], packing: Packing,
+                parts: Iterable[tuple[int, Packed]]
+                ) -> dict[GeneratorId, ParamPoly]:
+    """The residual of one decidable law: the ``_split`` of the sum of
+    weight * part over its evaluated parts, whose signed integer weights
+    bring every part to numerators over ``den**2``.  A law that holds, the
+    common case, returns ``{}`` without the call."""
     acc: Packed = {}
     get = acc.get
-    for weight, part, args in parts:
-        for k, num in part(*args).items():
+    for weight, part in parts:
+        for k, num in part.items():
             acc[k] = get(k, 0) + weight * num
-    return acc
+    return _split(acc, basis, packing) if any(acc.values()) else {}
 
 
 @dataclass(frozen=True)
@@ -505,27 +519,21 @@ class LawReport:
         return not self.violations
 
 
-def _decide(laws, total: int, basis: tuple[GeneratorId, ...],
-            packing: Packing) -> LawReport:
-    """Decide ``(positions, name, parts)`` laws by ``_signed_sum``.
+def _decide(laws, total: int, basis: Sequence[GeneratorId]) -> LawReport:
+    """The report of ``(positions, name, residual)`` laws, out of ``total``.
 
     The caller yields, in its order, only the laws whose every part is
-    decidable, out of ``total`` laws; the rest are skipped, with no
-    arithmetic spent on them.  Only the residual of a failing law is split
-    by target and unpacked, into its LawViolation.
+    decidable, each with its residual, ``{}`` when the law holds; the rest
+    are skipped, with no arithmetic spent on them.  A failing law is one
+    LawViolation, its residual items sorted by generator.
     """
-    n = len(basis)
     checked = 0
     found: list[LawViolation] = []
-    for positions, name, parts in laws:
+    for positions, name, residual in laws:
         checked += 1
-        residual = _signed_sum(parts)
-        if any(residual.values()):
-            by_target = _by_target(residual, n)
-            found.append(LawViolation(
-                name, tuple(basis[p] for p in positions),
-                tuple((basis[w], packing.unpack(by_target[w]))
-                      for w in sorted(by_target))))
+        if residual:
+            found.append(LawViolation(name, tuple(basis[p] for p in positions),
+                                      tuple(sorted(residual.items()))))
     return LawReport(checked, total - checked, tuple(found))
 
 
@@ -582,13 +590,14 @@ class _Line(dict):
 def _lines(alg: ConformalAlgebra) -> dict[str, list[_Line]]:
     """Form -> the lines of the table under it, with the algebra's packing
     made from its table on first use and kept on the algebra, as are the
-    packed rows its lines share."""
+    packed rows its lines share and its ``_decidable`` masks."""
     if alg._packing is None:
         alg._packing = _packing(alg)
         parts = (alg.generators, alg._table, alg._position, alg._packing, {})
         alg._jacobi_forms = {form: [_Line(parts, form, k)
                                     for k in range(len(alg.generators))]
                              for form in _JACOBI_FORMS}
+        alg._masks = _decidable(alg, alg)
     return alg._jacobi_forms
 
 
@@ -603,11 +612,11 @@ def check_skew(alg: ConformalAlgebra) -> LawReport:
     den = alg._packing.den
     gens, rows = alg.generators, alg._table
     n = len(gens)
-    laws = (((i, j), "skew", ((den, getitem, (lines["plain"][i], j)),
-                              (den, getitem, (lines["flip"][j], i))))
+    laws = (((i, j), "skew", _signed_sum(gens, alg._packing, (
+                (den, lines["plain"][i][j]), (den, lines["flip"][j][i]))))
             for i, j in itertools.combinations_with_replacement(range(n), 2)
             if (gens[i], gens[j]) in rows and (gens[j], gens[i]) in rows)
-    return _decide(laws, n * (n + 1) // 2, gens, alg._packing)
+    return _decide(laws, n * (n + 1) // 2, gens)
 
 
 def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
@@ -623,10 +632,11 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
       - sum_t p^t_{u,w}(d+y, x) p^r_{v,t}(d, y)
 
     An all-zero map means the identity holds on this triple; otherwise the
-    map holds the nonzero residuals only.  Raises OutOfWindowTripleError,
-    before any arithmetic, when an inner bracket's grade is missing, or when
-    some inner bracket is nonzero and the total grade is missing: the rule
-    of ``_decidable`` for one triple.
+    map holds the nonzero residuals only.  Raises ValueError naming a
+    generator that is not one of the algebra's, and OutOfWindowTripleError,
+    before any arithmetic, when one of the three composites is undecidable:
+    three bit tests on the algebra's ``_decidable`` masks, the ones
+    ``check_jacobi`` reads.
 
     The residual is one packed accumulator: ``_extend`` multiplies each of
     the three composites, from the flat entries ``_lines`` caches, straight
@@ -644,25 +654,22 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
       product monomial: the target digit never carries into the monomial,
       and two (monomial, target) pairs never share a key;
     - each residual is a sum of numerators over ``den**2``, so it is zero
-      exactly when every integer numerator is zero: an all-zero one
-      returns ``{}``, and only a nonzero residual is split by target and
-      unpacked.
+      exactly when every integer numerator is zero: ``_split`` returns
+      ``{}`` for an all-zero one, and splits by target and unpacks only a
+      nonzero one.
 
     The products spend term pairs from ``count`` (a fresh one when None).
     """
-    rows = alg._table
-    # Each composite's inner pair, and its outer pair with None where each
-    # target t of the inner row goes.
-    for inner, x, z in (((v, w), u, None), ((u, v), None, w),
-                        ((u, w), v, None)):
-        row = rows.get(inner)
-        if row is None:
-            raise OutOfWindowTripleError((u, v, w))
-        for t in row:
-            if (t if x is None else x, t if z is None else z) not in rows:
-                raise OutOfWindowTripleError((u, v, w))
+    for g in (u, v, w):
+        if g not in alg._position:
+            raise ValueError(f"generator {g.name} is not in the algebra")
     a, b, c = (alg._position[g] for g in (u, v, w))
     lines = _lines(alg)
+    right, left = alg._masks
+    # (u v) w, u (v w) and v (u w): the three composites.
+    if not (right[a][b] >> c & 1 and left[b][c] >> a & 1
+            and left[a][c] >> b & 1):
+        raise OutOfWindowTripleError((u, v, w))
     n = len(alg.generators)
     if count is None:
         count = PairCount("the Jacobi check")
@@ -672,10 +679,7 @@ def jacobi_residual(alg: ConformalAlgebra, u: GeneratorId, v: GeneratorId,
     _extend(lines["uv"][a][b], lines["tw"][c], n, count, residual, -1)
     # [v_y [u_x w]]: inner polynomial at (d+y, x), outer at (d, y).
     _extend(lines["uw"][a][c], lines["vt"][b], n, count, residual, -1)
-    if not any(residual.values()):
-        return {}
-    return {alg.generators[r]: alg._packing.unpack(packed)
-            for r, packed in _by_target(residual, n).items()}
+    return _split(residual, alg.generators, alg._packing)
 
 
 @dataclass(frozen=True)
@@ -693,34 +697,33 @@ def check_jacobi(alg: ConformalAlgebra) -> JacobiReport:
     instead (the algebra is then never certified on the cheap path).  The
     masks of ``_decidable`` pick the decidable triples, in that order, and
     ``jacobi_residual`` runs once on each; the others are skipped with no
-    arithmetic.  All triples share one PairCount, so MAX_PAIRS bounds the
-    whole check.
+    arithmetic.  ``_decide`` makes the report, as for every law.  All
+    triples share one PairCount, so MAX_PAIRS bounds the whole check.
     """
     skew = check_skew(alg)
     gens = alg.generators
     n = len(gens)
-    right, left = _decidable(alg, alg)
+    _lines(alg)
+    right, left = alg._masks
     if skew.ok:
         pairs = itertools.combinations_with_replacement(range(n), 2)
         total = n * (n + 1) * (n + 2) // 6
     else:
         pairs, total = itertools.product(range(n), repeat=2), n ** 3
-    checked = 0
-    violations: list[LawViolation] = []
     count = PairCount("the Jacobi check")
-    for a, b in pairs:
-        low = b if skew.ok else 0
-        # (u v) w, then u (v w) and v (u w): the three composites.
-        for c in _bits(right[a][b] >> low << low):
-            if not (left[b][c] >> a & 1 and left[a][c] >> b & 1):
-                continue
-            triple = (gens[a], gens[b], gens[c])
-            residual = jacobi_residual(alg, *triple, count)
-            checked += 1
-            if residual:
-                violations.append(LawViolation(
-                    "jacobi", triple, tuple(sorted(residual.items()))))
-    return JacobiReport(checked, total - checked, tuple(violations), skew)
+
+    def laws():
+        for a, b in pairs:
+            low = b if skew.ok else 0
+            # (u v) w, then u (v w) and v (u w): the three composites.
+            for c in _bits(right[a][b] >> low << low):
+                if left[b][c] >> a & 1 and left[a][c] >> b & 1:
+                    yield (a, b, c), "jacobi", jacobi_residual(
+                        alg, gens[a], gens[b], gens[c], count)
+
+    report = _decide(laws(), total, gens)
+    return JacobiReport(report.checked, report.skipped, report.violations,
+                        skew)
 
 
 # -- structure diagnostics -----------------------------------------------------

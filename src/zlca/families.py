@@ -24,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Union
 
+from . import gd
 from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
                         graded_table, half_line)
 from .poly import D, X, ParamPoly, as_poly, param
@@ -69,8 +70,6 @@ def make_current(names: Iterable[str], constants: LieConstants
     the Lie Jacobi identity) before the algebra is built; all generators sit
     at grade 0 and the brackets are the constant polynomials.
     """
-    from . import gd  # local import; gd depends on conformal, not vice versa
-
     basis = tuple(GeneratorId(0, n) for n in names)
     by_name = {g.name: g for g in basis}
     for (left, right), terms in constants.items():

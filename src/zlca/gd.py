@@ -21,8 +21,8 @@ importable from here too).
 A law is a signed sum of composites such as (x o y) o z, each memoised by
 its position triple for one check call, so a composite shared by several
 laws is computed once.  Only the laws whose every composite is decidable
-are handed to the engine; the others are counted as skipped and cost no
-arithmetic.
+are handed to ``_decide``, each with its ``_signed_sum`` residual; the
+others are counted as skipped and cost no arithmetic.
 
 The correspondence with quadratic Lie conformal algebras:
 
@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
-from operator import getitem
+from functools import cache, partial
 from typing import Iterable, Mapping
 
 from .conformal import (ConformalAlgebra, GeneratorId, LawReport,
                         LawViolation, PairCount, StructureTable, _bits,
                         _decidable, _decide, _extend, _flat, _packing,
-                        graded_generators, graded_table, half_line)
+                        _signed_sum, graded_generators, graded_table,
+                        half_line)
 from .poly import (FORMAL_VARS, D, X, Packed, Packing, ParamPoly, Scalar,
                    as_poly, param)
 
@@ -190,22 +190,21 @@ def check_novikov(nov: NovikovAlgebra) -> LawReport:
     n = len(rows)
     right, left = _composites(rows, rows, PairCount("the Novikov check"))
     is_right, is_left = _decidable(nov, nov)
+    residual = partial(_signed_sum, nov.basis, packing)
 
     def laws():
         for a, b in itertools.product(range(n), repeat=2):
             for c in _bits(is_right[a][b]):
-                abc, bac = (a, b, c), (b, a, c)
                 if (is_left[b][c] >> a & 1 and is_right[b][a] >> c & 1
                         and is_left[a][c] >> b & 1):
-                    yield abc, "left-symmetry", ((1, right, abc),
-                                                 (-1, left, abc),
-                                                 (-1, right, bac),
-                                                 (1, left, bac))
+                    yield (a, b, c), "left-symmetry", residual((
+                        (1, right(a, b, c)), (-1, left(a, b, c)),
+                        (-1, right(b, a, c)), (1, left(b, a, c))))
                 if is_right[a][c] >> b & 1:
-                    yield abc, "right-commutativity", ((1, right, abc),
-                                                       (-1, right, (a, c, b)))
+                    yield (a, b, c), "right-commutativity", residual((
+                        (1, right(a, b, c)), (-1, right(a, c, b))))
 
-    return _decide(laws(), 2 * n ** 3, nov.basis, packing)
+    return _decide(laws(), 2 * n ** 3, nov.basis)
 
 
 def check_lie(lie: LieStructure) -> LawReport:
@@ -222,20 +221,21 @@ def check_lie(lie: LieStructure) -> LawReport:
     right, _ = _composites(rows, rows, PairCount("the Lie check"))
     is_right, _ = _decidable(lie, lie)
     den = packing.den
+    residual = partial(_signed_sum, lie.basis, packing)
 
     def laws():
         for a, b in itertools.product(range(n), repeat=2):
             if rows[a][b] is not None and rows[b][a] is not None:
-                yield (a, b), "antisymmetry", ((den, getitem, (rows[a], b)),
-                                               (den, getitem, (rows[b], a)))
+                yield (a, b), "antisymmetry", residual(((den, rows[a][b]),
+                                                        (den, rows[b][a])))
         for a, b in itertools.product(range(n), repeat=2):
             for c in _bits(is_right[a][b]):
                 if is_right[b][c] >> a & 1 and is_right[c][a] >> b & 1:
-                    yield (a, b, c), "jacobi", ((1, right, (a, b, c)),
-                                                (1, right, (b, c, a)),
-                                                (1, right, (c, a, b)))
+                    yield (a, b, c), "jacobi", residual((
+                        (1, right(a, b, c)), (1, right(b, c, a)),
+                        (1, right(c, a, b))))
 
-    return _decide(laws(), n ** 2 + n ** 3, lie.basis, packing)
+    return _decide(laws(), n ** 2 + n ** 3, lie.basis)
 
 
 def check_gd(g: GDAlgebra) -> LawReport:
@@ -255,21 +255,21 @@ def check_gd(g: GDAlgebra) -> LawReport:
     product_of_bracket, product_by_bracket = _composites(lie, nov, count)
     is_bp, _ = _decidable(g.nov, g.lie)
     is_pb, is_pxb = _decidable(g.lie, g.nov)
+    residual = partial(_signed_sum, g.basis, packing)
 
     def laws():
         for a, b in itertools.product(range(n), repeat=2):
             for c in _bits(is_bp[a][b]):
-                abc, acb = (a, b, c), (a, c, b)
                 if (is_bp[a][c] >> b & 1 and is_pb[a][b] >> c & 1
                         and is_pb[a][c] >> b & 1 and is_pxb[b][c] >> a & 1):
-                    yield abc, "compatibility", (
-                        (1, bracket_of_product, abc),
-                        (-1, bracket_of_product, acb),
-                        (1, product_of_bracket, abc),
-                        (-1, product_of_bracket, acb),
-                        (-1, product_by_bracket, abc))
+                    yield (a, b, c), "compatibility", residual((
+                        (1, bracket_of_product(a, b, c)),
+                        (-1, bracket_of_product(a, c, b)),
+                        (1, product_of_bracket(a, b, c)),
+                        (-1, product_of_bracket(a, c, b)),
+                        (-1, product_by_bracket(a, b, c))))
 
-    return _decide(laws(), n ** 3, g.basis, packing)
+    return _decide(laws(), n ** 3, g.basis)
 
 
 # -- truncated families ---------------------------------------------------------

@@ -53,7 +53,7 @@ import re
 from fractions import Fraction
 from typing import Optional
 
-from .poly import FORMAL_VARS, ONE_MONO, Mono, ParamPoly, Scalar, mono_mul
+from .poly import ONE_MONO, Mono, ParamPoly, Scalar, mono_mul
 
 MAX_LITERAL_DIGITS = 1000
 MAX_NESTING = 100
@@ -307,4 +307,4 @@ def parse(text: str, memo: Optional[Memo] = None) -> ParamPoly:
     return _Parser(_tokenize(text)).parse()
 
 
-__all__ = ["Memo", "ParseError", "parse", "FORMAL_VARS"]
+__all__ = ["Memo", "ParseError", "parse"]

@@ -18,14 +18,17 @@ changed.  On the functional-equation systems the peel settles almost every
 column (85 to 91 of the 91 at degree 12).
 
 What is left, the rows still nonempty less their peeled columns, goes to
-elimination.  Each is scaled to a primitive integer row: denominators are
-cleared and the content gcd is divided out.  Pivot columns are taken left to
-right.  The rows that lead in the current column are the candidates; the
-shortest one becomes the pivot row, every other candidate is combined with it
-over the integers (and made primitive again), and every earlier pivot row
-with an entry in the column is back-reduced the same way.  Rows with no entry
-in the column are not touched.  Only at the end is each pivot row divided by
-its pivot, which is the one step that forms ``Fraction`` values.
+one elimination pass; after the peel these systems are tiny (at most 21
+rows by 7 columns on the functional-equation systems, and often none).  Each
+survivor is scaled to a primitive integer row: denominators are cleared and
+the content gcd is divided out.  It is reduced by the pivot rows found so
+far, each combined with it over the integers (and made primitive again)
+where it has an entry in that row's pivot column.  A row left nonempty
+becomes a pivot row at its first column, and every earlier pivot row with
+an entry there is back-reduced by it the same way.  The pivot rows stay zero
+at each other's pivot columns and zero before their own.  Only at the end is
+each pivot row divided by its pivot, which is the one step that forms
+``Fraction`` values.
 
 The reduced row echelon form of a matrix is unique: its pivot columns are
 those that are not linear combinations of the columns before them, and each
@@ -125,31 +128,23 @@ def rref(matrix: Matrix, ncols: int
          ) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form over Q: dense rows and pivot columns."""
     peeled, survivors = _peel(matrix, ncols)
-    leading: dict[int, list[dict[int, int]]] = {}
+    pivot_rows: list[tuple[int, dict[int, int]]] = []  # (pivot column, row)
     for row in survivors:
         row = _integer_row(row)
-        leading.setdefault(min(row), []).append(row)
-    pivot_rows: list[dict[int, int]] = []
-    for col in range(ncols):
-        candidates = leading.pop(col, None)
-        if candidates is None:
-            continue
-        pivot = min(candidates, key=len)
-        for row in candidates:
-            if row is not pivot:
-                row = _eliminate(row, pivot, col)
-                if row:
-                    leading.setdefault(min(row), []).append(row)
-        pivot_rows = [_eliminate(prow, pivot, col) if col in prow else prow
-                      for prow in pivot_rows]
-        pivot_rows.append(pivot)
+        for col, prow in pivot_rows:
+            if col in row:
+                row = _eliminate(row, prow, col)
+        if row:
+            col = min(row)
+            pivot_rows = [(c, _eliminate(prow, row, col) if col in prow
+                           else prow) for c, prow in pivot_rows]
+            pivot_rows.append((col, row))
     echelon: dict[int, tuple[Fraction, ...]] = {}  # pivot column -> row
     for col in peeled:
         dense = [_ZERO] * ncols
         dense[col] = _ONE
         echelon[col] = tuple(dense)
-    for prow in pivot_rows:
-        col = min(prow)
+    for col, prow in pivot_rows:
         lead = prow[col]
         dense = [_ZERO] * ncols
         for c, v in prow.items():

@@ -300,6 +300,73 @@ def test_jacobi_triple_refusals(grades, missing):
     assert count.pairs == 0
 
 
+@pytest.mark.parametrize("triple, name", [
+    (("Z", 0, 1), "Z"), ((0, "Z", 1), "Z"), ((0, 1, "Z"), "Z"),
+    (("L7", 0, 0), "L7")], ids=["first", "second", "third", "off-window"])
+def test_jacobi_residual_refuses_a_generator_outside_the_algebra(triple,
+                                                                 name):
+    # Z sits at grade 0, inside the window, and L7 at grade 7, outside it;
+    # neither is a generator of the algebra, so no triple with one is
+    # undecidable: it is an input error that names the generator.
+    alg = families.make_cl2("b", "s", range(-2, 3))
+    outside = {"Z": GeneratorId(0, "Z"), "L7": GeneratorId(7, "L7")}
+    args = [outside[g] if isinstance(g, str) else alg.graded[g]
+            for g in triple]
+    count = conformal.PairCount("the Jacobi check")
+    with pytest.raises(ValueError, match=f"generator {name} is not in"):
+        jacobi_residual(alg, *args, count)
+    assert count.pairs == 0
+
+
+def _spy(monkeypatch, module, name):
+    """Calls of ``module.name`` recorded while it runs as before."""
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_every_law_check_reports_through_decide(monkeypatch):
+    # skew, Jacobi and the three GD checks make their reports with the one
+    # decider, once per check, and check_jacobi once for skew, then Jacobi
+    decide = _spy(monkeypatch, conformal, "_decide")
+    gd_decide = _spy(monkeypatch, gd, "_decide")
+    report = check_jacobi(families.make_cl2("b", "s", range(-2, 3)))
+    assert [call[1] for call in decide] == [15, 35]
+    assert (report.checked + report.skipped, report.skew.checked
+            + report.skew.skipped) == (35, 15)
+    a2 = gd.gd_a2("b", "s", range(-2, 3))
+    for check, structure in ((gd.check_novikov, a2.nov),
+                             (gd.check_lie, a2.lie), (gd.check_gd, a2)):
+        gd_decide.clear()
+        check(structure)
+        assert len(gd_decide) == 1
+    assert len(decide) == 2
+
+
+def test_jacobi_masks_are_built_once_per_algebra(monkeypatch):
+    # check_jacobi and jacobi_residual read one set of _decidable masks,
+    # made with the algebra's lines and kept with them
+    built = _spy(monkeypatch, conformal, "_decidable")
+    alg = families.make_cl1("s", 3)
+    reports = [check_jacobi(alg), check_jacobi(alg)]
+    assert reports[0] == reports[1] and reports[0].skipped > 0
+    decided = 0
+    for triple in itertools.product(alg.generators, repeat=3):
+        try:
+            jacobi_residual(alg, *triple)
+            decided += 1
+        except OutOfWindowTripleError:
+            pass
+    assert 0 < decided < len(alg.generators) ** 3
+    assert len(built) == 1
+
+
 # -- the packed kernel against the ParamPoly expansion ----------------------------
 
 def reference_check_skew(alg):

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -51,8 +50,7 @@ class InputError(ValueError):
 
 
 def _emit(payload: dict[str, Any], stream=None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    (stream or sys.stdout).write(text)
+    (stream or sys.stdout).write(specfile.canonical_json(payload))
 
 
 def _built(path: str, build: Callable[[], Any]) -> Any:
@@ -237,9 +235,11 @@ def cmd_family(args) -> Result:
     if args.lie:
         lie_spec = specfile.load_path(args.lie)
         rows = _built(args.lie, lie_spec.conformal_brackets)
-        lie = (tuple(g.name for g in lie_spec.generators),
-               {(u.name, v.name): {w.name: p for w, p in row.items()}
-                for (u, v), row in rows.items()})
+        names = [g.name for g in lie_spec.generators]
+        constants = {(u.name, v.name): {w.name: p for w, p in row.items()}
+                     for (u, v), row in rows.items()}
+        build = functools.partial(families.make_current, names, constants)
+        lie = functools.partial(_built, args.lie, build)
     window = _parse_window(args.window) if args.window else None
     # A signed bound: conformal.half_line alone refuses a top below -1.
     top = _parse_count(args.top, "--top", signed=True)

@@ -22,7 +22,7 @@ allows (SCL2 needs a concrete rational b because the grading depends on it).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Callable, Iterable, Mapping, Optional, Union
 
 from . import gd
 from .conformal import (ConformalAlgebra, GeneratorId, graded_generators,
@@ -215,12 +215,13 @@ def make_family(kind: str, *, s: Optional[Coefficientish] = None,
                 b: Optional[Coefficientish] = None,
                 window: Optional[tuple[int, int]] = None,
                 top: Optional[int] = None,
-                lie: Optional[tuple[tuple[str, ...], LieConstants]] = None
+                lie: Optional[Callable[[], ConformalAlgebra]] = None
                 ) -> ConformalAlgebra:
     """The family ``kind`` (a key of FAMILY_ARGS) as the command line
     requests it: ``s`` and ``b`` default to symbolic, and the kind requires
     the rest of what it reads (``window``, an inclusive (low, high) pair;
-    CL1's ``top`` grade; Cur's ``lie``, its names and structure constants)."""
+    CL1's ``top`` grade; Cur's ``lie``, a function that builds the current
+    algebra, called once the arguments are checked)."""
     if kind not in FAMILY_ARGS:
         raise ValueError(f"unknown family kind {kind!r}")
     given = {"s": s, "b": b, "window": window, "top": top, "lie": lie}
@@ -236,7 +237,7 @@ def make_family(kind: str, *, s: Optional[Coefficientish] = None,
     if kind == "Vir":
         return make_vir()
     if kind == "Cur":
-        return make_current(*lie)
+        return lie()
     if kind == "CL1":
         return make_cl1(s, top)
     grades = range(window[0], window[1] + 1)

@@ -139,7 +139,12 @@ class SpecFile:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        return canonical_json(self.to_json_dict())
+
+
+def canonical_json(payload: Mapping[str, Any]) -> str:
+    """Every spec and report zlca writes: sorted keys, indent 2, newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 #: A generator grade and a submodule grade key have at most this many digits,

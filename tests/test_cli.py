@@ -464,6 +464,32 @@ def test_family_cur_from_lie_file(tmp_path):
     assert run(["family", "Cur", "--lie", str(lie_path)])[0] == 2
 
 
+#: Lie specs whose constants ``family Cur --lie`` refuses, and why: one that
+#: fails antisymmetry, and the CL2(1/2, 1) spec, whose brackets use d and x.
+CUR_REFUSALS = {
+    "one-sided": (lambda tmp_path: write_json(tmp_path / "ef.json", {
+        "generators": [{"name": "e", "grade": 0}, {"name": "f", "grade": 0}],
+        "brackets": [{"left": "e", "right": "f",
+                      "terms": [{"target": "e", "poly": "1"}]}]}),
+        "antisymmetry fails on (e, f)"),
+    "cl2": (lambda tmp_path: str(write_cl2(tmp_path, "1/2", "1", "-4..4")),
+            "structure constants must be free of d, x, y"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CUR_REFUSALS))
+def test_family_cur_names_the_file_whose_constants_it_refuses(tmp_path, case):
+    make, message = CUR_REFUSALS[case]
+    path = make(tmp_path)
+    code, out, err = run(["family", "Cur", "--lie", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{path}: {message}"}
+    # An argument error names no file, and comes before the constants.
+    code, _, err = run(["family", "Cur", "--lie", path, "--window=0..1"])
+    assert code == 2
+    assert json.loads(err) == {"error": "Cur does not read --window"}
+
+
 def test_probe_refuses_a_grade_with_two_generators(tmp_path):
     lie_path = tmp_path / "sl2.json"
     lie_path.write_text(json.dumps(SL2_LIE))
